@@ -31,6 +31,13 @@ def _parse_fraction(text):
         raise ConfigError(f"bad rational {text!r}: {exc}") from None
 
 
+def _parse_int(text, what):
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"{what} must be an integer, got {text!r}") from None
+
+
 def _parse_momentum(text):
     parts = text.split(",")
     if len(parts) != 3:
@@ -146,8 +153,8 @@ def cmd_dump_solutions(args):
     eps = {"+1": 1, "1": 1, "-1": -1}.get(args.energy_sign)
     if eps is None:
         raise ConfigError("energy sign must be +1 or -1")
-    spin = int(args.spin)
-    proj = int(args.projection)
+    spin = _parse_int(args.spin, "spin")
+    proj = _parse_int(args.projection, "projection")
     if (spin, proj) not in ((1, 1), (1, -1), (1, 0), (0, 0)):
         raise ConfigError(f"invalid spin/projection pair ({spin}, {proj})")
     try:
@@ -165,8 +172,8 @@ def cmd_dump_solutions(args):
 
 
 def cmd_dump_gram(args):
-    truncation = int(args.truncation)
-    scheme = int(args.scheme)
+    truncation = _parse_int(args.truncation, "truncation")
+    scheme = _parse_int(args.scheme, "scheme")
     if scheme not in (1, 2):
         raise ConfigError("scheme must be 1 or 2")
     if truncation < 0:
@@ -188,7 +195,8 @@ def cmd_stokes(args):
         if not isinstance(term, list) or len(term) != 4:
             raise ConfigError("each term must be [n1, n2, re, im]")
         n1, n2, re, im = term
-        coeffs[(int(n1), int(n2))] = GaussianRational(as_fraction(str(re)), as_fraction(str(im)))
+        occupation = (_parse_int(str(n1), "occupation"), _parse_int(str(n2), "occupation"))
+        coeffs[occupation] = GaussianRational(_parse_fraction(str(re)), _parse_fraction(str(im)))
     trunc = max(n1 + n2 for (n1, n2) in coeffs)
     try:
         state = em_mod.polarization_state(coeffs, truncation=max(trunc, 2))

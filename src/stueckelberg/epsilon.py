@@ -12,7 +12,7 @@ indices swapped flips the sign.
 
 from __future__ import annotations
 
-from .exact import ExactMatrix, GR_ONE, GaussianRational, zeros_grid
+from .exact import ExactMatrix, GR_ONE, GaussianRational
 
 VECTOR_INDICES = (1, 2, 3, 4)
 BIVECTOR_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
@@ -157,13 +157,13 @@ def identity_of(space: SpaceView) -> ExactMatrix:
     factor, so the sign flips of the unordered lookups must compensate the
     double counting exactly.
     """
-    grid = zeros_grid(space.dim, space.dim)
+    terms = []
     half = GaussianRational(1) / GaussianRational(2)
     for lbl in space.labels:
         if lbl.kind == "bivector":
             continue
         p = space.position(lbl)
-        grid[p][p] = grid[p][p] + GR_ONE
+        terms.append(((p, p), GR_ONE))
     if any(lbl.kind == "bivector" for lbl in space.labels):
         for mu in VECTOR_INDICES:
             for nu in VECTOR_INDICES:
@@ -171,8 +171,8 @@ def identity_of(space: SpaceView) -> ExactMatrix:
                 if lbl is None:
                     continue
                 p = space.position(lbl)
-                grid[p][p] = grid[p][p] + half * (sign * sign)
-    total = ExactMatrix._from_grid(grid)
+                terms.append(((p, p), half * (sign * sign)))
+    total = ExactMatrix.sparse(space.dim, space.dim, terms)
     literal = ExactMatrix.identity(space.dim)
     if total != literal:
         raise AssertionError(f"summed identity differs from literal identity in {space.name}")

@@ -2,9 +2,13 @@
 
 Every identity checked by this package reduces to exact equality over
 Q(i), the field of complex numbers with rational real and imaginary
-parts.  Matrices are small (at most 11x11 outside the Fock sector), so
-the algorithms favour exactness over asymptotic cleverness; the one
-performance concession is that matrix products skip zero entries.
+parts.  Scalars are `GaussianRational` pairs of Fractions.  Matrices
+are sparse and fraction-free: an `ExactMatrix` stores only its nonzero
+entries, each as a Gaussian-integer numerator, over one denominator
+shared by the whole matrix, and is kept in lowest terms.  Products,
+sums, scalar multiples and elimination (as in Bareiss, Math. Comp. 22,
+1968) thus run on Python ints, and a Fraction is built only when an
+entry is read out as a scalar.
 """
 
 from __future__ import annotations
@@ -307,106 +311,250 @@ class JetScalar:
         return f"JetScalar({self.value!r}, {self.grad!r})"
 
 
-def zeros_grid(rows, cols):
-    return [[GR_ZERO] * cols for _ in range(rows)]
+_ZZ = (0, 0)
+
+
+def _as_scalar(x) -> GaussianRational:
+    s = GaussianRational._coerce(x)
+    return s if s is not None else GaussianRational(x)
+
+
+def _split(s: GaussianRational):
+    """Integers (a, b, d) with d > 0 and s == (a + b*i) / d."""
+    re, im = s.re, s.im
+    dr, di = re.denominator, im.denominator
+    if dr == di:
+        return re.numerator, im.numerator, dr
+    d = math.lcm(dr, di)
+    return re.numerator * (d // dr), im.numerator * (d // di), d
+
+
+def _scalar(a, b, den) -> GaussianRational:
+    """The Gaussian rational (a + b*i) / den, for integers a, b and den > 0."""
+    if not (a or b):
+        return GR_ZERO
+    if den == 1:
+        return GaussianRational._raw(Fraction(a), Fraction(b) if b else _F0)
+    return GaussianRational._raw(Fraction(a, den), Fraction(b, den) if b else _F0)
+
+
+def _integer_vector(v):
+    """([(a, b), ...], d): the scalars of v as Gaussian integers over one d > 0."""
+    parts = [_split(_as_scalar(x)) for x in v]
+    den = 1
+    for _, _, d in parts:
+        den = math.lcm(den, d)
+    return [(a * (den // d), b * (den // d)) for a, b, d in parts], den
+
+
+def _pruned(row):
+    """A row without the entries that cancelled to zero."""
+    if _ZZ in row.values():
+        return {j: e for j, e in row.items() if e != _ZZ}
+    return row
+
+
+def _wrap(rows, cols, r, den):
+    m = object.__new__(ExactMatrix)
+    m.rows = rows
+    m.cols = cols
+    m._r = r
+    m._den = den
+    return m
+
+
+def _reduced(rows, cols, r, den):
+    """The matrix with numerator rows r over den > 0, in lowest terms."""
+    g = den
+    for row in r:
+        if g == 1:
+            break
+        for a, b in row.values():
+            g = math.gcd(g, a, b)
+            if g == 1:
+                break
+    if g != 1:
+        den //= g
+        r = tuple({j: (a // g, b // g) for j, (a, b) in row.items()} for row in r)
+    return _wrap(rows, cols, r, den)
 
 
 class ExactMatrix:
-    """Dense matrix over GaussianRational with exact entrywise equality."""
+    """Matrix over Q(i): Gaussian-integer numerators over one shared denominator.
 
-    __slots__ = ("rows", "cols", "_m")
+    Only nonzero entries are stored.  Row i is a dict mapping a column j
+    to the numerator (re, im) of entry (i, j), a pair of Python ints, and
+    all entries share the positive denominator `_den`.  Every matrix is
+    kept in lowest terms (the gcd of `_den` and all numerators is 1, and
+    the zero matrix has denominator 1), so equal matrices are stored
+    alike.  Matrices are immutable: a row dict is never changed once a
+    matrix holds it, so matrices may share rows.
+    """
+
+    __slots__ = ("rows", "cols", "_r", "_den")
 
     def __init__(self, entries):
-        m = tuple(
-            tuple(e if isinstance(e, GaussianRational) else GaussianRational._coerce(e) or GaussianRational(e)
-                  for e in row)
-            for row in entries
-        )
-        if not m or not m[0]:
+        grid = [list(row) for row in entries]
+        if not grid or not grid[0]:
             raise ValueError("matrix needs at least one row and column")
-        if any(len(r) != len(m[0]) for r in m):
+        if any(len(r) != len(grid[0]) for r in grid):
             raise ValueError("ragged rows")
-        self.rows = len(m)
-        self.cols = len(m[0])
-        self._m = m
+        m = ExactMatrix.sparse(len(grid), len(grid[0]),
+                               (((i, j), e) for i, row in enumerate(grid)
+                                for j, e in enumerate(row)))
+        self.rows, self.cols, self._r, self._den = m.rows, m.cols, m._r, m._den
 
     @staticmethod
-    def _from_grid(grid):
-        v = object.__new__(ExactMatrix)
-        v._m = tuple(tuple(row) for row in grid)
-        v.rows = len(v._m)
-        v.cols = len(v._m[0])
-        return v
+    def sparse(rows, cols, entries):
+        """Matrix of shape (rows, cols) from ((i, j), value) pairs of exact scalars.
+
+        Positions not named are zero; values at a repeated position add up.
+        """
+        if rows < 1 or cols < 1:
+            raise ValueError("matrix needs at least one row and column")
+        entries = list(entries)
+        for (i, j), _ in entries:
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise IndexError(f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
+        nums, den = _integer_vector(v for _, v in entries)
+        r = [None] * rows
+        for ((i, j), _), (a, b) in zip(entries, nums):
+            if a or b:
+                row = r[i]
+                if row is None:
+                    row = r[i] = {}
+                e = row.get(j)
+                row[j] = (a, b) if e is None else (e[0] + a, e[1] + b)
+        return _reduced(rows, cols, tuple({} if row is None else _pruned(row) for row in r), den)
 
     @staticmethod
     def zeros(rows, cols=None):
         cols = rows if cols is None else cols
-        return ExactMatrix._from_grid(zeros_grid(rows, cols))
+        return ExactMatrix.sparse(rows, cols, ())
 
     @staticmethod
     def identity(n):
-        g = zeros_grid(n, n)
-        for i in range(n):
-            g[i][i] = GR_ONE
-        return ExactMatrix._from_grid(g)
+        if n < 1:
+            raise ValueError("matrix needs at least one row and column")
+        return _wrap(n, n, tuple({i: (1, 0)} for i in range(n)), 1)
 
     @staticmethod
     def unit(rows, cols, i, j, scale=GR_ONE):
         """Matrix with a single entry `scale` at (i, j)."""
-        g = zeros_grid(rows, cols)
-        g[i][j] = scale
-        return ExactMatrix._from_grid(g)
+        return ExactMatrix.sparse(rows, cols, (((i, j), scale),))
 
     def __getitem__(self, ij):
+        """Entry (i, j); an absent entry is the shared GR_ZERO.
+
+        Sparse Gram checks read about a million absent entries, so that
+        path stays as short as the dense tuple lookup it replaced: it
+        checks only the upper column bound, and a negative column index,
+        which this class does not support, reads as zero.
+        """
         i, j = ij
-        return self._m[i][j]
+        row = self._r[i]
+        if j in row:
+            e = row[j]
+            return _scalar(e[0], e[1], self._den)
+        if j < self.cols:
+            return GR_ZERO
+        raise IndexError(f"column {j} outside a matrix with {self.cols} columns")
+
+    def _dense(self, row):
+        out = [GR_ZERO] * self.cols
+        den = self._den
+        for j, (a, b) in row.items():
+            out[j] = _scalar(a, b, den)
+        return tuple(out)
 
     def row(self, i):
-        return self._m[i]
+        return self._dense(self._r[i])
 
     def column(self, j):
-        return tuple(r[j] for r in self._m)
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} outside a matrix with {self.cols} columns")
+        den = self._den
+        out = []
+        for row in self._r:
+            e = row.get(j)
+            out.append(GR_ZERO if e is None else _scalar(e[0], e[1], den))
+        return tuple(out)
+
+    @property
+    def _m(self):
+        """Dense rows of GaussianRational entries, built on each access.
+
+        The package itself never reads this; the benchmark tracer
+        (perfbench/tracer.py) reads it to measure coefficient sizes.
+        """
+        return tuple(self._dense(row) for row in self._r)
+
+    def _combine(self, other, sign):
+        self._check_same_shape(other)
+        da, db = self._den, other._den
+        if da == db:
+            den, fa, fb = da, 1, sign
+        else:
+            den = math.lcm(da, db)
+            fa, fb = den // da, sign * (den // db)
+        out = []
+        for ra, rb in zip(self._r, other._r):
+            row = ra if fa == 1 else {j: (a * fa, b * fa) for j, (a, b) in ra.items()}
+            if rb:
+                if row is ra:
+                    row = dict(ra)
+                for j, (c, d) in rb.items():
+                    e = row.get(j)
+                    row[j] = (c * fb, d * fb) if e is None else (e[0] + c * fb, e[1] + d * fb)
+                row = _pruned(row)
+            out.append(row)
+        return _reduced(self.rows, self.cols, tuple(out), den)
 
     def __add__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        self._check_same_shape(other)
-        return ExactMatrix._from_grid(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._m, other._m)]
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        self._check_same_shape(other)
-        return ExactMatrix._from_grid(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._m, other._m)]
-        )
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return ExactMatrix._from_grid([[-a for a in r] for r in self._m])
+        return _wrap(self.rows, self.cols,
+                     tuple({j: (-a, -b) for j, (a, b) in row.items()} for row in self._r),
+                     self._den)
 
     def __matmul__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.shape} @ {other.shape}")
-        b = other._m
-        out = zeros_grid(self.rows, other.cols)
-        for i in range(self.rows):
-            arow = self._m[i]
-            orow = out[i]
-            for t in range(self.cols):
-                s = arow[t]
-                if not s:
-                    continue
-                brow = b[t]
-                for j in range(other.cols):
-                    e = brow[j]
-                    if e:
-                        cur = orow[j]
-                        orow[j] = s * e if cur is GR_ZERO else cur + s * e
-        return ExactMatrix._from_grid(out)
+        brows = other._r
+        out = []
+        for arow in self._r:
+            if not arow:
+                out.append(arow)
+                continue
+            acc = {}
+            for t, (a, b) in arow.items():
+                for j, (c, d) in brows[t].items():
+                    e = acc.get(j)
+                    if e is None:
+                        acc[j] = (a * c - b * d, a * d + b * c)
+                    else:
+                        acc[j] = (e[0] + a * c - b * d, e[1] + a * d + b * c)
+            out.append(_pruned(acc))
+        return _reduced(self.rows, other.cols, tuple(out), self._den * other._den)
+
+    def _times(self, x, y, den):
+        """self * (x + y*i) / den, for integers x, y (not both zero) and den > 0."""
+        if y:
+            r = tuple({j: (a * x - b * y, a * y + b * x) for j, (a, b) in row.items()}
+                      for row in self._r)
+        else:
+            r = tuple({j: (a * x, b * x) for j, (a, b) in row.items()} for row in self._r)
+        return _reduced(self.rows, self.cols, r, self._den * den)
 
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
@@ -414,41 +562,57 @@ class ExactMatrix:
         s = GaussianRational._coerce(other)
         if s is None:
             return NotImplemented
-        return ExactMatrix._from_grid([[a * s for a in r] for r in self._m])
+        x, y, d = _split(s)
+        if not (x or y):
+            return ExactMatrix.zeros(self.rows, self.cols)
+        return self._times(x, y, d)
 
     def __rmul__(self, other):
         s = GaussianRational._coerce(other)
         if s is None:
             return NotImplemented
-        return ExactMatrix._from_grid([[s * a for a in r] for r in self._m])
+        return self * s
 
     def __truediv__(self, other):
         s = GaussianRational._coerce(other)
         if s is None:
             return NotImplemented
-        return ExactMatrix._from_grid([[a / s for a in r] for r in self._m])
+        x, y, d = _split(s)
+        if not (x or y):
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        if not y:
+            # d / x, with the sign moved into the numerator
+            return self._times(d if x > 0 else -d, 0, abs(x))
+        # d / (x + y i) = d (x - y i) / (x^2 + y^2)
+        return self._times(d * x, -d * y, x * x + y * y)
+
+    def _flipped(self, conjugate):
+        out = tuple({} for _ in range(self.cols))
+        for i, row in enumerate(self._r):
+            for j, (a, b) in row.items():
+                out[j][i] = (a, -b) if conjugate else (a, b)
+        return _wrap(self.cols, self.rows, out, self._den)
 
     def transpose(self):
-        return ExactMatrix._from_grid(
-            [[self._m[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+        return self._flipped(False)
 
     def dagger(self):
         """Conjugate transpose."""
-        return ExactMatrix._from_grid(
-            [[self._m[i][j].conjugate() for i in range(self.rows)] for j in range(self.cols)]
-        )
+        return self._flipped(True)
 
     def trace(self):
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
-        t = GR_ZERO
-        for i in range(self.rows):
-            t = t + self._m[i][i]
-        return t
+        a = b = 0
+        for i, row in enumerate(self._r):
+            e = row.get(i)
+            if e is not None:
+                a += e[0]
+                b += e[1]
+        return _scalar(a, b, self._den)
 
     def is_zero(self):
-        return all(not e for r in self._m for e in r)
+        return not any(self._r)
 
     def is_square(self):
         return self.rows == self.cols
@@ -464,18 +628,28 @@ class ExactMatrix:
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.shape == other.shape and self._m == other._m
+        return (self.rows == other.rows and self.cols == other.cols
+                and self._den == other._den and self._r == other._r)
 
     def __hash__(self):
-        return hash(self._m)
+        return hash((self.rows, self.cols, self._den,
+                     tuple(frozenset(row.items()) for row in self._r)))
 
     def to_json_dict(self):
-        """Wire format: row-major entries, each an exact [re, im] string pair."""
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [list(e.as_strings()) for row in self._m for e in row],
-        }
+        """Wire format: row-major entries, each an exact [re, im] string pair.
+
+        All zero entries share one ["0/1", "0/1"] list, which keeps large
+        sparse dumps small; treat the result as read-only.
+        """
+        den = self._den
+        zero = ["0/1", "0/1"]
+        entries = []
+        for row in self._r:
+            for j in range(self.cols):
+                e = row.get(j)
+                entries.append(zero if e is None
+                               else list(_scalar(e[0], e[1], den).as_strings()))
+        return {"rows": self.rows, "cols": self.cols, "entries": entries}
 
     @staticmethod
     def from_json_dict(d):
@@ -483,15 +657,11 @@ class ExactMatrix:
         flat = [GaussianRational.from_strings(p) for p in d["entries"]]
         if len(flat) != rows * cols:
             raise ValueError("entry count does not match dimensions")
-        return ExactMatrix._from_grid(
-            [flat[i * cols:(i + 1) * cols] for i in range(rows)]
-        )
+        return ExactMatrix.sparse(rows, cols, (((k // cols, k % cols), e)
+                                               for k, e in enumerate(flat)))
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols})"
-
-    def pretty(self):
-        return "\n".join(" ".join(str(e) for e in row) for row in self._m)
 
 
 def mat_commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -501,66 +671,42 @@ def mat_commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return a @ b - b @ a
 
 
-def mat_anticommutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    if not a.is_square() or a.shape != b.shape:
-        raise ValueError("anticommutator needs square matrices of equal dimension")
-    return a @ b + b @ a
-
-
-def _gi_mul(x, y):
-    a, b = x
-    c, d = y
-    return (a * c - b * d, a * d + b * c)
-
-
-def _gi_div_exact(x, y):
-    a, b = x
-    c, d = y
-    n = c * c + d * d
-    rn, rr = divmod(a * c + b * d, n)
-    im, ir = divmod(b * c - a * d, n)
-    if rr or ir:
-        raise ArithmeticError("inexact division in fraction-free elimination")
-    return (rn, im)
-
-
 def mat_rank(a: ExactMatrix) -> int:
     """Rank by fraction-free (Bareiss) elimination over Gaussian integers.
 
-    Rows are first scaled by their common denominator, which leaves the
-    rank unchanged and keeps every intermediate value an exact Gaussian
-    integer.
+    The shared denominator leaves the rank unchanged, so elimination runs
+    on the numerators, and every intermediate value is an exact Gaussian
+    integer: each update (x * piv - y * z) / prev divides exactly.
     """
-    grid = []
-    for row in a._m:
-        den = 1
-        for e in row:
-            den = math.lcm(den, e.re.denominator, e.im.denominator)
-        grid.append([(int(e.re * den), int(e.im * den)) for e in row])
     rows, cols = a.rows, a.cols
-    prev = (1, 0)
+    grid = [[row.get(j, _ZZ) for j in range(cols)] for row in a._r]
+    pr, pi = 1, 0
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        piv_row = None
-        for i in range(r, rows):
-            if grid[i][c] != (0, 0):
-                piv_row = i
-                break
+        piv_row = next((i for i in range(r, rows) if grid[i][c] != _ZZ), None)
         if piv_row is None:
             continue
-        if piv_row != r:
-            grid[r], grid[piv_row] = grid[piv_row], grid[r]
-        piv = grid[r][c]
+        grid[r], grid[piv_row] = grid[piv_row], grid[r]
+        top = grid[r]
+        xr, xi = top[c]
+        n = pr * pr + pi * pi
         for i in range(r + 1, rows):
-            gic = grid[i][c]
+            cur = grid[i]
+            yr, yi = cur[c]
             for j in range(c + 1, cols):
-                t1 = _gi_mul(grid[i][j], piv)
-                t2 = _gi_mul(gic, grid[r][j])
-                grid[i][j] = _gi_div_exact((t1[0] - t2[0], t1[1] - t2[1]), prev)
-            grid[i][c] = (0, 0)
-        prev = piv
+                ar, ai = cur[j]
+                zr, zi = top[j]
+                tr = ar * xr - ai * xi - yr * zr + yi * zi
+                ti = ar * xi + ai * xr - yr * zi - yi * zr
+                qr, rr = divmod(tr * pr + ti * pi, n)
+                qi, ri = divmod(ti * pr - tr * pi, n)
+                if rr or ri:
+                    raise ArithmeticError("inexact division in fraction-free elimination")
+                cur[j] = (qr, qi)
+            cur[c] = _ZZ
+        pr, pi = xr, xi
         r += 1
     return r
 
@@ -584,8 +730,8 @@ def mat_inverse(a: ExactMatrix) -> ExactMatrix:
     if not a.is_square():
         raise ValueError("inverse of a non-square matrix")
     n = a.rows
-    left = [list(row) for row in a._m]
-    right = [list(row) for row in ExactMatrix.identity(n)._m]
+    left = [list(a.row(i)) for i in range(n)]
+    right = [[GR_ONE if i == j else GR_ZERO for j in range(n)] for i in range(n)]
     for col in range(n):
         piv = None
         for i in range(col, n):
@@ -606,50 +752,7 @@ def mat_inverse(a: ExactMatrix) -> ExactMatrix:
             if f:
                 left[i] = [x - f * y for x, y in zip(left[i], left[col])]
                 right[i] = [x - f * y for x, y in zip(right[i], right[col])]
-    return ExactMatrix._from_grid(right)
-
-
-def mat_solve(a: ExactMatrix, b):
-    """Solve A x = b exactly; returns a tuple, or None if inconsistent.
-
-    Requires the solution to be unique (full column rank) when the
-    system is consistent; free columns raise.
-    """
-    rows, cols = a.rows, a.cols
-    if len(b) != rows:
-        raise ValueError("right-hand side length mismatch")
-    aug = [list(a._m[i]) + [b[i] if isinstance(b[i], GaussianRational) else GaussianRational._coerce(b[i])]
-           for i in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if aug[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = GR_ONE / aug[r][c]
-        aug[r] = [e * inv for e in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if aug[i][cols]:
-            return None
-    if len(pivots) != cols:
-        raise ArithmeticError("underdetermined system")
-    x = [GR_ZERO] * cols
-    for k, c in enumerate(pivots):
-        x[c] = aug[k][cols]
-    return tuple(x)
+    return ExactMatrix(right)
 
 
 def vec_dagger(v):
@@ -668,33 +771,42 @@ def vec_dot(u, v):
 def mat_vec(m: ExactMatrix, v):
     if m.cols != len(v):
         raise ValueError("dimension mismatch")
+    vn, vd = _integer_vector(v)
+    den = m._den * vd
     out = []
-    for row in m._m:
-        s = GR_ZERO
-        for a, b in zip(row, v):
-            if a and b:
-                s = s + a * b
-        out.append(s)
+    for row in m._r:
+        sa = sb = 0
+        for j, (a, b) in row.items():
+            c, d = vn[j]
+            sa += a * c - b * d
+            sb += a * d + b * c
+        out.append(_scalar(sa, sb, den))
     return tuple(out)
 
 
 def vec_mat(v, m: ExactMatrix):
     if m.rows != len(v):
         raise ValueError("dimension mismatch")
-    out = []
-    for j in range(m.cols):
-        s = GR_ZERO
-        for i, a in enumerate(v):
-            b = m._m[i][j]
-            if a and b:
-                s = s + a * b
-        out.append(s)
-    return tuple(out)
+    vn, vd = _integer_vector(v)
+    acc = {}
+    for (c, d), row in zip(vn, m._r):
+        if not (c or d):
+            continue
+        for j, (a, b) in row.items():
+            sa, sb = acc.get(j, _ZZ)
+            acc[j] = (sa + a * c - b * d, sb + a * d + b * c)
+    den = m._den * vd
+    return tuple(_scalar(*acc.get(j, _ZZ), den) for j in range(m.cols))
 
 
 def vec_outer(u, v) -> ExactMatrix:
     """Column u times row v."""
-    return ExactMatrix._from_grid([[a * b for b in v] for a in u])
+    un, ud = _integer_vector(u)
+    vn, vd = _integer_vector(v)
+    row_of_v = [(j, c, d) for j, (c, d) in enumerate(vn) if c or d]
+    r = tuple({j: (a * c - b * d, a * d + b * c) for j, c, d in row_of_v} if a or b else {}
+              for a, b in un)
+    return _reduced(len(un), len(vn), r, ud * vd)
 
 
 def vec_scale(v, s):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (ExactMatrix, GR_I, GR_MINUS_ONE, GR_ONE, GR_ZERO,
-                    GaussianRational, as_fraction, zeros_grid)
+                    GaussianRational, as_fraction)
 
 METRIC_SIGNATURE = (1, 1, 1, -1)
 
@@ -221,21 +221,17 @@ def normalized_gram(truncation: int, scheme: int = 2) -> tuple:
 
     Normalisation by the square roots of factorials happens only as the
     squared factor 1/n!, so the matrix is exact; the diagonal is +-1.
+    Distinct monomials are orthogonal, so only the diagonal is computed.
     """
     basis = monomial_basis(truncation)
-    grid = zeros_grid(len(basis), len(basis))
+    diagonal = []
     for i, a in enumerate(basis):
-        sa = FockPolyState.basis_state(a, truncation, scheme)
-        for j, b in enumerate(basis):
-            if a != b:
-                continue  # monomial form is diagonal
-            sb = FockPolyState.basis_state(b, truncation, scheme)
-            raw = inner_product(sa, sb)
-            norm2 = Fraction(1)
-            for n in a:
-                norm2 *= math.factorial(n)
-            grid[i][j] = raw / GaussianRational(norm2)
-    return basis, ExactMatrix._from_grid(grid)
+        s = FockPolyState.basis_state(a, truncation, scheme)
+        norm2 = Fraction(1)
+        for n in a:
+            norm2 *= math.factorial(n)
+        diagonal.append(((i, i), inner_product(s, s) / GaussianRational(norm2)))
+    return basis, ExactMatrix.sparse(len(basis), len(basis), diagonal)
 
 
 def monomial_basis(truncation: int) -> list:

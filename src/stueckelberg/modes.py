@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import (ExactMatrix, GR_I, GR_ONE, GR_ZERO, GaussianRational,
-                    JetScalar, as_fraction, zeros_grid)
+                    JetScalar, as_fraction)
 
 N_MODES = 4
 # symbol indices: 0..3 are q1..q4, 4..7 are pi1..pi4
@@ -271,22 +271,16 @@ def u31_antisym(mu, nu) -> ExactMatrix:
     """Real antisymmetric generator with +1 at (mu, nu) and -1 at (nu, mu)."""
     if mu == nu:
         raise ValueError("antisymmetric generator needs distinct indices")
-    g = zeros_grid(4, 4)
-    g[mu - 1][nu - 1] = GR_ONE
-    g[nu - 1][mu - 1] = -GR_ONE
-    return ExactMatrix._from_grid(g)
+    return ExactMatrix.sparse(4, 4, [((mu - 1, nu - 1), GR_ONE), ((nu - 1, mu - 1), -GR_ONE)])
 
 
 def u31_sym(mu, nu) -> ExactMatrix:
     """Symmetric generator i (e^{mu,nu} + e^{nu,mu} - delta/2)."""
-    g = zeros_grid(4, 4)
-    g[mu - 1][nu - 1] = g[mu - 1][nu - 1] + GR_I
-    g[nu - 1][mu - 1] = g[nu - 1][mu - 1] + GR_I
+    terms = [((mu - 1, nu - 1), GR_I), ((nu - 1, mu - 1), GR_I)]
     if mu == nu:
         half_i = GR_I * GaussianRational(Fraction(-1, 2))
-        for a in range(4):
-            g[a][a] = g[a][a] + half_i
-    return ExactMatrix._from_grid(g)
+        terms += [((a, a), half_i) for a in range(4)]
+    return ExactMatrix.sparse(4, 4, terms)
 
 
 def u31_generator(kind, mu=None, nu=None) -> ExactMatrix:
@@ -544,8 +538,7 @@ def _generator_basis_inverse():
         for _, par in dirs:
             g = generator_matrix(par)
             cols.append([g[i, j] for i in range(4) for j in range(4)])
-        a = ExactMatrix._from_grid(
-            [[cols[c][r] for c in range(len(dirs))] for r in range(16)])
+        a = ExactMatrix([[cols[c][r] for c in range(len(dirs))] for r in range(16)])
         from .exact import mat_inverse
         _BASIS_INVERSE = (tuple(name for name, _ in dirs), mat_inverse(a))
     return _BASIS_INVERSE

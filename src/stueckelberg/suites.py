@@ -827,11 +827,13 @@ def run_fock_suite(cfg) -> list:
                 canonical_pairs)
 
         def physical_split():
+            # the deepest sample has degree 4; below that it drops to degree 2
+            deep = (0, 1, 1, 2) if n >= 4 else (0, 1, 0, 1)
             samples = [
                 FockPolyState({(2, 0, 0, 0): GR_ONE}, n, 2),
                 FockPolyState({(1, 0, 0, 1): GR_ONE}, n, 2),
                 FockPolyState({(1, 0, 0, 0): GR_ONE, (0, 0, 0, 1): GaussianRational(1, 1)}, n, 2),
-                FockPolyState({(0, 1, 1, 2): GaussianRational(Fraction(2, 3))}, n, 2),
+                FockPolyState({deep: GaussianRational(Fraction(2, 3))}, n, 2),
             ]
             for s in samples:
                 sp_, sn_ = decompose_physical(s)

@@ -11,81 +11,61 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exact import (ExactMatrix, GR_ONE, GR_ZERO, GaussianRational,
-                    zeros_grid)
+from .exact import ExactMatrix, GR_ONE, GaussianRational
 from .epsilon import (BIVECTOR_PAIRS, DIM5, DIM10, DIM11, VECTOR_INDICES,
                       BasisIndex, bivector_component)
 
 
-def _add(grid, i, j, value):
-    cur = grid[i][j]
-    grid[i][j] = value if cur is GR_ZERO else cur + value
-
-
 def build_beta1(nu: int) -> ExactMatrix:
     """10x10 spin-1 block on the (vector, bivector) view."""
-    grid = zeros_grid(10, 10)
+    terms = []
     for mu in VECTOR_INDICES:
         lbl, sign = bivector_component(mu, nu)
         if lbl is None:
             continue
         v = DIM10.position(BasisIndex.vector(mu))
         b = DIM10.position(lbl)
-        s = GR_ONE if sign > 0 else -GR_ONE
-        _add(grid, v, b, s)
-        _add(grid, b, v, s)
-    return ExactMatrix._from_grid(grid)
+        terms += [((v, b), sign), ((b, v), sign)]
+    return ExactMatrix.sparse(10, 10, terms)
 
 
 def build_beta0(nu: int) -> ExactMatrix:
     """5x5 spin-0 block on the (scalar, vector) view."""
-    grid = zeros_grid(5, 5)
     s = DIM5.position(BasisIndex.scalar())
     v = DIM5.position(BasisIndex.vector(nu))
-    _add(grid, v, s, GR_ONE)
-    _add(grid, s, v, GR_ONE)
-    return ExactMatrix._from_grid(grid)
+    return ExactMatrix.sparse(5, 5, [((v, s), GR_ONE), ((s, v), GR_ONE)])
 
 
 def build_alpha(nu: int) -> ExactMatrix:
     """11x11 wave matrix built directly from its four basis-unit terms."""
-    grid = zeros_grid(11, 11)
+    terms = []
     for mu in VECTOR_INDICES:
         lbl, sign = bivector_component(mu, nu)
         if lbl is None:
             continue
         v = DIM11.position(BasisIndex.vector(mu))
         b = DIM11.position(lbl)
-        s = GR_ONE if sign > 0 else -GR_ONE
-        _add(grid, v, b, s)
-        _add(grid, b, v, s)
+        terms += [((v, b), sign), ((b, v), sign)]
     sc = DIM11.position(BasisIndex.scalar())
     v = DIM11.position(BasisIndex.vector(nu))
-    _add(grid, v, sc, GR_ONE)
-    _add(grid, sc, v, GR_ONE)
-    return ExactMatrix._from_grid(grid)
+    terms += [((v, sc), GR_ONE), ((sc, v), GR_ONE)]
+    return ExactMatrix.sparse(11, 11, terms)
+
+
+def _embed(m: ExactMatrix, offset: int) -> ExactMatrix:
+    """Inject m into the 11-space with its first slot at position offset."""
+    return ExactMatrix.sparse(11, 11, (((i + offset, j + offset), m[i, j])
+                                       for i in range(m.rows) for j in range(m.cols)))
 
 
 def embed_dim10(m: ExactMatrix) -> ExactMatrix:
     """Inject a (vector, bivector) matrix into the 11-space; scalar slot zero."""
-    grid = zeros_grid(11, 11)
-    for i in range(10):
-        for j in range(10):
-            e = m[i, j]
-            if e:
-                grid[i + 1][j + 1] = e
-    return ExactMatrix._from_grid(grid)
+    return _embed(m, 1)
 
 
 def embed_dim5(m: ExactMatrix) -> ExactMatrix:
     """Inject a (scalar, vector) matrix into the 11-space; bivector slots zero."""
-    grid = zeros_grid(11, 11)
-    for i in range(5):
-        for j in range(5):
-            e = m[i, j]
-            if e:
-                grid[i][j] = e
-    return ExactMatrix._from_grid(grid)
+    return _embed(m, 0)
 
 
 def build_eta1() -> ExactMatrix:
@@ -96,15 +76,7 @@ def build_eta1() -> ExactMatrix:
 
 def build_eta() -> ExactMatrix:
     """11x11 Hermitianizing matrix: -1 on the scalar slot, eta1 on the rest."""
-    grid = zeros_grid(11, 11)
-    grid[0][0] = -GR_ONE
-    eta1 = build_eta1()
-    for i in range(10):
-        for j in range(10):
-            e = eta1[i, j]
-            if e:
-                grid[i + 1][j + 1] = e
-    return ExactMatrix._from_grid(grid)
+    return ExactMatrix.sparse(11, 11, [((0, 0), -GR_ONE)]) + embed_dim10(build_eta1())
 
 
 def build_lorentz(mu: int, nu: int) -> ExactMatrix:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from stueckelberg.cli import main
 from stueckelberg.exact import ExactMatrix
 from stueckelberg.report import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS
@@ -116,6 +118,32 @@ def test_stokes_command(capsys):
 def test_stokes_rejects_garbage(capsys):
     code, _, err = run_cli(capsys, "stokes", "--state", "not json")
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv", [
+    ("dump", "gram", "--truncation", "abc"),
+    ("dump", "solutions", "--mass", "4", "--momentum", "0,0,3", "--spin", "x"),
+    ("stokes", "--state", '[[1,0,"0.5","0"]]'),
+    ("stokes", "--state", '[[1,0,"1/0","0"]]'),
+    ("stokes", "--state", '[[1,0,"1","x"]]'),
+    ("stokes", "--state", '[[1.5,0,"1","0"]]'),
+])
+def test_bad_input_is_one_line_config_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("truncation", ["2", "3"])
+def test_fock_suite_at_low_truncation(capsys, truncation):
+    code, out, _ = run_cli(capsys, "verify", "fock", "--truncation", truncation,
+                           "--json", "--no-timing")
+    assert code == EXIT_PASS
+    doc = json.loads(out)
+    assert doc["summary"]["failed"] == 0
+    assert any(r["id"] == "physical-decomposition" and r["status"] == "pass"
+               for r in doc["identities"])
 
 
 def test_config_file_defaults_and_flag_override(capsys, tmp_path):

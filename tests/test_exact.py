@@ -6,10 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stueckelberg.exact import (ExactMatrix, GR_I, GR_ONE, GR_ZERO,
-                                GaussianRational, JetScalar, gr,
+                                GaussianRational, JetScalar, fraction_str, gr,
                                 mat_commutator, mat_inverse, mat_rank,
-                                mat_solve, minimal_poly_check, rational_sqrt,
-                                vec_outer)
+                                mat_vec, minimal_poly_check, rational_sqrt,
+                                vec_mat, vec_outer)
+from stueckelberg.wave import wave_matrices
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 scalars = st.builds(GaussianRational, rationals, rationals)
@@ -63,13 +64,18 @@ def _random_matrix(rng, n, m, span=4):
                          for _ in range(m)] for _ in range(n)])
 
 
-def _naive_rank(mat):
-    """Independent oracle: plain fraction Gaussian elimination."""
-    rows = [[mat[i, j] for j in range(mat.cols)] for i in range(mat.rows)]
+def _dense(mat):
+    return [[mat[i, j] for j in range(mat.cols)] for i in range(mat.rows)]
+
+
+def _naive_rank(grid):
+    """Independent oracle: plain fraction Gaussian elimination on a dense grid."""
+    rows = [list(row) for row in grid]
+    cols = len(rows[0])
     rank = 0
     col = 0
     r = 0
-    while r < len(rows) and col < mat.cols:
+    while r < len(rows) and col < cols:
         piv = None
         for i in range(r, len(rows)):
             if rows[i][col]:
@@ -96,7 +102,7 @@ def test_rank_against_independent_elimination():
     for _ in range(60):
         n, m = rng.randint(1, 6), rng.randint(1, 6)
         a = _random_matrix(rng, n, m)
-        assert mat_rank(a) == _naive_rank(a)
+        assert mat_rank(a) == _naive_rank(_dense(a))
 
 
 def test_rank_extremes():
@@ -131,7 +137,7 @@ def test_minimal_poly_check():
     assert not minimal_poly_check(proj, [GR_ONE])
 
 
-def test_inverse_and_solve():
+def test_inverse():
     rng = random.Random(7)
     for _ in range(20):
         n = rng.randint(1, 5)
@@ -140,10 +146,6 @@ def test_inverse_and_solve():
             continue
         inv = mat_inverse(a)
         assert a @ inv == ExactMatrix.identity(n)
-        b = tuple(GaussianRational(rng.randint(-3, 3)) for _ in range(n))
-        x = mat_solve(a, b)
-        from stueckelberg.exact import mat_vec
-        assert mat_vec(a, x) == b
 
 
 def test_matrix_json_round_trip():
@@ -206,3 +208,107 @@ def test_jet_division():
     assert q.grad.get("x", GR_ZERO) == GR_ZERO  # (2*2 - 4*1)/4
     with pytest.raises(ZeroDivisionError):
         a / JetScalar.parameter("y")
+
+
+# -- the sparse kernel against a plain dense reference -----------------------
+
+mixed = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+entries = st.one_of(st.just(GR_ZERO), st.builds(GaussianRational, mixed),
+                    st.builds(GaussianRational, mixed, mixed))
+
+
+def grids(rows, cols):
+    """Dense grids of Gaussian rationals; about a third are zero matrices."""
+    zero = [[GR_ZERO] * cols for _ in range(rows)]
+    return st.one_of(st.just(zero), st.lists(
+        st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+
+
+def _ref_sum(terms):
+    total = GR_ZERO
+    for t in terms:
+        total = total + t
+    return total
+
+
+def _ref_matmul(a, b):
+    return [[_ref_sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def _ref_map(f, *grids_):
+    return [[f(*xs) for xs in zip(*rows)] for rows in zip(*grids_)]
+
+
+@given(st.data())
+def test_kernel_matches_dense_reference(data):
+    n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
+    ga, gb, gc = data.draw(grids(n, k)), data.draw(grids(k, m)), data.draw(grids(n, k))
+    s = data.draw(entries)
+    a, b, c = ExactMatrix(ga), ExactMatrix(gb), ExactMatrix(gc)
+    assert _dense(a) == ga
+
+    prod = _ref_matmul(ga, gb)
+    assert _dense(a @ b) == prod
+    assert a @ b == ExactMatrix(prod) and hash(a @ b) == hash(ExactMatrix(prod))
+    assert _dense(a + c) == _ref_map(lambda x, y: x + y, ga, gc)
+    assert _dense(a - c) == _ref_map(lambda x, y: x - y, ga, gc)
+    assert _dense(-a) == _ref_map(lambda x: -x, ga)
+    assert _dense(a * s) == _dense(s * a) == _ref_map(lambda x: x * s, ga)
+    if s:
+        assert _dense(a / s) == _ref_map(lambda x: x / s, ga)
+        assert (a * s) / s == a and hash((a * s) / s) == hash(a)
+    assert _dense(a.dagger()) == [[ga[i][j].conjugate() for i in range(n)] for j in range(k)]
+    assert _dense(a.transpose()) == [[ga[i][j] for i in range(n)] for j in range(k)]
+    if n == k:
+        assert a.trace() == _ref_sum(ga[i][i] for i in range(n))
+    assert mat_rank(a) == _naive_rank(ga)
+    assert a.is_zero() == all(not x for row in ga for x in row)
+    assert (a - a).is_zero() and a - a == ExactMatrix.zeros(n, k)
+
+    v = data.draw(st.lists(entries, min_size=k, max_size=k))
+    u = data.draw(st.lists(entries, min_size=n, max_size=n))
+    assert mat_vec(a, v) == tuple(_ref_sum(x * y for x, y in zip(row, v)) for row in ga)
+    assert vec_mat(u, a) == tuple(_ref_sum(u[i] * ga[i][j] for i in range(n))
+                                  for j in range(k))
+
+
+def test_cancellation_gives_canonical_zero():
+    row = ExactMatrix([[gr("1/2"), gr(0, "1/3")]])
+    col = ExactMatrix([[gr("2/3")], [gr(0, 1)]])
+    assert (row @ col).is_zero() and row @ col == ExactMatrix.zeros(1)
+    half = ExactMatrix.identity(2) / 2
+    assert half + half == ExactMatrix.identity(2)
+    assert hash(half + half) == hash(ExactMatrix.identity(2))
+
+
+def test_sparse_constructor_adds_repeated_positions():
+    m = ExactMatrix.sparse(2, 3, [((0, 1), gr("1/2")), ((0, 1), gr(0, "1/3")),
+                                  ((1, 2), 1), ((1, 2), -1), ((1, 0), 0)])
+    assert m == ExactMatrix([[0, gr("1/2", "1/3"), 0], [0, 0, 0]])
+    assert m[1, 2] is GR_ZERO
+    with pytest.raises(IndexError):
+        ExactMatrix.sparse(2, 3, [((2, 0), 1)])
+
+
+def test_absent_entry_is_the_shared_zero():
+    m = ExactMatrix.unit(3, 4, 1, 2, gr("1/3", -2))
+    assert m[0, 0] is GR_ZERO and m[2, 3] is GR_ZERO
+    assert m[1, 2] == gr("1/3", -2)
+    assert m.row(0) == (GR_ZERO,) * 4 and m.column(2) == (GR_ZERO, gr("1/3", -2), GR_ZERO)
+    with pytest.raises(IndexError):
+        m[0, 4]
+    with pytest.raises(IndexError):
+        m[3, 0]
+
+
+def test_wave_matrices_keep_the_dense_wire_format():
+    w = wave_matrices()
+    mats = [*w.alpha.values(), *w.beta1.values(), *w.beta0.values(),
+            w.eta, w.eta1, *w.lorentz.values()]
+    for m in mats:
+        d = m.to_json_dict()
+        assert d == {"rows": m.rows, "cols": m.cols,
+                     "entries": [[fraction_str(e.re), fraction_str(e.im)]
+                                 for i in range(m.rows) for e in m.row(i)]}
+        assert ExactMatrix.from_json_dict(d) == m
