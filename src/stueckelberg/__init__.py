@@ -22,7 +22,7 @@ from .projectors import (FourMomentum, IrrationalMomentumError, ProjectorFamily,
                          verify_first_order_solution)
 from .modes import (ModeContext, QuadraticObservable, U31Params,
                     conserved_charges, generating_function, hamiltonian,
-                    infinitesimal_transform, poisson_bracket, u31_generator)
+                    infinitesimal_transform, poisson_bracket)
 from .fock import (BilinearOperator, FockPolyState, LadderOp,
                    TruncationOverflowError, apply_ladder, decompose_physical,
                    energy_operator, inner_product, quantize, quantum_charges)

@@ -151,9 +151,6 @@ class GaussianRational:
     def is_real(self):
         return not self.im
 
-    def is_imaginary(self):
-        return not self.re
-
     def as_strings(self):
         return (fraction_str(self.re), fraction_str(self.im))
 
@@ -231,11 +228,7 @@ class JetScalar:
             return NotImplemented
         g = dict(self.grad)
         for k, c in o.grad.items():
-            s = g.get(k, GR_ZERO) + c
-            if s:
-                g[k] = s
-            else:
-                g.pop(k, None)
+            g[k] = g.get(k, GR_ZERO) + c
         return JetScalar(self.value + o.value, g)
 
     __radd__ = __add__
@@ -265,11 +258,7 @@ class JetScalar:
                 g[k] = c * o.value
         if self.value:
             for k, c in o.grad.items():
-                s = g.get(k, GR_ZERO) + self.value * c
-                if s:
-                    g[k] = s
-                else:
-                    g.pop(k, None)
+                g[k] = g.get(k, GR_ZERO) + self.value * c
         return JetScalar(self.value * o.value, g)
 
     __rmul__ = __mul__

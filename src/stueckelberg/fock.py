@@ -80,11 +80,8 @@ class FockPolyState:
                 v = GaussianRational._coerce(v)
                 if v is None:
                     raise TypeError("coefficients must be exact scalars")
-                if v:
-                    c[k] = c.get(k, GR_ZERO) + v
-                    if not c[k]:
-                        del c[k]
-        self.coeffs = c
+                c[k] = c.get(k, GR_ZERO) + v
+        self.coeffs = {k: v for k, v in c.items() if v}
 
     @staticmethod
     def vacuum(truncation=DEFAULT_TRUNCATION, scheme=2):
@@ -104,23 +101,15 @@ class FockPolyState:
         self._check_compatible(other)
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            s = out.get(k, GR_ZERO) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return self._with(out)
+            out[k] = out.get(k, GR_ZERO) + v
+        return self._with({k: v for k, v in out.items() if v})
 
     def __sub__(self, other):
         self._check_compatible(other)
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            s = out.get(k, GR_ZERO) - v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return self._with(out)
+            out[k] = out.get(k, GR_ZERO) - v
+        return self._with({k: v for k, v in out.items() if v})
 
     def scale(self, s):
         s = GaussianRational._coerce(s)
@@ -172,11 +161,7 @@ def apply_ladder(op: LadderOp, s: FockPolyState) -> FockPolyState:
             nk = list(k)
             nk[op.mode - 1] += 1
             nk = tuple(nk)
-            acc = out.get(nk, GR_ZERO) + v
-            if acc:
-                out[nk] = acc
-            else:
-                out.pop(nk, None)
+            out[nk] = out.get(nk, GR_ZERO) + v
     else:
         sign = _annihilation_sign(op.mode, s.scheme)
         for k, v in s.coeffs.items():
@@ -186,12 +171,8 @@ def apply_ladder(op: LadderOp, s: FockPolyState) -> FockPolyState:
             nk = list(k)
             nk[op.mode - 1] -= 1
             nk = tuple(nk)
-            acc = out.get(nk, GR_ZERO) + v * GaussianRational(sign * n)
-            if acc:
-                out[nk] = acc
-            else:
-                out.pop(nk, None)
-    return s._with(out)
+            out[nk] = out.get(nk, GR_ZERO) + v * GaussianRational(sign * n)
+    return s._with({k: v for k, v in out.items() if v})
 
 
 def inner_product(a: FockPolyState, b: FockPolyState) -> GaussianRational:
@@ -264,9 +245,7 @@ class BilinearOperator:
                 v = GaussianRational._coerce(v)
                 if v:
                     c[(i, j)] = c.get((i, j), GR_ZERO) + v
-                    if not c[(i, j)]:
-                        del c[(i, j)]
-        self.coeffs = c
+        self.coeffs = {k: v for k, v in c.items() if v}
 
     def _with(self, coeffs):
         out = object.__new__(BilinearOperator)
@@ -279,12 +258,8 @@ class BilinearOperator:
             raise SchemeMismatchError("operators from different schemes")
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            s = out.get(k, GR_ZERO) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return self._with(out)
+            out[k] = out.get(k, GR_ZERO) + v
+        return self._with({k: v for k, v in out.items() if v})
 
     def __sub__(self, other):
         return self + other.scale(GR_MINUS_ONE)
@@ -314,12 +289,8 @@ class BilinearOperator:
                 nk[j - 1] -= 1
                 nk[i - 1] += 1
                 nk = tuple(nk)
-                acc = out.get(nk, GR_ZERO) + v * (c * GaussianRational(sign * n))
-                if acc:
-                    out[nk] = acc
-                else:
-                    out.pop(nk, None)
-        return s._with(out)
+                out[nk] = out.get(nk, GR_ZERO) + v * (c * GaussianRational(sign * n))
+        return s._with({k: v for k, v in out.items() if v})
 
     def commutator(self, other: "BilinearOperator") -> "BilinearOperator":
         """Exact operator commutator; bilinears close among themselves."""
@@ -331,22 +302,10 @@ class BilinearOperator:
             for (k, l), b in other.coeffs.items():
                 sl = _annihilation_sign(l, self.scheme)
                 if j == k:
-                    key = (i, l)
-                    v = a * b * GaussianRational(sj)
-                    s = out.get(key, GR_ZERO) + v
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
+                    out[(i, l)] = out.get((i, l), GR_ZERO) + a * b * GaussianRational(sj)
                 if l == i:
-                    key = (k, j)
-                    v = a * b * GaussianRational(-sl)
-                    s = out.get(key, GR_ZERO) + v
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-        return self._with(out)
+                    out[(k, j)] = out.get((k, j), GR_ZERO) + a * b * GaussianRational(-sl)
+        return self._with({key: v for key, v in out.items() if v})
 
     def __eq__(self, other):
         if not isinstance(other, BilinearOperator):
@@ -370,11 +329,6 @@ def covariant_ladder_phase(mu: int) -> GaussianRational:
     in both directions.
     """
     return GR_I if mu == 4 else GR_ONE
-
-
-def number_operator(mode: int, scheme: int = 2) -> BilinearOperator:
-    sign = _annihilation_sign(mode, scheme)
-    return BilinearOperator({(mode, mode): GaussianRational(sign)}, scheme)
 
 
 def energy_operator(k0, scheme: int = 2) -> BilinearOperator:
@@ -464,11 +418,7 @@ def quantize(obs, k0, scheme: int = 2) -> BilinearOperator:
     bilinear = {}
 
     def add(table, key, v):
-        s = table.get(key, GR_ZERO) + v
-        if s:
-            table[key] = s
-        else:
-            table.pop(key, None)
+        table[key] = table.get(key, GR_ZERO) + v
 
     # q_mu = (b + b+)/sqrt(2 k0): ladder sign +1; pi_mu = -i sqrt(k0/2)(b - b+):
     # ladder sign -1.  The radical prefactors only ever meet in pairs:
@@ -499,8 +449,8 @@ def quantize(obs, k0, scheme: int = 2) -> BilinearOperator:
         add(bilinear, (nu, mu), base * sj)
         add(bilinear, (mu, nu), base * si)
         add(create_create, tuple(sorted((mu, nu))), base * si * sj)
-    if create_create or annih_annih:
-        residue = {**create_create, **annih_annih}
+    residue = {k: v for table in (create_create, annih_annih) for k, v in table.items() if v}
+    if residue:
         raise ValueError(f"observable is not a ladder bilinear: residue {residue}")
     out = {}
     for (m, n), v in bilinear.items():

@@ -35,7 +35,9 @@ class QuadraticObservable:
 
     Monomial keys are () for the constant, (i,) for a symbol, and
     (i, j) with i <= j for a product.  Coefficients may be Gaussian
-    rationals or first-order jets; mixing is fine.
+    rationals or first-order jets; mixing is fine.  Sums of coefficients
+    start from their first term, not from GR_ZERO, which would first be
+    converted to a jet whenever a jet is added to it.
     """
 
     __slots__ = ("coeffs",)
@@ -49,14 +51,8 @@ class QuadraticObservable:
                     raise ValueError("observable degree exceeds 2")
                 if len(k) == 2 and k[0] > k[1]:
                     k = (k[1], k[0])
-                if v:
-                    prev = c.get(k)
-                    s = v if prev is None else prev + v
-                    if s:
-                        c[k] = s
-                    else:
-                        c.pop(k, None)
-        self.coeffs = c
+                c[k] = c[k] + v if k in c else v
+        self.coeffs = {k: v for k, v in c.items() if v}
 
     @staticmethod
     def zero():
@@ -75,14 +71,9 @@ class QuadraticObservable:
             return NotImplemented
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            prev = out.get(k)
-            s = v if prev is None else prev + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+            out[k] = out[k] + v if k in out else v
         r = QuadraticObservable()
-        r.coeffs = out
+        r.coeffs = {k: v for k, v in out.items() if v}
         return r
 
     def __sub__(self, other):
@@ -114,16 +105,9 @@ class QuadraticObservable:
                 if len(k) > 2:
                     raise ValueError("product would exceed degree 2")
                 v = va * vb
-                if not v:
-                    continue
-                prev = out.get(k)
-                s = v if prev is None else prev + v
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
+                out[k] = out[k] + v if k in out else v
         r = QuadraticObservable()
-        r.coeffs = out
+        r.coeffs = {k: v for k, v in out.items() if v}
         return r
 
     __rmul__ = scale
@@ -152,14 +136,9 @@ class QuadraticObservable:
                     continue
             else:
                 continue
-            prev = out.get(key)
-            s = coeff if prev is None else prev + coeff
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            out[key] = out[key] + coeff if key in out else coeff
         r = QuadraticObservable()
-        r.coeffs = out
+        r.coeffs = {k: v for k, v in out.items() if v}
         return r
 
     def evaluate(self, values):
@@ -281,16 +260,6 @@ def u31_sym(mu, nu) -> ExactMatrix:
         half_i = GR_I * GaussianRational(Fraction(-1, 2))
         terms += [((a, a), half_i) for a in range(4)]
     return ExactMatrix.sparse(4, 4, terms)
-
-
-def u31_generator(kind, mu=None, nu=None) -> ExactMatrix:
-    if kind == "unit":
-        return u31_unit()
-    if kind == "antisym":
-        return u31_antisym(mu, nu)
-    if kind == "sym":
-        return u31_sym(mu, nu)
-    raise ValueError(f"unknown generator kind {kind!r}")
 
 
 def _is_real(s):

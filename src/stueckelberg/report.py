@@ -147,7 +147,7 @@ def run(cfg: SuiteConfig) -> VerificationReport:
     cfg.validate()
     ordered = [s for s in ALL_SUITES if s in cfg.suites]
     if cfg.workers > 1 and len(ordered) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(ordered))) as pool:
             chunks = list(pool.map(_run_one, [(s, cfg) for s in ordered]))
     else:
         chunks = [_run_one((s, cfg)) for s in ordered]

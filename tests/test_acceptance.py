@@ -14,9 +14,7 @@ from fractions import Fraction
 import pytest
 
 from stueckelberg.report import SuiteConfig
-from stueckelberg.suites import (run_algebra_suite, run_em_suite,
-                                 run_fock_suite, run_projectors_suite,
-                                 run_u31_suite)
+from stueckelberg.suites import run_suite
 
 MOMENTA = [(4, (0, 0, 3)), (12, (3, 4, 0)), (24, (2, 3, 6))]
 
@@ -37,7 +35,7 @@ def _conclude(number, label, ok, detail=""):
 @pytest.fixture(scope="module")
 def algebra_records():
     t0 = time.perf_counter()
-    records = run_algebra_suite(SuiteConfig())
+    records = run_suite("algebra", SuiteConfig())
     return records, time.perf_counter() - t0
 
 
@@ -48,7 +46,7 @@ def projector_runs():
     for mass, momentum in MOMENTA:
         cfg = SuiteConfig(mass=Fraction(mass),
                           momentum=tuple(Fraction(c) for c in momentum))
-        runs.append(((mass, momentum), run_projectors_suite(cfg)))
+        runs.append(((mass, momentum), run_suite("projectors", cfg)))
     return runs, time.perf_counter() - t0
 
 
@@ -109,7 +107,7 @@ def test_criterion_06_projector_suite(projector_runs):
 
 def test_criterion_07_canonical_formalism():
     t0 = time.perf_counter()
-    records = run_u31_suite(SuiteConfig())
+    records = run_suite("u31", SuiteConfig())
     elapsed = time.perf_counter() - t0
     needed = ("charges-conserved", "generating-function", "structure-constants",
               "hamiltonian-two-forms")
@@ -121,7 +119,7 @@ def test_criterion_07_canonical_formalism():
 
 def test_criterion_08_fock_suite():
     t0 = time.perf_counter()
-    records = run_fock_suite(SuiteConfig(truncation=6, scheme="both"))
+    records = run_suite("fock", SuiteConfig(truncation=6, scheme="both"))
     elapsed = time.perf_counter() - t0
     needed = ("ladder-incorrect-sign", "gram-indefinite", "energy-nonnegative",
               "energy-indefinite-scheme1", "charges-commute-energy",
@@ -134,7 +132,7 @@ def test_criterion_08_fock_suite():
 
 def test_criterion_09_em_suite():
     t0 = time.perf_counter()
-    records = run_em_suite(SuiteConfig())
+    records = run_suite("em", SuiteConfig())
     elapsed = time.perf_counter() - t0
     needed = ("su2-commutators", "rotations-commute-number", "u2-invariance",
               "dual-group-law", "dual-stokes-rotation")

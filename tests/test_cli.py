@@ -1,10 +1,12 @@
+import hashlib
 import json
 
 import pytest
 
+from stueckelberg import report
 from stueckelberg.cli import main
 from stueckelberg.exact import ExactMatrix
-from stueckelberg.report import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS
+from stueckelberg.report import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, SuiteConfig
 
 
 def run_cli(capsys, *argv):
@@ -204,3 +206,55 @@ def test_worker_dispatch_matches_serial(capsys):
                                  "--workers", "2")
     assert code == code2 == EXIT_PASS
     assert serial == parallel
+
+
+def test_worker_pool_is_capped_at_the_suite_count(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Stands in for the process pool: records its size and maps in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(report, "ProcessPoolExecutor", SerialPool)
+    rep = report.run(SuiteConfig(suites=("u31", "em"), workers=100000))
+    assert sizes == [2]
+    assert rep.exit_code == EXIT_PASS
+
+
+# The behaviour contract: the stdout sha256 of these `--json --no-timing`
+# reports.  A change that alters a report byte must update its digest.
+REPORT_DIGESTS = [
+    (("verify", "all"),
+     "19f61e96f5ba37196f07afc4b3ad9d86c67b4d4fee0f308fb44415c95e1edadc"),
+    (("verify", "projectors", "--mass", "4", "--momentum", "0,0,3"),
+     "429ef80e48366142f64f823c831bd456828bb1533a94a7f00655357fff3acb7b"),
+    (("verify", "projectors", "--mass", "12", "--momentum", "3,4,0"),
+     "2fb6e78295fee74751feae04a303b6597137023035b301488c6305812d81bf44"),
+    (("verify", "projectors", "--mass", "24", "--momentum", "2,3,6"),
+     "3a6e62cbe48c08744d00e090164c3ce95c1b97c1eea52267525de6770b9a1aea"),
+    (("verify", "projectors", "--momentum", "0,0,0"),
+     "8faaf51e5aeb3293e42ecec1cb544d21402d42c4956657ad439419ffe25233b3"),
+    (("verify", "fock", "--scheme", "1"),
+     "58bf80086e030d7429837a39e4f5a27a64e2d6702ed0d337af7b6ba96118a741"),
+    (("verify", "fock", "--scheme", "2"),
+     "f9249858f9782cd3d21226d1711b6279f8a539278a7baf58b00df219271f1d04"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", REPORT_DIGESTS,
+                         ids=[" ".join(argv) for argv, _ in REPORT_DIGESTS])
+def test_json_report_bytes_are_unchanged(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv, "--json", "--no-timing")
+    assert code == EXIT_PASS
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -3,12 +3,12 @@ from fractions import Fraction
 import pytest
 
 from stueckelberg.exact import (GR_I, GR_MINUS_ONE, GR_ONE, GR_ZERO,
-                                GaussianRational, gr)
+                                GaussianRational)
 from stueckelberg.fock import (FockPolyState, LadderOp, SchemeMismatchError,
                                TruncationOverflowError, apply_covariant,
                                apply_ladder, decompose_physical,
                                energy_operator, inner_product, monomial_basis,
-                               normalized_gram, number_operator, quantize,
+                               normalized_gram, quantize,
                                quantum_charges)
 from stueckelberg.modes import (ModeContext, conserved_charges,
                                 poisson_bracket, q_sym)
@@ -269,9 +269,3 @@ def test_truncation_exactness():
         for kb in keys[i + 1:6]:
             assert narrow[ka].commutator(narrow[kb]).coeffs == \
                 wide[ka].commutator(wide[kb]).coeffs
-
-
-def test_number_operator_helper():
-    s = FockPolyState.basis_state((0, 2, 0, 3), N, 2)
-    assert number_operator(2, 2).apply(s) == s.scale(gr(2))
-    assert number_operator(4, 2).apply(s) == s.scale(gr(3))

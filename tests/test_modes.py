@@ -13,7 +13,7 @@ from stueckelberg.modes import (ModeContext, QuadraticObservable, U31Params,
                                 pi_sym, poisson_bracket, q_sym,
                                 trace_direction,
                                 transform_from_generating_function,
-                                u31_antisym, u31_generator, u31_sym, u31_unit)
+                                u31_antisym, u31_sym, u31_unit)
 
 
 @pytest.fixture(scope="module")
@@ -56,9 +56,6 @@ def test_unit_generator_and_blocks():
     assert s[0, 1] == GR_I and s[1, 0] == GR_I
     d = u31_sym(3, 3)
     assert d[2, 2] == gr(0, Fraction(3, 2))  # 2i - i/2
-    assert u31_generator("unit") == u31_unit()
-    with pytest.raises(ValueError):
-        u31_generator("bogus")
     with pytest.raises(ValueError):
         u31_antisym(2, 2)
 
