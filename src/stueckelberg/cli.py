@@ -16,8 +16,7 @@ from .exact import GaussianRational, as_fraction
 from .epsilon import SPACES, BasisIndex
 from .epsilon import epsilon as eps_unit
 from .fock import normalized_gram
-from .projectors import (FourMomentum, IrrationalMomentumError,
-                         RestFrameError, dyad_factorize, pure_state_projector)
+from .projectors import FourMomentum, dyad_factorize, pure_state_projector
 from .report import EXIT_CONFIG, WORKERS_ENV, ConfigError, SuiteConfig, run
 from .suites import ALL_SUITES
 from .wave import wave_matrices
@@ -145,23 +144,17 @@ def cmd_dump_wave(args):
 
 
 def cmd_dump_solutions(args):
+    eps = {"+1": 1, "1": 1, "-1": -1}.get(args.energy_sign)
+    spin = _parse_int(args.spin, "spin")
+    proj = _parse_int(args.projection, "projection")
     try:
         p = FourMomentum.from_mass_and_momentum(_parse_fraction(args.mass),
                                                 _parse_momentum(args.momentum))
-    except (IrrationalMomentumError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
-    eps = {"+1": 1, "1": 1, "-1": -1}.get(args.energy_sign)
-    if eps is None:
-        raise ConfigError("energy sign must be +1 or -1")
-    spin = _parse_int(args.spin, "spin")
-    proj = _parse_int(args.projection, "projection")
-    if (spin, proj) not in ((1, 1), (1, -1), (1, 0), (0, 0)):
-        raise ConfigError(f"invalid spin/projection pair ({spin}, {proj})")
-    try:
+        # rejects a bad sign or pair, the rest frame and an irrational |p|
         delta = pure_state_projector(p, eps, spin, proj)
-        dyad = dyad_factorize(delta, labels=(eps, spin, proj))
-    except (RestFrameError, IrrationalMomentumError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    dyad = dyad_factorize(delta, labels=(eps, spin, proj))
     out = {
         "psi": [list(c.as_strings()) for c in dyad.psi],
         "psi_bar": [list(c.as_strings()) for c in dyad.psi_bar],

@@ -383,21 +383,6 @@ def quantum_charges(k0, scheme: int = 2) -> dict:
     return charges
 
 
-def quantum_charge_combination(params, charges: dict) -> BilinearOperator:
-    """Parameter-weighted sum over the quantum charge table.
-
-    Uses the same double-counting convention as the classical flow
-    generator: off-diagonal labels enter twice, diagonals once.
-    """
-    out = charges[("unit",)].scale(params.omega0)
-    for (mu, nu), a in params.antisym.items():
-        out = out + charges[("antisym", mu, nu)].scale(a + a)
-    for (mu, nu), s in params.sym.items():
-        mult = s if mu == nu else s + s
-        out = out + charges[("sym", mu, nu)].scale(mult)
-    return out
-
-
 def quantize(obs, k0, scheme: int = 2) -> BilinearOperator:
     """Map a classical quadratic in (q, pi) to its normal-ordered operator.
 

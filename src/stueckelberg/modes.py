@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import (ExactMatrix, GR_I, GR_ONE, GR_ZERO, GaussianRational,
-                    JetScalar, as_fraction)
+                    JetScalar, as_fraction, mat_commutator, mat_inverse, mat_vec)
 
 N_MODES = 4
 # symbol indices: 0..3 are q1..q4, 4..7 are pi1..pi4
@@ -452,9 +452,11 @@ def conserved_charges(ctx: ModeContext) -> dict:
     return charges
 
 
-def charge_for_params(params: U31Params, ctx: ModeContext) -> QuadraticObservable:
-    """The observable generating the parametrised flow through the bracket."""
-    charges = conserved_charges(ctx)
+def charge_combination(params: U31Params, charges: dict):
+    """Parameter-weighted sum over a 17-charge table, classical or quantum.
+
+    Off-diagonal labels enter twice, diagonals once, as in the flow generator.
+    """
     out = charges[("unit",)].scale(params.omega0)
     for (mu, nu), a in params.antisym.items():
         out = out + charges[("antisym", mu, nu)].scale(a + a)
@@ -498,22 +500,16 @@ def trace_direction(jet: bool):
     return U31Params(sym={(mu, mu): c for mu in range(1, 5)})
 
 
+@lru_cache(maxsize=None)
 def _generator_basis_inverse():
-    """Cached inverse of the flattened generator-basis matrix."""
-    global _BASIS_INVERSE
-    if _BASIS_INVERSE is None:
-        dirs = basis_directions(jet=False)
-        cols = []
-        for _, par in dirs:
-            g = generator_matrix(par)
-            cols.append([g[i, j] for i in range(4) for j in range(4)])
-        a = ExactMatrix([[cols[c][r] for c in range(len(dirs))] for r in range(16)])
-        from .exact import mat_inverse
-        _BASIS_INVERSE = (tuple(name for name, _ in dirs), mat_inverse(a))
-    return _BASIS_INVERSE
-
-
-_BASIS_INVERSE = None
+    """Direction names and the inverse of the flattened generator-basis matrix."""
+    dirs = basis_directions(jet=False)
+    cols = []
+    for _, par in dirs:
+        g = generator_matrix(par)
+        cols.append([g[i, j] for i in range(4) for j in range(4)])
+    a = ExactMatrix([[cols[c][r] for c in range(len(dirs))] for r in range(16)])
+    return tuple(name for name, _ in dirs), mat_inverse(a)
 
 
 def decompose_generator(m: ExactMatrix):
@@ -524,11 +520,18 @@ def decompose_generator(m: ExactMatrix):
     algebra is equivalent to all coefficients being real, which callers
     check where it matters.
     """
-    from .exact import mat_vec
     names, inv = _generator_basis_inverse()
     b = [m[i, j] for i in range(4) for j in range(4)]
     x = mat_vec(inv, b)
     return {name: x[k] for k, name in enumerate(names)}
+
+
+@lru_cache(maxsize=None)
+def structure_constants():
+    """(name_i, name_j, decompose_generator([A_i, A_j])) for the 120 basis pairs i < j."""
+    mats = [(name, generator_matrix(par)) for name, par in basis_directions(jet=False)]
+    return tuple((ni, nj, decompose_generator(mat_commutator(ai, aj)))
+                 for i, (ni, ai) in enumerate(mats) for nj, aj in mats[i + 1:])
 
 
 def params_scaled(direction_table, coeffs) -> U31Params:

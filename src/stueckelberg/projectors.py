@@ -184,28 +184,24 @@ def spin_projection_projector(sigma_p: ExactMatrix, proj: int) -> ExactMatrix:
     raise ValueError("projection must be -1, 0 or +1")
 
 
-def pure_state_projector(p: FourMomentum, eps: int, spin: int, proj: int,
-                         w: WaveMatrices | None = None) -> ExactMatrix:
-    """Rank-1 density matrix for definite energy sign, spin, and projection."""
-    if (spin, proj) not in SPIN_STATES:
-        raise ValueError(f"invalid (spin, projection) pair ({spin}, {proj})")
-    w = w or wave_matrices()
-    m_eps = energy_projector(p, eps, w)
-    s2 = spin_square_projector(spin_squared(p, w), spin)
-    sp = spin_projection_projector(spin_projection_op(p, w), proj)
-    return m_eps @ s2 @ sp
-
-
 @dataclass(frozen=True)
 class ProjectorFamily:
-    """All projection operators for one momentum, cross-validated on build."""
+    """All projection operators for one momentum, each built once.
+
+    spin_sectors is keyed by spin, projections by spin projection and
+    deltas by (eps, spin, projection).  At rest sigma_p is None and
+    projections and deltas are empty.
+    """
 
     momentum: FourMomentum
+    p_slash: ExactMatrix
     m_plus: ExactMatrix
     m_minus: ExactMatrix
     sigma2: ExactMatrix
     sigma_p: ExactMatrix | None
-    deltas: dict  # (eps, spin, projection) -> ExactMatrix
+    spin_sectors: dict
+    projections: dict
+    deltas: dict
 
     @staticmethod
     def build(p: FourMomentum, w: WaveMatrices | None = None) -> "ProjectorFamily":
@@ -213,17 +209,28 @@ class ProjectorFamily:
         m_plus = energy_projector(p, 1, w)
         m_minus = energy_projector(p, -1, w)
         sigma2 = spin_squared(p, w)
-        if p.is_at_rest():
-            return ProjectorFamily(p, m_plus, m_minus, sigma2, None, {})
-        sigma_p = spin_projection_op(p, w)
-        deltas = {}
-        for eps in (1, -1):
-            m_eps = m_plus if eps == 1 else m_minus
-            s2 = {s: spin_square_projector(sigma2, s) for s in (0, 1)}
+        s2 = {s: spin_square_projector(sigma2, s) for s in (0, 1)}
+        sigma_p, sp, deltas = None, {}, {}
+        if not p.is_at_rest():
+            sigma_p = spin_projection_op(p, w)
             sp = {q: spin_projection_projector(sigma_p, q) for q in (-1, 0, 1)}
-            for spin, proj in SPIN_STATES:
-                deltas[(eps, spin, proj)] = m_eps @ s2[spin] @ sp[proj]
-        return ProjectorFamily(p, m_plus, m_minus, sigma2, sigma_p, deltas)
+            for eps, m_eps in ((1, m_plus), (-1, m_minus)):
+                for spin, proj in SPIN_STATES:
+                    deltas[(eps, spin, proj)] = m_eps @ s2[spin] @ sp[proj]
+        return ProjectorFamily(p, p_slash(p, w), m_plus, m_minus, sigma2, sigma_p,
+                               s2, sp, deltas)
+
+
+def pure_state_projector(p: FourMomentum, eps: int, spin: int, proj: int,
+                         w: WaveMatrices | None = None) -> ExactMatrix:
+    """Rank-1 density matrix for definite energy sign, spin, and projection."""
+    if (spin, proj) not in SPIN_STATES:
+        raise ValueError(f"invalid (spin, projection) pair ({spin}, {proj})")
+    if eps not in (1, -1):
+        raise ValueError("energy sign must be +1 or -1")
+    if p.is_at_rest():
+        raise RestFrameError("rest-frame: spin direction undefined")
+    return ProjectorFamily.build(p, w).deltas[(eps, spin, proj)]
 
 
 @dataclass(frozen=True)
@@ -326,14 +333,10 @@ def dyad_factorize(delta: ExactMatrix, labels=(0, 0, 0),
     w = w or wave_matrices()
     if mat_rank(delta) != 1:
         raise ValueError("not a pure state: projector rank differs from 1")
-    # column with the largest exact squared magnitude
-    best_col, best_norm = None, Fraction(0)
-    for j in range(delta.cols):
-        col = delta.column(j)
-        n = sum((e.abs2() for e in col), Fraction(0))
-        if n > best_norm:
-            best_norm, best_col = n, col
-    psi = best_col
+    # the first column of largest squared magnitude, read off the diagonal
+    # of delta^+ delta
+    col_norms = delta.dagger() @ delta
+    psi = delta.column(max(range(delta.cols), key=lambda j: col_norms[j, j].re))
     eta = w.eta
     nu = vec_dot(vec_dagger(psi), mat_vec(eta, psi))
     if not nu:

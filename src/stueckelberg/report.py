@@ -63,7 +63,7 @@ class SuiteConfig:
             raise ConfigError("worker count must be at least 1")
         if "projectors" in self.suites:
             try:
-                FourMomentum.from_mass_and_momentum(self.mass, self.momentum)
+                FourMomentum.from_mass_and_momentum(self.mass, self.momentum).spatial_norm()
             except IrrationalMomentumError as exc:
                 raise ConfigError(str(exc)) from None
 

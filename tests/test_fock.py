@@ -190,23 +190,6 @@ def test_quantize_rejects_non_bilinear():
         quantize(q_sym(1) * q_sym(1), K0, 2)
 
 
-def test_quantum_charges_realise_matrix_structure():
-    from stueckelberg.fock import quantum_charge_combination
-    from stueckelberg.modes import (basis_directions, decompose_generator,
-                                    generator_matrix, params_scaled)
-    from stueckelberg.exact import mat_commutator
-    qc = quantum_charges(K0, 2)
-    ndirs = basis_directions(jet=False)
-    table = dict(ndirs)
-    for na, nb in (("a12", "a13"), ("a14", "s14"), ("omega0", "s12"), ("d1", "s14")):
-        qa = quantum_charge_combination(table[na], qc)
-        qb = quantum_charge_combination(table[nb], qc)
-        comm = mat_commutator(generator_matrix(table[na]), generator_matrix(table[nb]))
-        coeffs = decompose_generator(comm)
-        rebuilt = params_scaled(ndirs, [coeffs[n] for n, _ in ndirs])
-        assert qa.commutator(qb) == quantum_charge_combination(rebuilt, qc).scale(GR_I)
-
-
 def test_commutator_bracket_correspondence_sample():
     ctx = ModeContext(K0)
     classical = conserved_charges(ctx)
@@ -254,18 +237,3 @@ def test_physical_decomposition_cases():
 
     with pytest.raises(SchemeMismatchError):
         decompose_physical(FockPolyState.vacuum(N, 1))
-
-
-def test_truncation_exactness():
-    narrow = quantum_charges(K0, 2)
-    wide = quantum_charges(K0, 2)
-    keys = sorted(narrow.keys(), key=str)
-    for key in keys[:6]:
-        for b in monomial_basis(4):
-            a = narrow[key].apply(FockPolyState.basis_state(b, N, 2))
-            c = wide[key].apply(FockPolyState.basis_state(b, N + 2, 2))
-            assert a.coeffs == c.coeffs, (key, b)
-    for i, ka in enumerate(keys[:6]):
-        for kb in keys[i + 1:6]:
-            assert narrow[ka].commutator(narrow[kb]).coeffs == \
-                wide[ka].commutator(wide[kb]).coeffs

@@ -4,10 +4,18 @@ Each suite runs once per configuration.  An identity that needs a
 vacuum scheme the configuration does not run must be absent from the
 report; one that needs a moving frame must be skipped in the rest frame
 with the documented reason; every other declared identity must pass.
+The shared objects the checks read are each built once per suite run,
+and a failing Gram identity names the state it fails on.
 """
+
+import sys
+from collections import Counter
 
 import pytest
 
+from stueckelberg import modes, suites
+from stueckelberg.exact import ExactMatrix
+from stueckelberg.fock import monomial_basis
 from stueckelberg.report import SuiteConfig
 from stueckelberg.suites import (IDENTITIES, MOVING_FRAME, REST_FRAME_REASON,
                                  SCHEME_1, SCHEME_2, run_suite)
@@ -58,3 +66,48 @@ def test_declared_identity(reports, decl, config):
 def test_each_identity_is_declared_once():
     keys = [(d.suite, d.ident) for d in IDENTITIES]
     assert len(keys) == len(set(keys))
+
+
+# builder -> calls while the projectors, u31 and fock suites run once each
+# at the default configuration, the structure-constant table built afresh
+BUILDER_CALLS = {
+    "spin_squared": 1,
+    "spin_projection_op": 1,
+    "energy_projector": 2,
+    "spin_square_projector": 2,
+    "spin_projection_projector": 3,
+    "decompose_generator": 120,
+    "quantum_charges": 1,
+}
+
+
+def test_each_shared_object_is_built_once(monkeypatch):
+    calls = Counter()
+    package = [m for name, m in sys.modules.items() if name.split(".")[0] == "stueckelberg"]
+    for name in BUILDER_CALLS:
+        real = next(vars(m)[name] for m in package if name in vars(m))
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        for m in package:
+            if vars(m).get(name) is real:
+                monkeypatch.setattr(m, name, counted)
+    modes.structure_constants.cache_clear()
+    for suite in ("projectors", "u31", "fock"):
+        assert all(r.status == "pass" for r in run_suite(suite, SuiteConfig()))
+    assert dict(calls) == BUILDER_CALLS
+
+
+@pytest.mark.parametrize("entry", [(3, 7), (5, 5)], ids=["off-diagonal", "diagonal"])
+def test_gram_failure_names_the_first_differing_state(monkeypatch, entry):
+    real = suites.normalized_gram
+
+    def wrong_gram(truncation, scheme=2):
+        basis, g = real(truncation, scheme)
+        return basis, g + ExactMatrix.unit(g.rows, g.cols, *entry)
+    monkeypatch.setattr(suites, "normalized_gram", wrong_gram)
+    records = {r.ident: r for r in run_suite("fock", SuiteConfig(truncation=2))}
+    want = f"state {monomial_basis(2)[entry[0]]}"
+    for ident in ("gram-indefinite", "gram-positive-scheme1"):
+        assert (records[ident].status, records[ident].witness) == ("fail", want)

@@ -2,16 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from stueckelberg.exact import (ExactMatrix, GR_I, GR_ONE, GR_ZERO, gr,
-                                mat_commutator)
+from stueckelberg.exact import ExactMatrix, GR_I, GR_ONE, GR_ZERO, gr
 from stueckelberg.modes import (ModeContext, QuadraticObservable, U31Params,
                                 amplitude_form_hamiltonian, basis_directions,
-                                charge_for_params, conserved_charges,
-                                decompose_generator, generating_function,
+                                conserved_charges, generating_function,
                                 generator_matrix, hamiltonian,
-                                infinitesimal_transform, params_scaled,
-                                pi_sym, poisson_bracket, q_sym,
-                                trace_direction,
+                                infinitesimal_transform, pi_sym,
+                                poisson_bracket, q_sym, trace_direction,
                                 transform_from_generating_function,
                                 u31_antisym, u31_sym, u31_unit)
 
@@ -65,25 +62,6 @@ def test_sym_diagonal_sum_vanishes():
     for mu in range(1, 5):
         total = total + u31_sym(mu, mu)
     assert total.is_zero()
-
-
-def test_generator_closure_is_real():
-    dirs = basis_directions(jet=False)
-    mats = [generator_matrix(par) for _, par in dirs]
-    for i, a in enumerate(mats):
-        for b in mats[i + 1:]:
-            coeffs = decompose_generator(mat_commutator(a, b))
-            assert all(c.is_real() for c in coeffs.values())
-
-
-def test_rotation_block_closes():
-    dirs = [d for d in basis_directions(jet=False) if d[0].startswith("a")]
-    mats = {name: generator_matrix(par) for name, par in dirs}
-    names = list(mats)
-    for i, ni in enumerate(names):
-        for nj in names[i + 1:]:
-            coeffs = decompose_generator(mat_commutator(mats[ni], mats[nj]))
-            assert all(not c for name, c in coeffs.items() if not name.startswith("a"))
 
 
 def test_reality_pattern_enforced():
@@ -177,30 +155,6 @@ def test_charges_commute_with_energy(ctx):
 def test_unit_charge_is_scaled_energy(ctx):
     charges = conserved_charges(ctx)
     assert charges[("unit",)] == hamiltonian(ctx).scale(GR_ONE / gr(5))
-
-
-def test_charge_flow_matches_variation(ctx):
-    qs = tuple(q_sym(m) for m in range(1, 5))
-    pis = tuple(pi_sym(m) for m in range(1, 5))
-    for name, par in basis_directions(jet=False):
-        g = charge_for_params(par, ctx)
-        dq, dpi = infinitesimal_transform(qs, pis, par, ctx)
-        for mu in range(1, 5):
-            assert poisson_bracket(q_sym(mu), g) == dq[mu - 1], (name, mu)
-            assert poisson_bracket(pi_sym(mu), g) == dpi[mu - 1], (name, mu)
-
-
-def test_structure_constant_sample(ctx):
-    dirs = basis_directions(jet=False)
-    table = dict(dirs)
-    for na, nb in (("a12", "a13"), ("a12", "s12"), ("omega0", "s14"), ("a14", "a24")):
-        ga = charge_for_params(table[na], ctx)
-        gb = charge_for_params(table[nb], ctx)
-        ca = generator_matrix(table[na])
-        cb = generator_matrix(table[nb])
-        coeffs = decompose_generator(mat_commutator(ca, cb))
-        rebuilt = params_scaled(dirs, [coeffs[n] for n, _ in dirs])
-        assert poisson_bracket(ga, gb) == charge_for_params(rebuilt, ctx)
 
 
 def test_hamiltonian_first_order_invariance(ctx):
