@@ -23,6 +23,12 @@ from .wave import wave_matrices
 from . import em as em_mod
 
 
+# Largest `dump gram` truncation.  The dump writes all B*B entries of
+# the Gram matrix, B = C(N+4, 4): 0.6 s, 110 MB peak and 38 MB of JSON
+# at N = 10 on a 2-vCPU Xeon host, against 0.3 s and 43 MB at N = 8.
+MAX_GRAM_TRUNCATION = 10
+
+
 def _parse_fraction(text):
     try:
         return as_fraction(text.strip())
@@ -104,6 +110,22 @@ def _json_dump(obj):
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _matrix_json(m):
+    """`_json_dump(m.to_json_dict())`, the same bytes, formatted without the
+    pure-Python encoder: each distinct entry is formatted once, so the
+    shared zero entry of a sparse matrix is one text."""
+    d = m.to_json_dict()
+    texts = {}
+    out = []
+    for re, im in d["entries"]:
+        t = texts.get((re, im))
+        if t is None:
+            t = texts[re, im] = f"    [\n      {json.dumps(re)},\n      {json.dumps(im)}\n    ]"
+        out.append(t)
+    head = f'{{\n  "rows": {d["rows"]},\n  "cols": {d["cols"]},\n  "entries": [\n'
+    return head + ",\n".join(out) + "\n  ]\n}\n"
+
+
 def cmd_verify(args):
     cfg = _build_suite_config(args)
     report = run(cfg)
@@ -121,7 +143,7 @@ def cmd_dump_epsilon(args):
         m = eps_unit(a, b, space)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    _emit(_json_dump(m.to_json_dict()), args)
+    _emit(_matrix_json(m), args)
     return 0
 
 
@@ -171,8 +193,10 @@ def cmd_dump_gram(args):
         raise ConfigError("scheme must be 1 or 2")
     if truncation < 0:
         raise ConfigError("truncation must be nonnegative")
+    if truncation > MAX_GRAM_TRUNCATION:
+        raise ConfigError(f"truncation above the cap {MAX_GRAM_TRUNCATION}")
     _, gram = normalized_gram(truncation, scheme)
-    _emit(_json_dump(gram.to_json_dict()), args)
+    _emit(_matrix_json(gram), args)
     return 0
 
 

@@ -343,6 +343,54 @@ def _pruned(row):
     return row
 
 
+def _content(den, rows):
+    """The gcd of den and every numerator component in the dicts `rows`."""
+    g = den
+    for row in rows:
+        if g == 1:
+            return 1
+        for a, b in row.values():
+            g = math.gcd(g, a, b)
+            if g == 1:
+                return 1
+    return g
+
+
+def _divided(row, g):
+    return {j: (a // g, b // g) for j, (a, b) in row.items()}
+
+
+def _common_scale(da, db, sign):
+    """(den, fa, fb): den = lcm(da, db), fa = den / da and fb = sign * den / db."""
+    if da == db:
+        return da, 1, sign
+    den = math.lcm(da, db)
+    return den, den // da, sign * (den // db)
+
+
+def _axpy(ra, fa, rb, fb):
+    """The numerator dict fa * ra + fb * rb, without entries that cancel.
+
+    Never changes ra or rb; returns ra itself when fa == 1 and rb is empty.
+    """
+    row = ra if fa == 1 else {j: (a * fa, b * fa) for j, (a, b) in ra.items()}
+    if not rb:
+        return row
+    if row is ra:
+        row = dict(ra)
+    for j, (c, d) in rb.items():
+        e = row.get(j)
+        row[j] = (c * fb, d * fb) if e is None else (e[0] + c * fb, e[1] + d * fb)
+    return _pruned(row)
+
+
+def _times(row, x, y):
+    """The numerator dict row * (x + y*i); nonzero x + y*i keeps every entry nonzero."""
+    if y:
+        return {j: (a * x - b * y, a * y + b * x) for j, (a, b) in row.items()}
+    return {j: (a * x, b * x) for j, (a, b) in row.items()}
+
+
 def _wrap(rows, cols, r, den):
     m = object.__new__(ExactMatrix)
     m.rows = rows
@@ -354,17 +402,10 @@ def _wrap(rows, cols, r, den):
 
 def _reduced(rows, cols, r, den):
     """The matrix with numerator rows r over den > 0, in lowest terms."""
-    g = den
-    for row in r:
-        if g == 1:
-            break
-        for a, b in row.values():
-            g = math.gcd(g, a, b)
-            if g == 1:
-                break
+    g = _content(den, r)
     if g != 1:
         den //= g
-        r = tuple({j: (a // g, b // g) for j, (a, b) in row.items()} for row in r)
+        r = tuple(_divided(row, g) for row in r)
     return _wrap(rows, cols, r, den)
 
 
@@ -480,24 +521,9 @@ class ExactMatrix:
 
     def _combine(self, other, sign):
         self._check_same_shape(other)
-        da, db = self._den, other._den
-        if da == db:
-            den, fa, fb = da, 1, sign
-        else:
-            den = math.lcm(da, db)
-            fa, fb = den // da, sign * (den // db)
-        out = []
-        for ra, rb in zip(self._r, other._r):
-            row = ra if fa == 1 else {j: (a * fa, b * fa) for j, (a, b) in ra.items()}
-            if rb:
-                if row is ra:
-                    row = dict(ra)
-                for j, (c, d) in rb.items():
-                    e = row.get(j)
-                    row[j] = (c * fb, d * fb) if e is None else (e[0] + c * fb, e[1] + d * fb)
-                row = _pruned(row)
-            out.append(row)
-        return _reduced(self.rows, self.cols, tuple(out), den)
+        den, fa, fb = _common_scale(self._den, other._den, sign)
+        out = tuple(_axpy(ra, fa, rb, fb) for ra, rb in zip(self._r, other._r))
+        return _reduced(self.rows, self.cols, out, den)
 
     def __add__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -536,14 +562,10 @@ class ExactMatrix:
             out.append(_pruned(acc))
         return _reduced(self.rows, other.cols, tuple(out), self._den * other._den)
 
-    def _times(self, x, y, den):
+    def _scaled(self, x, y, den):
         """self * (x + y*i) / den, for integers x, y (not both zero) and den > 0."""
-        if y:
-            r = tuple({j: (a * x - b * y, a * y + b * x) for j, (a, b) in row.items()}
-                      for row in self._r)
-        else:
-            r = tuple({j: (a * x, b * x) for j, (a, b) in row.items()} for row in self._r)
-        return _reduced(self.rows, self.cols, r, self._den * den)
+        return _reduced(self.rows, self.cols, tuple(_times(row, x, y) for row in self._r),
+                        self._den * den)
 
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
@@ -554,7 +576,7 @@ class ExactMatrix:
         x, y, d = _split(s)
         if not (x or y):
             return ExactMatrix.zeros(self.rows, self.cols)
-        return self._times(x, y, d)
+        return self._scaled(x, y, d)
 
     def __rmul__(self, other):
         s = GaussianRational._coerce(other)
@@ -571,9 +593,9 @@ class ExactMatrix:
             raise ZeroDivisionError("division by zero Gaussian rational")
         if not y:
             # d / x, with the sign moved into the numerator
-            return self._times(d if x > 0 else -d, 0, abs(x))
+            return self._scaled(d if x > 0 else -d, 0, abs(x))
         # d / (x + y i) = d (x - y i) / (x^2 + y^2)
-        return self._times(d * x, -d * y, x * x + y * y)
+        return self._scaled(d * x, -d * y, x * x + y * y)
 
     def _flipped(self, conjugate):
         out = tuple({} for _ in range(self.cols))

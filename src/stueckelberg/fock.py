@@ -13,6 +13,16 @@ Two vacuum schemes exist for the scalar-sector mode (mode 4):
   sign of mode 4 is -1 and norms alternate with its occupation.
 * scheme 1: the roles of the mode-4 pair are swapped, giving a positive
   inner product but an indefinite energy spectrum.
+
+Coefficients are stored the way `ExactMatrix` stores its entries: a
+state maps each monomial, and a ladder bilinear each index pair (i, j),
+to a Gaussian-integer numerator (re, im) of Python ints, over one
+positive denominator shared by the whole object.  Each result is brought
+to lowest terms by one gcd pass (the zero object has denominator 1), so
+equal objects are stored alike, and the actions, commutators, sums,
+scalar multiples and inner products run on ints.  `coeffs` is a
+read-only view of the coefficients as `GaussianRational`s, built on
+each access.
 """
 
 from __future__ import annotations
@@ -20,13 +30,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
-from .exact import (ExactMatrix, GR_I, GR_MINUS_ONE, GR_ONE, GR_ZERO,
-                    GaussianRational, as_fraction)
+from .exact import (GR_I, GR_MINUS_ONE, GR_ONE, GR_ZERO, GaussianRational,
+                    _axpy, _common_scale, _content, _divided, _integer_vector,
+                    _pruned, _reduced, _scalar, _split, _times, as_fraction)
 
 METRIC_SIGNATURE = (1, 1, 1, -1)
 
 DEFAULT_TRUNCATION = 6
+
+# annihilation sign of modes 1..4 per scheme: scheme 1 swaps the mode-4
+# pair, which restores the standard sign
+_ANNIHILATION_SIGNS = {1: (1, 1, 1, 1), 2: METRIC_SIGNATURE}
 
 
 class TruncationOverflowError(ValueError):
@@ -35,13 +51,6 @@ class TruncationOverflowError(ValueError):
 
 class SchemeMismatchError(ValueError):
     """States or operators from different vacuum schemes were combined."""
-
-
-def _annihilation_sign(mode: int, scheme: int) -> int:
-    # scheme 1 swaps the mode-4 pair, which restores the standard sign
-    if scheme == 2:
-        return METRIC_SIGNATURE[mode - 1]
-    return 1
 
 
 @dataclass(frozen=True)
@@ -58,30 +67,120 @@ class LadderOp:
             raise ValueError("direction must be 'create' or 'annihilate'")
 
 
-class FockPolyState:
-    """Exact-coefficient polynomial state with a degree bound and a scheme."""
+def _lowest(c, den):
+    """(c, den) divided through by their common gcd."""
+    if den == 1:
+        return c, 1
+    g = _content(den, (c,))
+    if g == 1:
+        return c, den
+    return _divided(c, g), den // g
 
-    __slots__ = ("coeffs", "truncation", "scheme")
+
+class _ExactCoefficients:
+    """Coefficients stored as `ExactMatrix` stores its entries.
+
+    `_c` maps a key to its Gaussian-integer numerator (re, im) and `_den`
+    is the positive denominator they share, in lowest terms.
+    """
+
+    __slots__ = ("_c", "_den", "scheme")
+
+    def _store(self, coeffs, key):
+        """Hold the exact scalars of the mapping coeffs, each under key(its key)."""
+        keys, values = [], []
+        for k, v in (coeffs or {}).items():
+            v = GaussianRational._coerce(v)
+            if v is None:
+                raise TypeError("coefficients must be exact scalars")
+            keys.append(key(k))
+            values.append(v)
+        nums, den = _integer_vector(values)
+        c = {}
+        for k, (a, b) in zip(keys, nums):
+            e = c.get(k)
+            c[k] = (a, b) if e is None else (e[0] + a, e[1] + b)
+        self._c, self._den = _lowest(_pruned(c), den)
+
+    def _with(self, c, den):
+        """An object of this kind and scheme holding (c, den), already in lowest terms."""
+        out = object.__new__(type(self))
+        out._c = c
+        out._den = den
+        out.scheme = self.scheme
+        return out
+
+    @property
+    def coeffs(self):
+        """Read-only {key: GaussianRational}, built on each access."""
+        den = self._den
+        return MappingProxyType({k: _scalar(a, b, den) for k, (a, b) in self._c.items()})
+
+    def _combine(self, other, sign):
+        self._check_compatible(other)
+        den, fa, fb = _common_scale(self._den, other._den, sign)
+        return self._with(*_lowest(_axpy(self._c, fa, other._c, fb), den))
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def scale(self, s):
+        s = GaussianRational._coerce(s)
+        if s is None:
+            raise TypeError("scale by exact scalars only")
+        x, y, d = _split(s)
+        if not (x or y):
+            return self._with({}, 1)
+        return self._with(*_lowest(_times(self._c, x, y), self._den * d))
+
+    __mul__ = scale
+    __rmul__ = scale
+
+    def __neg__(self):
+        return self._with({k: (-a, -b) for k, (a, b) in self._c.items()}, self._den)
+
+    def is_zero(self):
+        return not self._c
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (self.scheme == other.scheme and self._den == other._den
+                and self._c == other._c)
+
+    def __hash__(self):
+        return hash((self.scheme, self._den, frozenset(self._c.items())))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({dict(self.coeffs)!r}, scheme={self.scheme})"
+
+
+class FockPolyState(_ExactCoefficients):
+    """Exact-coefficient polynomial state with a degree bound and a scheme.
+
+    The keys are occupation tuples.
+    """
+
+    __slots__ = ("truncation",)
 
     def __init__(self, coeffs=None, truncation=DEFAULT_TRUNCATION, scheme=2):
         if scheme not in (1, 2):
             raise ValueError("scheme must be 1 or 2")
         self.truncation = truncation
         self.scheme = scheme
-        c = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                k = tuple(int(e) for e in k)
-                if len(k) != 4 or any(e < 0 for e in k):
-                    raise ValueError(f"bad occupation tuple {k}")
-                if sum(k) > truncation:
-                    raise TruncationOverflowError(
-                        f"monomial {k} exceeds truncation {truncation}")
-                v = GaussianRational._coerce(v)
-                if v is None:
-                    raise TypeError("coefficients must be exact scalars")
-                c[k] = c.get(k, GR_ZERO) + v
-        self.coeffs = {k: v for k, v in c.items() if v}
+        self._store(coeffs, self._occupation)
+
+    def _occupation(self, k):
+        k = tuple(int(e) for e in k)
+        if len(k) != 4 or any(e < 0 for e in k):
+            raise ValueError(f"bad occupation tuple {k}")
+        if sum(k) > self.truncation:
+            raise TruncationOverflowError(
+                f"monomial {k} exceeds truncation {self.truncation}")
+        return k
 
     @staticmethod
     def vacuum(truncation=DEFAULT_TRUNCATION, scheme=2):
@@ -97,82 +196,66 @@ class FockPolyState:
         if self.truncation != other.truncation:
             raise ValueError("truncation mismatch")
 
-    def __add__(self, other):
-        self._check_compatible(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, GR_ZERO) + v
-        return self._with({k: v for k, v in out.items() if v})
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, GR_ZERO) - v
-        return self._with({k: v for k, v in out.items() if v})
-
-    def scale(self, s):
-        s = GaussianRational._coerce(s)
-        if s is None:
-            raise TypeError("states scale by exact scalars only")
-        if not s:
-            return self._with({})
-        return self._with({k: v * s for k, v in self.coeffs.items()})
-
-    __mul__ = scale
-    __rmul__ = scale
-
-    def __neg__(self):
-        return self.scale(GR_MINUS_ONE)
-
-    def _with(self, coeffs):
-        out = object.__new__(FockPolyState)
-        out.coeffs = coeffs
+    def _with(self, c, den):
+        out = _ExactCoefficients._with(self, c, den)
         out.truncation = self.truncation
-        out.scheme = self.scheme
         return out
 
-    def is_zero(self):
-        return not self.coeffs
-
     def degree(self):
-        return max((sum(k) for k in self.coeffs), default=0)
-
-    def __eq__(self, other):
-        if not isinstance(other, FockPolyState):
-            return NotImplemented
-        return self.scheme == other.scheme and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.scheme, frozenset(self.coeffs.items())))
-
-    def __repr__(self):
-        return f"FockPolyState({self.coeffs!r}, scheme={self.scheme})"
+        return max((sum(k) for k in self._c), default=0)
 
 
 def apply_ladder(op: LadderOp, s: FockPolyState) -> FockPolyState:
     """Apply one ladder operator; creation past the cutoff is an error."""
+    m = op.mode - 1
     out = {}
     if op.direction == "create":
-        for k, v in s.coeffs.items():
+        for k, v in s._c.items():
             if sum(k) + 1 > s.truncation:
                 raise TruncationOverflowError(
                     f"creation on degree-{sum(k)} monomial exceeds truncation {s.truncation}")
             nk = list(k)
-            nk[op.mode - 1] += 1
-            nk = tuple(nk)
-            out[nk] = out.get(nk, GR_ZERO) + v
-    else:
-        sign = _annihilation_sign(op.mode, s.scheme)
-        for k, v in s.coeffs.items():
-            n = k[op.mode - 1]
-            if n == 0:
-                continue
-            nk = list(k)
-            nk[op.mode - 1] -= 1
-            nk = tuple(nk)
-            out[nk] = out.get(nk, GR_ZERO) + v * GaussianRational(sign * n)
-    return s._with({k: v for k, v in out.items() if v})
+            nk[m] += 1
+            out[tuple(nk)] = v
+        # creation maps distinct monomials to distinct ones, numerators unchanged
+        return s._with(out, s._den)
+    sign = _ANNIHILATION_SIGNS[s.scheme][m]
+    for k, (a, b) in s._c.items():
+        n = k[m]
+        if n == 0:
+            continue
+        nk = list(k)
+        nk[m] -= 1
+        f = sign * n
+        out[tuple(nk)] = (a * f, b * f)
+    return s._with(*_lowest(out, s._den))
+
+
+def _factorial_weight(k) -> int:
+    w = 1
+    for n in k:
+        w *= math.factorial(n)
+    return w
+
+
+def _overlap(a: FockPolyState, b: FockPolyState):
+    """Integers (re, im, den) with <a|b> == (re + im*i) / den."""
+    a._check_compatible(b)
+    cb = b._c
+    signed = a.scheme == 2
+    re = im = 0
+    for k, (p, q) in a._c.items():
+        e = cb.get(k)
+        if e is None:
+            continue
+        r, t = e
+        w = _factorial_weight(k)
+        if signed and k[3] % 2:
+            w = -w
+        # conj(p + q i) (r + t i) = (p r + q t) + (p t - q r) i
+        re += (p * r + q * t) * w
+        im += (p * t - q * r) * w
+    return re, im, a._den * b._den
 
 
 def inner_product(a: FockPolyState, b: FockPolyState) -> GaussianRational:
@@ -182,19 +265,7 @@ def inner_product(a: FockPolyState, b: FockPolyState) -> GaussianRational:
     the scheme's metric sign: (-1) to the mode-4 occupation in scheme 2,
     positive in scheme 1.
     """
-    a._check_compatible(b)
-    total = GR_ZERO
-    for k, va in a.coeffs.items():
-        vb = b.coeffs.get(k)
-        if vb is None:
-            continue
-        weight = Fraction(1)
-        for n in k:
-            weight *= math.factorial(n)
-        if a.scheme == 2 and k[3] % 2:
-            weight = -weight
-        total = total + va.conjugate() * vb * GaussianRational(weight)
-    return total
+    return _scalar(*_overlap(a, b))
 
 
 def normalized_gram(truncation: int, scheme: int = 2) -> tuple:
@@ -205,14 +276,15 @@ def normalized_gram(truncation: int, scheme: int = 2) -> tuple:
     Distinct monomials are orthogonal, so only the diagonal is computed.
     """
     basis = monomial_basis(truncation)
-    diagonal = []
+    rows, dens = [], []
     for i, a in enumerate(basis):
         s = FockPolyState.basis_state(a, truncation, scheme)
-        norm2 = Fraction(1)
-        for n in a:
-            norm2 *= math.factorial(n)
-        diagonal.append(((i, i), inner_product(s, s) / GaussianRational(norm2)))
-    return basis, ExactMatrix.sparse(len(basis), len(basis), diagonal)
+        re, im, den = _overlap(s, s)
+        rows.append({i: (re, im)} if re or im else {})
+        dens.append(den * _factorial_weight(a))
+    den = math.lcm(*dens)
+    r = tuple(_times(row, den // d, 0) for row, d in zip(rows, dens))
+    return basis, _reduced(len(basis), len(basis), r, den)
 
 
 def monomial_basis(truncation: int) -> list:
@@ -226,100 +298,76 @@ def monomial_basis(truncation: int) -> list:
     return out
 
 
-class BilinearOperator:
+class BilinearOperator(_ExactCoefficients):
     """Normal-ordered ladder bilinear: sum of c[i, j] * create_i annihilate_j.
 
     The indices refer to the polynomial model's elementary operators
     (multiplication and signed derivative), with the scheme's signs and
     any phase factors already folded into the coefficients.  These
-    operators preserve total degree, so truncation never bites.
+    operators preserve total degree, so truncation never bites.  The
+    keys are the index pairs (i, j).
     """
 
-    __slots__ = ("coeffs", "scheme")
+    __slots__ = ()
 
     def __init__(self, coeffs=None, scheme=2):
         self.scheme = scheme
-        c = {}
-        if coeffs:
-            for (i, j), v in coeffs.items():
-                v = GaussianRational._coerce(v)
-                if v:
-                    c[(i, j)] = c.get((i, j), GR_ZERO) + v
-        self.coeffs = {k: v for k, v in c.items() if v}
+        self._store(coeffs, tuple)
 
-    def _with(self, coeffs):
-        out = object.__new__(BilinearOperator)
-        out.coeffs = coeffs
-        out.scheme = self.scheme
-        return out
-
-    def __add__(self, other):
+    def _check_compatible(self, other):
         if self.scheme != other.scheme:
             raise SchemeMismatchError("operators from different schemes")
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, GR_ZERO) + v
-        return self._with({k: v for k, v in out.items() if v})
-
-    def __sub__(self, other):
-        return self + other.scale(GR_MINUS_ONE)
-
-    def scale(self, s):
-        s = GaussianRational._coerce(s)
-        if s is None:
-            raise TypeError("operators scale by exact scalars only")
-        if not s:
-            return self._with({})
-        return self._with({k: v * s for k, v in self.coeffs.items()})
-
-    __mul__ = scale
-    __rmul__ = scale
 
     def apply(self, s: FockPolyState) -> FockPolyState:
         if s.scheme != self.scheme:
             raise SchemeMismatchError("operator and state schemes differ")
+        signs = _ANNIHILATION_SIGNS[s.scheme]
+        state = s._c.items()
         out = {}
-        for (i, j), c in self.coeffs.items():
-            sign = _annihilation_sign(j, s.scheme)
-            for k, v in s.coeffs.items():
-                n = k[j - 1]
+        for (i, j), (cr, ci) in self._c.items():
+            i -= 1
+            j -= 1
+            sign = signs[j]
+            for k, (a, b) in state:
+                n = k[j]
                 if n == 0:
                     continue
-                nk = list(k)
-                nk[j - 1] -= 1
-                nk[i - 1] += 1
-                nk = tuple(nk)
-                out[nk] = out.get(nk, GR_ZERO) + v * (c * GaussianRational(sign * n))
-        return s._with({k: v for k, v in out.items() if v})
+                if i == j:
+                    nk = k
+                else:
+                    nk = list(k)
+                    nk[j] -= 1
+                    nk[i] += 1
+                    nk = tuple(nk)
+                f = sign * n
+                x = (a * cr - b * ci) * f
+                y = (a * ci + b * cr) * f
+                e = out.get(nk)
+                out[nk] = (x, y) if e is None else (e[0] + x, e[1] + y)
+        return s._with(*_lowest(_pruned(out), s._den * self._den))
 
     def commutator(self, other: "BilinearOperator") -> "BilinearOperator":
         """Exact operator commutator; bilinears close among themselves."""
-        if self.scheme != other.scheme:
-            raise SchemeMismatchError("operators from different schemes")
+        self._check_compatible(other)
+        signs = _ANNIHILATION_SIGNS[self.scheme]
         out = {}
-        for (i, j), a in self.coeffs.items():
-            sj = _annihilation_sign(j, self.scheme)
-            for (k, l), b in other.coeffs.items():
-                sl = _annihilation_sign(l, self.scheme)
+
+        def add(key, x, y):
+            e = out.get(key)
+            out[key] = (x, y) if e is None else (e[0] + x, e[1] + y)
+
+        for (i, j), (ar, ai) in self._c.items():
+            for (k, l), (br, bi) in other._c.items():
+                if j != k and l != i:
+                    continue
+                xr, xi = ar * br - ai * bi, ar * bi + ai * br
                 if j == k:
-                    out[(i, l)] = out.get((i, l), GR_ZERO) + a * b * GaussianRational(sj)
+                    sj = signs[j - 1]
+                    add((i, l), xr * sj, xi * sj)
                 if l == i:
-                    out[(k, j)] = out.get((k, j), GR_ZERO) + a * b * GaussianRational(-sl)
-        return self._with({key: v for key, v in out.items() if v})
-
-    def __eq__(self, other):
-        if not isinstance(other, BilinearOperator):
-            return NotImplemented
-        return self.scheme == other.scheme and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.scheme, frozenset(self.coeffs.items())))
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __repr__(self):
-        return f"BilinearOperator({self.coeffs!r}, scheme={self.scheme})"
+                    sl = signs[l - 1]
+                    add((k, j), -xr * sl, -xi * sl)
+        return self._with(*_lowest(_pruned(out), self._den * other._den))
 
 
 def covariant_ladder_phase(mu: int) -> GaussianRational:
@@ -456,6 +504,6 @@ def decompose_physical(s: FockPolyState):
     """Split a scheme-2 state into its positive-norm and mode-4-excited parts."""
     if s.scheme != 2:
         raise SchemeMismatchError("the physical decomposition lives in scheme 2")
-    phys = {k: v for k, v in s.coeffs.items() if k[3] == 0}
-    nonphys = {k: v for k, v in s.coeffs.items() if k[3] != 0}
-    return s._with(phys), s._with(nonphys)
+    phys = {k: v for k, v in s._c.items() if k[3] == 0}
+    nonphys = {k: v for k, v in s._c.items() if k[3] != 0}
+    return s._with(*_lowest(phys, s._den)), s._with(*_lowest(nonphys, s._den))

@@ -15,6 +15,7 @@ from fractions import Fraction
 from .exact import (ExactMatrix, GR_I, GR_ONE, GR_ZERO, GaussianRational,
                     as_fraction, mat_rank, rational_sqrt, vec_dagger, vec_dot,
                     vec_mat, vec_outer, vec_scale, mat_vec)
+from .epsilon import BIVECTOR_PAIRS, DIM11, BasisIndex
 from .wave import WaveMatrices, wave_matrices
 
 SPIN_STATES = ((1, 1), (1, -1), (1, 0), (0, 0))  # (spin, projection)
@@ -98,11 +99,15 @@ def p_slash(p: FourMomentum, w: WaveMatrices | None = None) -> ExactMatrix:
     return out
 
 
-def energy_projector(p: FourMomentum, eps: int, w: WaveMatrices | None = None) -> ExactMatrix:
-    """Idempotent extracting the energy-sign eps solutions of the wave equation."""
+def energy_projector(p: FourMomentum, eps: int, w: WaveMatrices | None = None,
+                     ps: ExactMatrix | None = None) -> ExactMatrix:
+    """Idempotent extracting the energy-sign eps solutions of the wave equation.
+
+    ps is p_slash(p, w), built here when not given.
+    """
     if eps not in (1, -1):
         raise ValueError("energy sign must be +1 or -1")
-    ps = p_slash(p, w)
+    ps = p_slash(p, w) if ps is None else ps
     ips = ps * GR_I
     m = GaussianRational(p.m)
     return (ips @ (ips - ExactMatrix.identity(11) * (m * eps))) / (m * m * 2)
@@ -206,8 +211,9 @@ class ProjectorFamily:
     @staticmethod
     def build(p: FourMomentum, w: WaveMatrices | None = None) -> "ProjectorFamily":
         w = w or wave_matrices()
-        m_plus = energy_projector(p, 1, w)
-        m_minus = energy_projector(p, -1, w)
+        ps = p_slash(p, w)
+        m_plus = energy_projector(p, 1, w, ps)
+        m_minus = energy_projector(p, -1, w, ps)
         sigma2 = spin_squared(p, w)
         s2 = {s: spin_square_projector(sigma2, s) for s in (0, 1)}
         sigma_p, sp, deltas = None, {}, {}
@@ -217,8 +223,7 @@ class ProjectorFamily:
             for eps, m_eps in ((1, m_plus), (-1, m_minus)):
                 for spin, proj in SPIN_STATES:
                     deltas[(eps, spin, proj)] = m_eps @ s2[spin] @ sp[proj]
-        return ProjectorFamily(p, p_slash(p, w), m_plus, m_minus, sigma2, sigma_p,
-                               s2, sp, deltas)
+        return ProjectorFamily(p, ps, m_plus, m_minus, sigma2, sigma_p, s2, sp, deltas)
 
 
 def pure_state_projector(p: FourMomentum, eps: int, spin: int, proj: int,
@@ -356,16 +361,17 @@ def dyad_factorize(delta: ExactMatrix, labels=(0, 0, 0),
 
 
 def verify_first_order_solution(d: SolutionDyad, p: FourMomentum, eps: int,
-                                w: WaveMatrices | None = None) -> bool:
+                                w: WaveMatrices | None = None,
+                                ps: ExactMatrix | None = None) -> bool:
     """Check the eigen-equation and the component layout of the solution.
 
     The plane-wave rule maps the gradient to i*eps*p on the energy-sign
     eps branch; the bivector slots must then be the antisymmetrised
     derivative of the vector slots scaled by 1/m, and the scalar slot
-    minus the divergence scaled by 1/m.
+    minus the divergence scaled by 1/m.  ps is p_slash(p, w), built here
+    when not given.
     """
-    w = w or wave_matrices()
-    ps = p_slash(p, w)
+    ps = p_slash(p, w) if ps is None else ps
     lhs = vec_scale(mat_vec(ps, d.psi), -GR_I)
     rhs = vec_scale(d.psi, GaussianRational(eps * p.m))
     if lhs != rhs:
@@ -381,7 +387,6 @@ def verify_first_order_solution(d: SolutionDyad, p: FourMomentum, eps: int,
     if d.psi[0] != -(ieps * div) / m:
         return False
     # bivector slots: (i eps (p_mu psi_nu - p_nu psi_mu))/m
-    from .epsilon import BIVECTOR_PAIRS, DIM11, BasisIndex
     for (mu, nu) in BIVECTOR_PAIRS:
         pos = DIM11.position(BasisIndex.bivector(mu, nu))
         want = (ieps * (comps[mu - 1] * psi_vec[nu] - comps[nu - 1] * psi_vec[mu])) / m

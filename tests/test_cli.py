@@ -3,9 +3,12 @@ import json
 
 import pytest
 
-from stueckelberg import report
+from stueckelberg import cli, report
 from stueckelberg.cli import main
+from stueckelberg.epsilon import SPACES, BasisIndex, epsilon
 from stueckelberg.exact import ExactMatrix
+from stueckelberg.fock import normalized_gram
+from stueckelberg.projectors import FourMomentum, ProjectorFamily
 from stueckelberg.report import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, SuiteConfig
 
 
@@ -259,3 +262,32 @@ def test_json_report_bytes_are_unchanged(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv, "--json", "--no-timing")
     assert code == EXIT_PASS
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "fock", "--truncation", str(report.MAX_TRUNCATION + 1)),
+    ("verify", "all", "--truncation", "1000000"),
+    ("dump", "gram", "--truncation", str(cli.MAX_GRAM_TRUNCATION + 1)),
+])
+def test_truncation_above_the_cap_is_config_error(capsys, monkeypatch, argv):
+    def never(*args):
+        raise AssertionError("an over-cap truncation started a computation")
+    for name in report.SUITE_RUNNERS:
+        monkeypatch.setitem(report.SUITE_RUNNERS, name, never)
+    monkeypatch.setattr(cli, "normalized_gram", never)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIG and out == ""
+    assert err.startswith("configuration error: truncation above the cap")
+    assert err.count("\n") == 1
+
+
+def test_matrix_json_matches_the_json_module():
+    p = FourMomentum.from_mass_and_momentum(24, (2, 3, 6))
+    projector = ProjectorFamily.build(p).deltas[(1, 1, 1)]
+    entries = [projector[i, j] for i in range(11) for j in range(11)]
+    assert any(e.re.denominator > 1 for e in entries) and any(e.im for e in entries)
+    mats = [normalized_gram(n, scheme)[1] for n in range(5) for scheme in (1, 2)]
+    mats += [epsilon(BasisIndex.parse("[12]"), BasisIndex.parse("3"), SPACES["dim11"]),
+             projector]
+    for m in mats:
+        assert cli._matrix_json(m) == json.dumps(m.to_json_dict(), indent=2) + "\n"

@@ -1,15 +1,17 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stueckelberg.exact import (GR_I, GR_MINUS_ONE, GR_ONE, GR_ZERO,
                                 GaussianRational)
-from stueckelberg.fock import (FockPolyState, LadderOp, SchemeMismatchError,
-                               TruncationOverflowError, apply_covariant,
-                               apply_ladder, decompose_physical,
+from stueckelberg.fock import (BilinearOperator, FockPolyState, LadderOp,
+                               SchemeMismatchError, TruncationOverflowError,
+                               apply_covariant, apply_ladder, decompose_physical,
                                energy_operator, inner_product, monomial_basis,
-                               normalized_gram, quantize,
-                               quantum_charges)
+                               normalized_gram, quantize, quantum_charges)
 from stueckelberg.modes import (ModeContext, conserved_charges,
                                 poisson_bracket, q_sym)
 
@@ -237,3 +239,160 @@ def test_physical_decomposition_cases():
 
     with pytest.raises(SchemeMismatchError):
         decompose_physical(FockPolyState.vacuum(N, 1))
+
+
+# -- the integer kernel against a plain dict-of-GaussianRational reference ----
+
+REF_N = 4
+mixed = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+values = st.one_of(st.just(GR_ZERO), st.builds(GaussianRational, mixed),
+                   st.builds(GaussianRational, mixed, mixed))
+state_dicts = st.dictionaries(st.sampled_from(monomial_basis(REF_N)), values,
+                              min_size=1, max_size=6)
+op_dicts = st.dictionaries(st.tuples(st.integers(1, 4), st.integers(1, 4)), values,
+                           min_size=1, max_size=5)
+modes = st.integers(1, 4)
+
+
+def _ref_sign(mode, scheme):
+    return -1 if scheme == 2 and mode == 4 else 1
+
+
+def _ref_add(*pairs):
+    """sum of coefficient * dict, without the entries that cancel."""
+    out = {}
+    for c, d in pairs:
+        for k, v in d.items():
+            out[k] = out.get(k, GR_ZERO) + c * v
+    return {k: v for k, v in out.items() if v}
+
+
+def _ref_bump(k, mode, by):
+    k = list(k)
+    k[mode - 1] += by
+    return tuple(k)
+
+
+def _ref_shift(k, down, up):
+    return _ref_bump(_ref_bump(k, down, -1), up, 1)
+
+
+def _ref_apply(op, state, scheme):
+    return _ref_add(*((c * GaussianRational(_ref_sign(j, scheme) * k[j - 1]),
+                       {_ref_shift(k, j, i): v})
+                      for (i, j), c in op.items() for k, v in state.items() if k[j - 1]))
+
+
+def _ref_commutator(a, b, scheme):
+    terms = []
+    for (i, j), x in a.items():
+        for (k, l), y in b.items():
+            if j == k:
+                terms.append((x * y * _ref_sign(j, scheme), {(i, l): GR_ONE}))
+            if l == i:
+                terms.append((x * y * -_ref_sign(l, scheme), {(k, j): GR_ONE}))
+    return _ref_add(*terms)
+
+
+def _ref_annihilate(mode, state, scheme):
+    return _ref_add(*((GaussianRational(_ref_sign(mode, scheme) * k[mode - 1]),
+                       {_ref_bump(k, mode, -1): v})
+                      for k, v in state.items() if k[mode - 1]))
+
+
+def _ref_inner(a, b, scheme):
+    total = GR_ZERO
+    for k, v in a.items():
+        if k in b:
+            w = 1
+            for n in k:
+                w *= math.factorial(n)
+            if scheme == 2 and k[3] % 2:
+                w = -w
+            total = total + v.conjugate() * b[k] * GaussianRational(w)
+    return total
+
+
+def _same(kernel, ref, build):
+    """kernel holds ref, and equals, hash for hash, the object built from ref."""
+    assert dict(kernel.coeffs) == ref
+    other = build(ref)
+    assert kernel == other and hash(kernel) == hash(other)
+
+
+@given(st.data())
+def test_fock_kernel_matches_dict_reference(data):
+    scheme = data.draw(st.sampled_from((1, 2)))
+    sa, sb = data.draw(state_dicts), data.draw(state_dicts)
+    oa, ob = data.draw(op_dicts), data.draw(op_dicts)
+    s = data.draw(values)
+    a, b = FockPolyState(sa, REF_N, scheme), FockPolyState(sb, REF_N, scheme)
+    p, q = BilinearOperator(oa, scheme), BilinearOperator(ob, scheme)
+    ra, rb = _ref_add((GR_ONE, sa)), _ref_add((GR_ONE, sb))
+    rp, rq = _ref_add((GR_ONE, oa)), _ref_add((GR_ONE, ob))
+
+    def state(d):
+        return FockPolyState(d, REF_N, scheme)
+
+    def op(d):
+        return BilinearOperator(d, scheme)
+
+    _same(a, ra, state)
+    _same(p, rp, op)
+    _same(p.apply(a), _ref_apply(rp, ra, scheme), state)
+    _same(p.commutator(q), _ref_commutator(rp, rq, scheme), op)
+    _same(a + b, _ref_add((GR_ONE, ra), (GR_ONE, rb)), state)
+    _same(a - b, _ref_add((GR_ONE, ra), (GR_MINUS_ONE, rb)), state)
+    _same(p + q, _ref_add((GR_ONE, rp), (GR_ONE, rq)), op)
+    _same(p - q, _ref_add((GR_ONE, rp), (GR_MINUS_ONE, rq)), op)
+    _same(a.scale(s), _ref_add((s, ra)), state)
+    _same(p.scale(s), _ref_add((s, rp)), op)
+    assert inner_product(a, b) == _ref_inner(ra, rb, scheme)
+
+    # cancellation to zero, and equal objects reached by different routes
+    for zero in (a - a, a.scale(GR_ZERO), (a + b) - b - a):
+        _same(zero, {}, state)
+    for zero in (p - p, p.commutator(p), p.scale(GR_ZERO)):
+        _same(zero, {}, op)
+    _same((a + b) - b, ra, state)
+    for x, y, rx, ry in ((a, b, ra, rb), (a, a.scale(s), ra, _ref_add((s, ra))),
+                         (p, q, rp, rq), (p, p.scale(s), rp, _ref_add((s, rp)))):
+        assert (x == y) == (rx == ry)
+    if s:
+        _same(a.scale(s).scale(GR_ONE / s), ra, state)
+        _same(p.scale(s).scale(GR_ONE / s), rp, op)
+
+    mode = data.draw(modes)
+    _same(apply_ladder(LadderOp(mode, "annihilate"), a), _ref_annihilate(mode, ra, scheme), state)
+    if any(sum(k) == REF_N for k in ra):
+        with pytest.raises(TruncationOverflowError):
+            apply_ladder(LadderOp(mode, "create"), a)
+    else:
+        _same(apply_ladder(LadderOp(mode, "create"), a),
+              {_ref_bump(k, mode, 1): v for k, v in ra.items()}, state)
+
+    other = 3 - scheme
+    for call in (lambda: a + FockPolyState(sb, REF_N, other),
+                 lambda: a - FockPolyState(sb, REF_N, other),
+                 lambda: inner_product(a, FockPolyState(sb, REF_N, other)),
+                 lambda: p.apply(FockPolyState(sa, REF_N, other)),
+                 lambda: p + BilinearOperator(ob, other),
+                 lambda: p - BilinearOperator(ob, other),
+                 lambda: p.commutator(BilinearOperator(ob, other))):
+        with pytest.raises(SchemeMismatchError):
+            call()
+
+
+def test_terms_that_cancel_leave_the_zero_state():
+    # (1, 2) moves |0,1,0,0> onto |1,0,0,0>, and (1, 1) takes |1,0,0,0> away
+    p = BilinearOperator({(1, 2): Fraction(1, 2), (1, 1): Fraction(-1, 2)})
+    s = FockPolyState({(0, 1, 0, 0): GR_ONE, (1, 0, 0, 0): GR_ONE}, N, 2)
+    out = p.apply(s)
+    assert out.is_zero() and out == FockPolyState({}, N, 2)
+
+
+def test_equal_numerators_over_different_denominators_differ():
+    half, third = (FockPolyState({(1, 0, 0, 0): Fraction(1, d)}, N, 2) for d in (2, 3))
+    assert half != third and half.scale(Fraction(2, 3)) == third
+    half, third = (BilinearOperator({(1, 1): Fraction(1, d)}) for d in (2, 3))
+    assert half != third and half.scale(Fraction(2, 3)) == third

@@ -71,6 +71,7 @@ def test_each_identity_is_declared_once():
 # builder -> calls while the projectors, u31 and fock suites run once each
 # at the default configuration, the structure-constant table built afresh
 BUILDER_CALLS = {
+    "p_slash": 1,
     "spin_squared": 1,
     "spin_projection_op": 1,
     "energy_projector": 2,
@@ -78,6 +79,7 @@ BUILDER_CALLS = {
     "spin_projection_projector": 3,
     "decompose_generator": 120,
     "quantum_charges": 1,
+    "energy_operator": 2,
 }
 
 
