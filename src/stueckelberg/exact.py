@@ -1,4 +1,4 @@
-"""Exact arithmetic kernel: Gaussian-rational scalars, matrices, jets.
+"""Exact arithmetic kernel: Gaussian-rational scalars, matrices, coefficient stores.
 
 Every identity checked by this package reduces to exact equality over
 Q(i), the field of complex numbers with rational real and imaginary
@@ -8,13 +8,17 @@ entries, each as a Gaussian-integer numerator, over one denominator
 shared by the whole matrix, and is kept in lowest terms.  Products,
 sums, scalar multiples and elimination (as in Bareiss, Math. Comp. 22,
 1968) thus run on Python ints, and a Fraction is built only when an
-entry is read out as a scalar.
+entry is read out as a scalar.  `_ExactCoefficients` is the same store
+keyed by monomials or index pairs instead of matrix positions; the Fock
+states, the ladder bilinears and the classical quadratic observables
+are built on it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import MappingProxyType
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -130,10 +134,6 @@ class GaussianRational:
     def conjugate(self):
         return GaussianRational._raw(self.re, -self.im)
 
-    def abs2(self) -> Fraction:
-        """Squared magnitude re^2 + im^2, an exact rational."""
-        return self.re * self.re + self.im * self.im
-
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
@@ -181,123 +181,6 @@ GR_MINUS_ONE = GaussianRational._raw(-_F1, _F0)
 def gr(re=0, im=0) -> GaussianRational:
     """Shorthand constructor accepting ints, Fractions, or 'num/den' strings."""
     return GaussianRational(as_fraction(re), as_fraction(im))
-
-
-class JetScalar:
-    """First-order jet: value plus a gradient over named parameters.
-
-    Second and higher orders truncate to zero, so products of two pure
-    infinitesimals vanish; this is exactly what is needed to check
-    transformations to first order in small group parameters.
-    """
-
-    __slots__ = ("value", "grad")
-
-    def __init__(self, value=GR_ZERO, grad=None):
-        v = GaussianRational._coerce(value)
-        if v is None:
-            raise TypeError("jet value must be an exact scalar")
-        self.value = v
-        g = {}
-        if grad:
-            for k, c in grad.items():
-                c = GaussianRational._coerce(c)
-                if c is None:
-                    raise TypeError("jet gradient entries must be exact scalars")
-                if c:
-                    g[k] = c
-        self.grad = g
-
-    @staticmethod
-    def parameter(name, coefficient=GR_ONE):
-        """An infinitesimal parameter: value 0, unit (or given) gradient."""
-        return JetScalar(GR_ZERO, {name: coefficient})
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, JetScalar):
-            return x
-        g = GaussianRational._coerce(x)
-        if g is None:
-            return None
-        return JetScalar(g)
-
-    def __add__(self, other):
-        o = JetScalar._coerce(other)
-        if o is None:
-            return NotImplemented
-        g = dict(self.grad)
-        for k, c in o.grad.items():
-            g[k] = g.get(k, GR_ZERO) + c
-        return JetScalar(self.value + o.value, g)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return JetScalar(-self.value, {k: -c for k, c in self.grad.items()})
-
-    def __sub__(self, other):
-        o = JetScalar._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = JetScalar._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = JetScalar._coerce(other)
-        if o is None:
-            return NotImplemented
-        g = {}
-        if o.value:
-            for k, c in self.grad.items():
-                g[k] = c * o.value
-        if self.value:
-            for k, c in o.grad.items():
-                g[k] = g.get(k, GR_ZERO) + self.value * c
-        return JetScalar(self.value * o.value, g)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = JetScalar._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o.value:
-            raise ZeroDivisionError("jet division needs a nonzero value part")
-        val = self.value / o.value
-        g = {}
-        keys = set(self.grad) | set(o.grad)
-        for k in keys:
-            a = self.grad.get(k, GR_ZERO)
-            b = o.grad.get(k, GR_ZERO)
-            c = (a * o.value - self.value * b) / (o.value * o.value)
-            if c:
-                g[k] = c
-        return JetScalar(val, g)
-
-    def __bool__(self):
-        return bool(self.value) or bool(self.grad)
-
-    def __eq__(self, other):
-        o = JetScalar._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.value == o.value and self.grad == o.grad
-
-    def __hash__(self):
-        return hash((self.value, tuple(sorted(self.grad.items(), key=lambda kv: kv[0]))))
-
-    def conjugate(self):
-        return JetScalar(self.value.conjugate(),
-                         {k: c.conjugate() for k, c in self.grad.items()})
-
-    def __repr__(self):
-        return f"JetScalar({self.value!r}, {self.grad!r})"
 
 
 _ZZ = (0, 0)
@@ -407,6 +290,103 @@ def _reduced(rows, cols, r, den):
         den //= g
         r = tuple(_divided(row, g) for row in r)
     return _wrap(rows, cols, r, den)
+
+
+def _lowest(c, den):
+    """(c, den) divided through by their common gcd."""
+    if den == 1:
+        return c, 1
+    g = _content(den, (c,))
+    if g == 1:
+        return c, den
+    return _divided(c, g), den // g
+
+
+class _ExactCoefficients:
+    """Coefficients stored as `ExactMatrix` stores its entries.
+
+    `_c` maps a key to its Gaussian-integer numerator (re, im) and `_den`
+    is the positive denominator they share, in lowest terms (the zero
+    object has denominator 1), so equal objects are stored alike.  Sums,
+    differences and scalar multiples run on ints; subclasses fix the keys
+    and add their own products.
+    """
+
+    __slots__ = ("_c", "_den")
+
+    def _store(self, coeffs, key):
+        """Hold the exact scalars of the mapping coeffs, each under key(its key)."""
+        keys, values = [], []
+        for k, v in (coeffs or {}).items():
+            v = GaussianRational._coerce(v)
+            if v is None:
+                raise TypeError("coefficients must be exact scalars")
+            keys.append(key(k))
+            values.append(v)
+        nums, den = _integer_vector(values)
+        c = {}
+        for k, (a, b) in zip(keys, nums):
+            e = c.get(k)
+            c[k] = (a, b) if e is None else (e[0] + a, e[1] + b)
+        self._c, self._den = _lowest(_pruned(c), den)
+
+    def _with(self, c, den):
+        """An object of this kind holding (c, den), already in lowest terms."""
+        out = object.__new__(type(self))
+        out._c = c
+        out._den = den
+        return out
+
+    @property
+    def coeffs(self):
+        """Read-only {key: GaussianRational}, built on each access."""
+        den = self._den
+        return MappingProxyType({k: _scalar(a, b, den) for k, (a, b) in self._c.items()})
+
+    def _check_compatible(self, other):
+        """Raise if other may not be added to self; any two objects of one kind may."""
+
+    def _combine(self, other, sign):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check_compatible(other)
+        den, fa, fb = _common_scale(self._den, other._den, sign)
+        return self._with(*_lowest(_axpy(self._c, fa, other._c, fb), den))
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def scale(self, s):
+        s = GaussianRational._coerce(s)
+        if s is None:
+            raise TypeError("scale by exact scalars only")
+        x, y, d = _split(s)
+        if not (x or y):
+            return self._with({}, 1)
+        return self._with(*_lowest(_times(self._c, x, y), self._den * d))
+
+    __mul__ = scale
+    __rmul__ = scale
+
+    def __neg__(self):
+        return self._with({k: (-a, -b) for k, (a, b) in self._c.items()}, self._den)
+
+    def is_zero(self):
+        return not self._c
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._den == other._den and self._c == other._c
+
+    def __hash__(self):
+        return hash((self._den, frozenset(self._c.items())))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({dict(self.coeffs)!r})"
 
 
 class ExactMatrix:

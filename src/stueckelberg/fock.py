@@ -14,15 +14,13 @@ Two vacuum schemes exist for the scalar-sector mode (mode 4):
 * scheme 1: the roles of the mode-4 pair are swapped, giving a positive
   inner product but an indefinite energy spectrum.
 
-Coefficients are stored the way `ExactMatrix` stores its entries: a
-state maps each monomial, and a ladder bilinear each index pair (i, j),
-to a Gaussian-integer numerator (re, im) of Python ints, over one
-positive denominator shared by the whole object.  Each result is brought
-to lowest terms by one gcd pass (the zero object has denominator 1), so
-equal objects are stored alike, and the actions, commutators, sums,
-scalar multiples and inner products run on ints.  `coeffs` is a
-read-only view of the coefficients as `GaussianRational`s, built on
-each access.
+Coefficients live in the integer store of `exact._ExactCoefficients`,
+the one `ExactMatrix` uses for its entries: a state maps each monomial,
+and a ladder bilinear each index pair (i, j), to a Gaussian-integer
+numerator (re, im) of Python ints, over one positive denominator shared
+by the whole object and kept in lowest terms.  The actions, commutators
+and inner products below run on those ints.  `coeffs` is a read-only
+view of the coefficients as `GaussianRational`s, built on each access.
 """
 
 from __future__ import annotations
@@ -30,11 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
 
 from .exact import (GR_I, GR_MINUS_ONE, GR_ONE, GR_ZERO, GaussianRational,
-                    _axpy, _common_scale, _content, _divided, _integer_vector,
-                    _pruned, _reduced, _scalar, _split, _times, as_fraction)
+                    _ExactCoefficients, _lowest, _pruned, _reduced, _scalar, _times,
+                    as_fraction)
 
 METRIC_SIGNATURE = (1, 1, 1, -1)
 
@@ -67,89 +64,22 @@ class LadderOp:
             raise ValueError("direction must be 'create' or 'annihilate'")
 
 
-def _lowest(c, den):
-    """(c, den) divided through by their common gcd."""
-    if den == 1:
-        return c, 1
-    g = _content(den, (c,))
-    if g == 1:
-        return c, den
-    return _divided(c, g), den // g
+class _SchemeCoefficients(_ExactCoefficients):
+    """An exact coefficient store tied to one vacuum scheme.
 
-
-class _ExactCoefficients:
-    """Coefficients stored as `ExactMatrix` stores its entries.
-
-    `_c` maps a key to its Gaussian-integer numerator (re, im) and `_den`
-    is the positive denominator they share, in lowest terms.
+    Objects from different schemes never combine and never compare equal.
     """
 
-    __slots__ = ("_c", "_den", "scheme")
-
-    def _store(self, coeffs, key):
-        """Hold the exact scalars of the mapping coeffs, each under key(its key)."""
-        keys, values = [], []
-        for k, v in (coeffs or {}).items():
-            v = GaussianRational._coerce(v)
-            if v is None:
-                raise TypeError("coefficients must be exact scalars")
-            keys.append(key(k))
-            values.append(v)
-        nums, den = _integer_vector(values)
-        c = {}
-        for k, (a, b) in zip(keys, nums):
-            e = c.get(k)
-            c[k] = (a, b) if e is None else (e[0] + a, e[1] + b)
-        self._c, self._den = _lowest(_pruned(c), den)
+    __slots__ = ("scheme",)
 
     def _with(self, c, den):
-        """An object of this kind and scheme holding (c, den), already in lowest terms."""
-        out = object.__new__(type(self))
-        out._c = c
-        out._den = den
+        out = _ExactCoefficients._with(self, c, den)
         out.scheme = self.scheme
         return out
 
-    @property
-    def coeffs(self):
-        """Read-only {key: GaussianRational}, built on each access."""
-        den = self._den
-        return MappingProxyType({k: _scalar(a, b, den) for k, (a, b) in self._c.items()})
-
-    def _combine(self, other, sign):
-        self._check_compatible(other)
-        den, fa, fb = _common_scale(self._den, other._den, sign)
-        return self._with(*_lowest(_axpy(self._c, fa, other._c, fb), den))
-
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def scale(self, s):
-        s = GaussianRational._coerce(s)
-        if s is None:
-            raise TypeError("scale by exact scalars only")
-        x, y, d = _split(s)
-        if not (x or y):
-            return self._with({}, 1)
-        return self._with(*_lowest(_times(self._c, x, y), self._den * d))
-
-    __mul__ = scale
-    __rmul__ = scale
-
-    def __neg__(self):
-        return self._with({k: (-a, -b) for k, (a, b) in self._c.items()}, self._den)
-
-    def is_zero(self):
-        return not self._c
-
     def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return (self.scheme == other.scheme and self._den == other._den
-                and self._c == other._c)
+        same = _ExactCoefficients.__eq__(self, other)
+        return same if same is NotImplemented else same and self.scheme == other.scheme
 
     def __hash__(self):
         return hash((self.scheme, self._den, frozenset(self._c.items())))
@@ -158,7 +88,7 @@ class _ExactCoefficients:
         return f"{type(self).__name__}({dict(self.coeffs)!r}, scheme={self.scheme})"
 
 
-class FockPolyState(_ExactCoefficients):
+class FockPolyState(_SchemeCoefficients):
     """Exact-coefficient polynomial state with a degree bound and a scheme.
 
     The keys are occupation tuples.
@@ -197,12 +127,9 @@ class FockPolyState(_ExactCoefficients):
             raise ValueError("truncation mismatch")
 
     def _with(self, c, den):
-        out = _ExactCoefficients._with(self, c, den)
+        out = _SchemeCoefficients._with(self, c, den)
         out.truncation = self.truncation
         return out
-
-    def degree(self):
-        return max((sum(k) for k in self._c), default=0)
 
 
 def apply_ladder(op: LadderOp, s: FockPolyState) -> FockPolyState:
@@ -298,7 +225,7 @@ def monomial_basis(truncation: int) -> list:
     return out
 
 
-class BilinearOperator(_ExactCoefficients):
+class BilinearOperator(_SchemeCoefficients):
     """Normal-ordered ladder bilinear: sum of c[i, j] * create_i annihilate_j.
 
     The indices refer to the polynomial model's elementary operators
@@ -470,8 +397,6 @@ def quantize(obs, k0, scheme: int = 2) -> BilinearOperator:
     for key, coeff in obs.coeffs.items():
         if len(key) != 2:
             raise ValueError("only homogeneous quadratics quantise to ladder bilinears")
-        if not isinstance(coeff, GaussianRational):
-            raise TypeError("quantisation needs numeric coefficients")
         i, j = key
         mu, nu = (i % 4) + 1, (j % 4) + 1
         si, sj = symbol_sign(i), symbol_sign(j)

@@ -1,10 +1,11 @@
 """Classical momentum-space canonical formalism for a single field mode.
 
 Observables are polynomials of degree at most two in the eight canonical
-symbols q1..q4, pi1..pi4, with exact scalar coefficients.  Group
-parameters enter either as plain Gaussian rationals or as first-order
-jets, which turns "valid to first order in the parameters" into plain
-equality of observables.
+symbols q1..q4, pi1..pi4, with exact scalar coefficients held in the
+integer store of `exact._ExactCoefficients`.  Group parameters are plain
+Gaussian rationals: the infinitesimal transformation and its generating
+function are linear in them, so "valid to first order in the
+parameters" is decided by plain equality of observables.
 """
 
 from __future__ import annotations
@@ -13,46 +14,39 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import (ExactMatrix, GR_I, GR_ONE, GR_ZERO, GaussianRational,
-                    JetScalar, as_fraction, mat_commutator, mat_inverse, mat_vec)
+from .exact import (ExactMatrix, GR_I, GR_MINUS_ONE, GR_ONE, GR_ZERO, GaussianRational,
+                    _ExactCoefficients, _lowest, _pruned, as_fraction, mat_commutator,
+                    mat_inverse, mat_vec)
 
 N_MODES = 4
-# symbol indices: 0..3 are q1..q4, 4..7 are pi1..pi4
-_SYMBOL_NAMES = tuple(f"q{i}" for i in range(1, 5)) + tuple(f"pi{i}" for i in range(1, 5))
 
 
 def _scalar(x):
-    if isinstance(x, (GaussianRational, JetScalar)):
-        return x
     c = GaussianRational._coerce(x)
     if c is None:
         raise TypeError(f"not an exact scalar: {x!r}")
     return c
 
 
-class QuadraticObservable:
+def _monomial(k):
+    k = tuple(sorted(k))
+    if len(k) > 2:
+        raise ValueError("observable degree exceeds 2")
+    return k
+
+
+class QuadraticObservable(_ExactCoefficients):
     """Polynomial of degree <= 2 over the canonical symbols.
 
-    Monomial keys are () for the constant, (i,) for a symbol, and
-    (i, j) with i <= j for a product.  Coefficients may be Gaussian
-    rationals or first-order jets; mixing is fine.  Sums of coefficients
-    start from their first term, not from GR_ZERO, which would first be
-    converted to a jet whenever a jet is added to it.
+    Symbols 0..3 are q1..q4 and 4..7 are pi1..pi4.  Monomial keys are ()
+    for the constant, (i,) for a symbol, and (i, j) with i <= j for a
+    product.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs=None):
-        c = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                v = _scalar(v)
-                if len(k) > 2:
-                    raise ValueError("observable degree exceeds 2")
-                if len(k) == 2 and k[0] > k[1]:
-                    k = (k[1], k[0])
-                c[k] = c[k] + v if k in c else v
-        self.coeffs = {k: v for k, v in c.items() if v}
+        self._store(coeffs, _monomial)
 
     @staticmethod
     def zero():
@@ -66,120 +60,28 @@ class QuadraticObservable:
     def symbol(i):
         return QuadraticObservable({(i,): GR_ONE})
 
-    def __add__(self, other):
-        if not isinstance(other, QuadraticObservable):
-            return NotImplemented
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out[k] + v if k in out else v
-        r = QuadraticObservable()
-        r.coeffs = {k: v for k, v in out.items() if v}
-        return r
-
-    def __sub__(self, other):
-        if not isinstance(other, QuadraticObservable):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        r = QuadraticObservable()
-        r.coeffs = {k: -v for k, v in self.coeffs.items()}
-        return r
-
-    def scale(self, s):
-        s = _scalar(s)
-        if not s:
-            return QuadraticObservable()
-        r = QuadraticObservable()
-        r.coeffs = {k: v * s for k, v in self.coeffs.items() if v * s}
-        return r
-
     def __mul__(self, other):
         """Polynomial product; the combined degree must stay <= 2."""
         if not isinstance(other, QuadraticObservable):
             return self.scale(other)
         out = {}
-        for ka, va in self.coeffs.items():
-            for kb, vb in other.coeffs.items():
-                k = tuple(sorted(ka + kb))
-                if len(k) > 2:
-                    raise ValueError("product would exceed degree 2")
-                v = va * vb
-                out[k] = out[k] + v if k in out else v
-        r = QuadraticObservable()
-        r.coeffs = {k: v for k, v in out.items() if v}
-        return r
-
-    __rmul__ = scale
-
-    def degree(self):
-        return max((len(k) for k in self.coeffs), default=0)
+        for ka, (a, b) in self._c.items():
+            for kb, (c, d) in other._c.items():
+                k = _monomial(ka + kb)
+                x, y = a * c - b * d, a * d + b * c
+                e = out.get(k)
+                out[k] = (x, y) if e is None else (e[0] + x, e[1] + y)
+        return self._with(*_lowest(_pruned(out), self._den * other._den))
 
     def derivative(self, i):
         """Formal partial derivative with respect to symbol i."""
         out = {}
-        for k, v in self.coeffs.items():
-            if len(k) == 1 and k[0] == i:
-                key = ()
-                coeff = v
-            elif len(k) == 2:
-                if k == (i, i):
-                    key = (i,)
-                    coeff = v + v
-                elif k[0] == i:
-                    key = (k[1],)
-                    coeff = v
-                elif k[1] == i:
-                    key = (k[0],)
-                    coeff = v
-                else:
-                    continue
-            else:
-                continue
-            out[key] = out[key] + coeff if key in out else coeff
-        r = QuadraticObservable()
-        r.coeffs = {k: v for k, v in out.items() if v}
-        return r
-
-    def evaluate(self, values):
-        """Evaluate at a full assignment {symbol index: scalar}."""
-        total = GR_ZERO
-        for k, v in self.coeffs.items():
-            term = v
-            for i in k:
-                term = term * values[i]
-            total = total + term
-        return total
-
-    def substitute_linear(self, mapping):
-        """Replace each symbol by a degree <= 1 observable and expand."""
-        out = QuadraticObservable()
-        for k, v in self.coeffs.items():
-            term = QuadraticObservable.constant(v)
-            for i in k:
-                term = term * mapping[i]
-            out = out + term
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, QuadraticObservable):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "QuadraticObservable(0)"
-        parts = []
-        for k in sorted(self.coeffs, key=lambda k: (len(k), k)):
-            mono = "*".join(_SYMBOL_NAMES[i] for i in k) or "1"
-            parts.append(f"({self.coeffs[k]})*{mono}")
-        return "QuadraticObservable(" + " + ".join(parts) + ")"
+        for k, (a, b) in self._c.items():
+            if i in k:
+                # distinct monomials lose i to distinct monomials
+                f = k.count(i)
+                out[k[1:] if k[0] == i else k[:1]] = (a * f, b * f)
+        return self._with(*_lowest(out, self._den))
 
 
 def q_sym(mu):
@@ -262,18 +164,6 @@ def u31_sym(mu, nu) -> ExactMatrix:
     return ExactMatrix.sparse(4, 4, terms)
 
 
-def _is_real(s):
-    if isinstance(s, JetScalar):
-        return _is_real(s.value) and all(_is_real(c) for c in s.grad.values())
-    return not s.im
-
-
-def _is_imaginary(s):
-    if isinstance(s, JetScalar):
-        return _is_imaginary(s.value) and all(_is_imaginary(c) for c in s.grad.values())
-    return not s.re
-
-
 @dataclass(frozen=True)
 class U31Params:
     """Infinitesimal group parameters with the reality pattern enforced.
@@ -302,19 +192,19 @@ class U31Params:
             s[(mu, nu)] = _scalar(v)
         object.__setattr__(self, "antisym", a)
         object.__setattr__(self, "sym", s)
-        if not _is_real(self.omega0):
+        if self.omega0.im:
             raise ValueError("omega0 must be real")
         for (mu, nu), v in a.items():
             if nu == 4:
-                if not _is_imaginary(v):
+                if v.re:
                     raise ValueError(f"antisym ({mu},4) parameter must be imaginary")
-            elif not _is_real(v):
+            elif v.im:
                 raise ValueError(f"antisym ({mu},{nu}) parameter must be real")
         for (mu, nu), v in s.items():
             if nu == 4 and mu != 4:
-                if not _is_imaginary(v):
+                if v.re:
                     raise ValueError(f"sym ({mu},4) parameter must be imaginary")
-            elif not _is_real(v):
+            elif v.im:
                 raise ValueError(f"sym ({mu},{nu}) parameter must be real")
 
     def antisym_at(self, mu, nu):
@@ -413,8 +303,10 @@ def generating_function(params: U31Params, ctx: ModeContext) -> QuadraticObserva
 def transform_from_generating_function(params: U31Params, ctx: ModeContext):
     """Recover (delta q, delta pi) from F to first order in the parameters.
 
-    Only meaningful when the parameters are jets: the inversion
-    pi' = pi - correction is exact because second-order products vanish.
+    F is q.pi' plus a correction linear in the parameters, so the
+    variation read off from F is linear in them too: the inversion
+    pi' = pi - correction drops only second-order terms, and plain
+    parameters give exactly the first-order variation.
     """
     f = generating_function(params, ctx)
     dq = []
@@ -466,7 +358,7 @@ def charge_combination(params: U31Params, charges: dict):
     return out
 
 
-def basis_directions(jet: bool):
+def basis_directions():
     """Sixteen independent parameter directions spanning the symmetry algebra.
 
     The symmetric diagonal contributes only its traceless part, so the
@@ -475,35 +367,27 @@ def basis_directions(jet: bool):
     Directions mixing index 4 carry an imaginary coefficient to satisfy
     the reality pattern.
     """
-    def coeff(name, imaginary):
-        unit = GR_I if imaginary else GR_ONE
-        return JetScalar.parameter(name, unit) if jet else unit
-
-    dirs = []
-    dirs.append(("omega0", U31Params(omega0=coeff("omega0", False))))
+    dirs = [("omega0", U31Params(omega0=GR_ONE))]
     for (mu, nu) in ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)):
-        name = f"a{mu}{nu}"
-        dirs.append((name, U31Params(antisym={(mu, nu): coeff(name, nu == 4)})))
+        unit = GR_I if nu == 4 else GR_ONE
+        dirs.append((f"a{mu}{nu}", U31Params(antisym={(mu, nu): unit})))
     for (mu, nu) in ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)):
-        name = f"s{mu}{nu}"
-        dirs.append((name, U31Params(sym={(mu, nu): coeff(name, nu == 4)})))
+        unit = GR_I if nu == 4 else GR_ONE
+        dirs.append((f"s{mu}{nu}", U31Params(sym={(mu, nu): unit})))
     for a in (1, 2, 3):
-        name = f"d{a}"
-        c = coeff(name, False)
-        dirs.append((name, U31Params(sym={(a, a): c, (4, 4): -c})))
+        dirs.append((f"d{a}", U31Params(sym={(a, a): GR_ONE, (4, 4): GR_MINUS_ONE})))
     return dirs
 
 
-def trace_direction(jet: bool):
+def trace_direction():
     """The pure-trace symmetric direction, which must act as the identity."""
-    c = JetScalar.parameter("trace") if jet else GR_ONE
-    return U31Params(sym={(mu, mu): c for mu in range(1, 5)})
+    return U31Params(sym={(mu, mu): GR_ONE for mu in range(1, 5)})
 
 
 @lru_cache(maxsize=None)
 def _generator_basis_inverse():
     """Direction names and the inverse of the flattened generator-basis matrix."""
-    dirs = basis_directions(jet=False)
+    dirs = basis_directions()
     cols = []
     for _, par in dirs:
         g = generator_matrix(par)
@@ -529,7 +413,7 @@ def decompose_generator(m: ExactMatrix):
 @lru_cache(maxsize=None)
 def structure_constants():
     """(name_i, name_j, decompose_generator([A_i, A_j])) for the 120 basis pairs i < j."""
-    mats = [(name, generator_matrix(par)) for name, par in basis_directions(jet=False)]
+    mats = [(name, generator_matrix(par)) for name, par in basis_directions()]
     return tuple((ni, nj, decompose_generator(mat_commutator(ai, aj)))
                  for i, (ni, ai) in enumerate(mats) for nj, aj in mats[i + 1:])
 

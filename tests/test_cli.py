@@ -253,6 +253,8 @@ REPORT_DIGESTS = [
      "58bf80086e030d7429837a39e4f5a27a64e2d6702ed0d337af7b6ba96118a741"),
     (("verify", "fock", "--scheme", "2"),
      "f9249858f9782cd3d21226d1711b6279f8a539278a7baf58b00df219271f1d04"),
+    (("verify", "u31", "--k0", "37/11"),
+     "59116f28c4a626b0512e585c26cb42082fde3ae93a82eb254f79de2f4e51c789"),
 ]
 
 

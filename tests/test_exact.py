@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stueckelberg.exact import (ExactMatrix, GR_I, GR_ONE, GR_ZERO,
-                                GaussianRational, JetScalar, fraction_str, gr,
+from stueckelberg.exact import (ExactMatrix, GR_I, GR_MINUS_ONE, GR_ONE, GR_ZERO,
+                                GaussianRational, fraction_str, gr,
                                 mat_commutator, mat_inverse, mat_rank,
                                 mat_vec, minimal_poly_check, rational_sqrt,
                                 vec_mat, vec_outer)
+from stueckelberg.modes import QuadraticObservable, poisson_bracket
 from stueckelberg.wave import wave_matrices
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
@@ -34,7 +35,6 @@ def test_multiplicative_inverse(a):
 @given(scalars)
 def test_conjugation_and_norm(a):
     assert a.conjugate().conjugate() == a
-    assert (a * a.conjugate()).re == a.abs2()
     assert not (a * a.conjugate()).im
 
 
@@ -156,60 +156,6 @@ def test_matrix_json_round_trip():
     assert ExactMatrix.from_json_dict(d) == m
 
 
-def test_jet_product_rule():
-    a = JetScalar(gr(3), {"x": gr(2), "y": GR_ONE})
-    b = JetScalar(gr(-1), {"x": gr("1/2")})
-    p = a * b
-    assert p.value == gr(-3)
-    assert p.grad["x"] == gr(2) * gr(-1) + gr(3) * gr("1/2")
-    assert p.grad["y"] == gr(-1)
-
-
-def test_jet_embeds_scalars():
-    j = JetScalar(gr(5))
-    assert j + gr(2) == JetScalar(gr(7))
-    assert (j * gr(3)).grad == {}
-    eps = JetScalar.parameter("t")
-    assert (eps * eps) == JetScalar(GR_ZERO)  # second order truncates
-
-
-def test_jet_against_sympy_expansion():
-    """Gradient entries must match an independent symbolic first-order expansion."""
-    import sympy
-
-    t1, t2 = sympy.symbols("t1 t2")
-    x1 = JetScalar.parameter("t1")
-    x2 = JetScalar.parameter("t2")
-
-    def build_jet(c0, c1, c2):
-        return JetScalar(gr(c0)) + x1 * gr(c1) + x2 * gr(c2)
-
-    rng = random.Random(5)
-    for _ in range(25):
-        coeffs = [rng.randint(-4, 4) for _ in range(6)]
-        a = build_jet(*coeffs[:3])
-        b = build_jet(*coeffs[3:])
-        got = a * b + a - b
-        expr = ((coeffs[0] + coeffs[1] * t1 + coeffs[2] * t2)
-                * (coeffs[3] + coeffs[4] * t1 + coeffs[5] * t2)
-                + (coeffs[0] + coeffs[1] * t1 + coeffs[2] * t2)
-                - (coeffs[3] + coeffs[4] * t1 + coeffs[5] * t2))
-        poly = sympy.Poly(sympy.expand(expr), t1, t2)
-        assert got.value == gr(int(poly.coeff_monomial(1)))
-        assert got.grad.get("t1", GR_ZERO) == gr(int(poly.coeff_monomial(t1)))
-        assert got.grad.get("t2", GR_ZERO) == gr(int(poly.coeff_monomial(t2)))
-
-
-def test_jet_division():
-    a = JetScalar(gr(4), {"x": gr(2)})
-    b = JetScalar(gr(2), {"x": GR_ONE})
-    q = a / b
-    assert q.value == gr(2)
-    assert q.grad.get("x", GR_ZERO) == GR_ZERO  # (2*2 - 4*1)/4
-    with pytest.raises(ZeroDivisionError):
-        a / JetScalar.parameter("y")
-
-
 # -- the sparse kernel against a plain dense reference -----------------------
 
 mixed = st.fractions(min_value=-9, max_value=9, max_denominator=12)
@@ -312,3 +258,98 @@ def test_wave_matrices_keep_the_dense_wire_format():
                      "entries": [[fraction_str(e.re), fraction_str(e.im)]
                                  for i in range(m.rows) for e in m.row(i)]}
         assert ExactMatrix.from_json_dict(d) == m
+
+
+# -- the observable store against a plain dict-of-GaussianRational reference --
+
+# keys are drawn in either order and may repeat after sorting, so the
+# constructor's normalisation and summing are exercised too
+monomials = st.lists(st.integers(0, 7), max_size=2).map(tuple)
+observables = st.dictionaries(monomials, entries, min_size=1, max_size=6)
+linear = st.dictionaries(st.lists(st.integers(0, 7), max_size=1).map(tuple), entries,
+                         min_size=1, max_size=4)
+
+
+def _ref_obs(*pairs):
+    """sum of coefficient * dict over sorted monomials, without the entries that cancel."""
+    out = {}
+    for c, d in pairs:
+        for k, v in d.items():
+            k = tuple(sorted(k))
+            out[k] = out.get(k, GR_ZERO) + c * v
+    return {k: v for k, v in out.items() if v}
+
+
+def _ref_degree(d):
+    return max((len(k) for k in d), default=0)
+
+
+def _ref_product(a, b):
+    return _ref_obs(*((x * y, {ka + kb: GR_ONE}) for ka, x in a.items() for kb, y in b.items()))
+
+
+def _ref_derivative(d, i):
+    terms = []
+    for k, v in d.items():
+        if i in k:
+            rest = list(k)
+            rest.remove(i)
+            terms.append((v * k.count(i), {tuple(rest): GR_ONE}))
+    return _ref_obs(*terms)
+
+
+def _ref_bracket(f, g):
+    terms = []
+    for mu in range(4):
+        terms.append((GR_ONE, _ref_product(_ref_derivative(f, mu), _ref_derivative(g, 4 + mu))))
+        terms.append((GR_MINUS_ONE,
+                      _ref_product(_ref_derivative(f, 4 + mu), _ref_derivative(g, mu))))
+    return _ref_obs(*terms)
+
+
+def _same_obs(obs, ref):
+    """obs holds ref, and equals, hash for hash, the observable built from ref."""
+    assert dict(obs.coeffs) == ref
+    other = QuadraticObservable(ref)
+    assert obs == other and hash(obs) == hash(other)
+
+
+@given(st.data())
+def test_observable_store_matches_dict_reference(data):
+    da, db = data.draw(observables), data.draw(observables)
+    la, lb = data.draw(linear), data.draw(linear)
+    s = data.draw(entries)
+    a, b = QuadraticObservable(da), QuadraticObservable(db)
+    p, q = QuadraticObservable(la), QuadraticObservable(lb)
+    ra, rb, rp, rq = (_ref_obs((GR_ONE, d)) for d in (da, db, la, lb))
+
+    _same_obs(a, ra)
+    _same_obs(a + b, _ref_obs((GR_ONE, ra), (GR_ONE, rb)))
+    _same_obs(a - b, _ref_obs((GR_ONE, ra), (GR_MINUS_ONE, rb)))
+    _same_obs(-a, _ref_obs((GR_MINUS_ONE, ra)))
+    _same_obs(a.scale(s), _ref_obs((s, ra)))
+    _same_obs(a * s, _ref_obs((s, ra)))
+    _same_obs(s * a, _ref_obs((s, ra)))
+    _same_obs(p * q, _ref_product(rp, rq))
+    if _ref_degree(ra) + _ref_degree(rb) > 2:
+        with pytest.raises(ValueError):
+            a * b
+    else:
+        _same_obs(a * b, _ref_product(ra, rb))
+    for i in range(8):
+        _same_obs(a.derivative(i), _ref_derivative(ra, i))
+    _same_obs(poisson_bracket(a, b), _ref_bracket(ra, rb))
+
+    # cancellation to zero, and equal observables reached by different routes
+    for zero in (a - a, a.scale(GR_ZERO), (a + b) - b - a, poisson_bracket(a, a)):
+        _same_obs(zero, {})
+        assert zero.is_zero() and zero == QuadraticObservable.zero()
+    _same_obs((a + b) - b, ra)
+    for x, y, rx, ry in ((a, b, ra, rb), (a, a.scale(s), ra, _ref_obs((s, ra))),
+                         (p, q, rp, rq)):
+        assert (x == y) == (rx == ry)
+    if s:
+        _same_obs(a.scale(s).scale(GR_ONE / s), ra)
+    k = data.draw(st.lists(st.integers(0, 7), min_size=3, max_size=3).map(tuple))
+    with pytest.raises(ValueError):
+        QuadraticObservable({k: GR_ONE})

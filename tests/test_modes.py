@@ -2,10 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from stueckelberg.exact import ExactMatrix, GR_I, GR_ONE, GR_ZERO, gr
+from stueckelberg.exact import ExactMatrix, GR_I, GR_ONE, gr
 from stueckelberg.modes import (ModeContext, QuadraticObservable, U31Params,
-                                amplitude_form_hamiltonian, basis_directions,
-                                conserved_charges, generating_function,
+                                basis_directions, conserved_charges, generating_function,
                                 generator_matrix, hamiltonian,
                                 infinitesimal_transform, pi_sym,
                                 poisson_bracket, q_sym, trace_direction,
@@ -32,16 +31,14 @@ def test_observable_algebra_guard():
         (q * q) * q  # degree 3 is out of scope
 
 
-def test_hamiltonian_forms_agree(ctx):
-    assert hamiltonian(ctx) == amplitude_form_hamiltonian(ctx)
-
-
 def test_hamiltonian_single_excitation(ctx):
-    vals = {i: GR_ZERO for i in range(8)}
-    vals[0] = GR_ONE  # q1 = 1, everything else zero
-    assert hamiltonian(ctx).evaluate(vals) == gr(Fraction(25, 2))
-    # unit frequency: the configuration energy is k0^2/2 = 1/2
-    assert hamiltonian(ModeContext(Fraction(1))).evaluate(vals) == gr(Fraction(1, 2))
+    # H = (1/2) sum (pi_mu^2 + k0^2 q_mu^2): symbols 0..3 are q, 4..7 are pi
+    half = gr(Fraction(1, 2))
+    want = {(i, i): gr(Fraction(25, 2)) if i < 4 else half for i in range(8)}
+    assert dict(hamiltonian(ctx).coeffs) == want
+    # unit frequency: every square carries 1/2
+    unit = hamiltonian(ModeContext(Fraction(1)))
+    assert dict(unit.coeffs) == {(i, i): half for i in range(8)}
 
 
 def test_unit_generator_and_blocks():
@@ -125,7 +122,7 @@ def test_generating_function_identity_part(ctx):
 
 @pytest.mark.parametrize("name", ["omega0", "a12", "a14", "s12", "s14", "d1"])
 def test_generating_function_first_order(ctx, name):
-    table = dict(basis_directions(jet=True))
+    table = dict(basis_directions())
     par = table[name]
     qs = tuple(q_sym(m) for m in range(1, 5))
     pis = tuple(pi_sym(m) for m in range(1, 5))
@@ -136,12 +133,12 @@ def test_generating_function_first_order(ctx, name):
 
 
 def test_trace_direction_acts_trivially(ctx):
-    par = trace_direction(jet=True)
+    par = trace_direction()
     qs = tuple(q_sym(m) for m in range(1, 5))
     pis = tuple(pi_sym(m) for m in range(1, 5))
     dq, dpi = infinitesimal_transform(qs, pis, par, ctx)
     assert all(o.is_zero() for o in dq + dpi)
-    assert generator_matrix(trace_direction(jet=False)).is_zero()
+    assert generator_matrix(par).is_zero()
 
 
 def test_charges_commute_with_energy(ctx):
@@ -150,24 +147,6 @@ def test_charges_commute_with_energy(ctx):
     assert len(charges) == 17
     for key, j in charges.items():
         assert poisson_bracket(j, h).is_zero(), key
-
-
-def test_unit_charge_is_scaled_energy(ctx):
-    charges = conserved_charges(ctx)
-    assert charges[("unit",)] == hamiltonian(ctx).scale(GR_ONE / gr(5))
-
-
-def test_hamiltonian_first_order_invariance(ctx):
-    h = hamiltonian(ctx)
-    qs = tuple(q_sym(m) for m in range(1, 5))
-    pis = tuple(pi_sym(m) for m in range(1, 5))
-    for name, par in basis_directions(jet=True):
-        dq, dpi = infinitesimal_transform(qs, pis, par, ctx)
-        mapping = {}
-        for mu in range(1, 5):
-            mapping[mu - 1] = q_sym(mu) + dq[mu - 1]
-            mapping[3 + mu] = pi_sym(mu) + dpi[mu - 1]
-        assert h.substitute_linear(mapping) == h, name
 
 
 def test_mode_context_validation():
