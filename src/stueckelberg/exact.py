@@ -480,6 +480,11 @@ class ExactMatrix:
     def row(self, i):
         return self._dense(self._r[i])
 
+    def row_entries(self, i):
+        """Row i's nonzero entries as (column, value) pairs, by column."""
+        den = self._den
+        return [(j, _scalar(a, b, den)) for j, (a, b) in sorted(self._r[i].items())]
+
     def column(self, j):
         if not 0 <= j < self.cols:
             raise IndexError(f"column {j} outside a matrix with {self.cols} columns")

@@ -26,7 +26,7 @@ view of the coefficients as `GaussianRational`s, built on each access.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .exact import (GR_I, GR_MINUS_ONE, GR_ONE, GR_ZERO, GaussianRational,
@@ -50,18 +50,20 @@ class SchemeMismatchError(ValueError):
     """States or operators from different vacuum schemes were combined."""
 
 
-@dataclass(frozen=True)
-class LadderOp:
-    """One creation or annihilation operator in the active scheme's roles."""
+class LadderOp(namedtuple("LadderOp", "mode direction")):
+    """One creation or annihilation operator in the active scheme's roles.
 
-    mode: int
-    direction: str  # "create" | "annihilate"
+    direction is "create" or "annihilate".
+    """
 
-    def __post_init__(self):
-        if self.mode not in (1, 2, 3, 4):
+    __slots__ = ()
+
+    def __new__(cls, mode: int, direction: str):
+        if mode not in (1, 2, 3, 4):
             raise ValueError("mode must be 1..4")
-        if self.direction not in ("create", "annihilate"):
+        if direction not in ("create", "annihilate"):
             raise ValueError("direction must be 'create' or 'annihilate'")
+        return super().__new__(cls, mode, direction)
 
 
 class _SchemeCoefficients(_ExactCoefficients):

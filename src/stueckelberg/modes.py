@@ -10,7 +10,7 @@ parameters" is decided by plain equality of observables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -103,16 +103,16 @@ def poisson_bracket(f: QuadraticObservable, g: QuadraticObservable) -> Quadratic
     return out
 
 
-@dataclass(frozen=True)
-class ModeContext:
+class ModeContext(namedtuple("ModeContext", "k0")):
     """A single momentum mode, identified by its (positive) energy."""
 
-    k0: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "k0", as_fraction(self.k0))
-        if self.k0 <= 0:
+    def __new__(cls, k0):
+        k0 = as_fraction(k0)
+        if k0 <= 0:
             raise ValueError("mode energy must be positive")
+        return super().__new__(cls, k0)
 
 
 def hamiltonian(ctx: ModeContext) -> QuadraticObservable:
@@ -164,35 +164,31 @@ def u31_sym(mu, nu) -> ExactMatrix:
     return ExactMatrix.sparse(4, 4, terms)
 
 
-@dataclass(frozen=True)
-class U31Params:
+class U31Params(namedtuple("U31Params", "omega0 antisym sym")):
     """Infinitesimal group parameters with the reality pattern enforced.
 
     omega0 and the purely spatial entries are real; the mixed space-time
     entries (a4) are imaginary; the (44) diagonal is real (forced by
     conjugation consistency of the transformation, though not spelled
-    out with the others).
+    out with the others).  antisym is keyed by (mu, nu) with mu < nu and
+    sym by (mu, nu) with mu <= nu; each instance holds dicts of its own.
     """
 
-    omega0: object = GR_ZERO
-    antisym: dict = field(default_factory=dict)  # (mu,nu) with mu<nu
-    sym: dict = field(default_factory=dict)      # (mu,nu) with mu<=nu
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "omega0", _scalar(self.omega0))
+    def __new__(cls, omega0=GR_ZERO, antisym=(), sym=()):
+        omega0 = _scalar(omega0)
         a = {}
-        for (mu, nu), v in self.antisym.items():
+        for (mu, nu), v in dict(antisym).items():
             if not (1 <= mu < nu <= 4):
                 raise ValueError("antisymmetric labels need mu < nu")
             a[(mu, nu)] = _scalar(v)
         s = {}
-        for (mu, nu), v in self.sym.items():
+        for (mu, nu), v in dict(sym).items():
             if not (1 <= mu <= nu <= 4):
                 raise ValueError("symmetric labels need mu <= nu")
             s[(mu, nu)] = _scalar(v)
-        object.__setattr__(self, "antisym", a)
-        object.__setattr__(self, "sym", s)
-        if self.omega0.im:
+        if omega0.im:
             raise ValueError("omega0 must be real")
         for (mu, nu), v in a.items():
             if nu == 4:
@@ -206,6 +202,7 @@ class U31Params:
                     raise ValueError(f"sym ({mu},4) parameter must be imaginary")
             elif v.im:
                 raise ValueError(f"sym ({mu},{nu}) parameter must be real")
+        return super().__new__(cls, omega0, a, s)
 
     def antisym_at(self, mu, nu):
         if mu == nu:
@@ -431,8 +428,6 @@ def params_scaled(direction_table, coeffs) -> U31Params:
             antisym[k] = antisym.get(k, GR_ZERO) + v * c
         for k, v in par.sym.items():
             sym[k] = sym.get(k, GR_ZERO) + v * c
-    out = object.__new__(U31Params)
-    object.__setattr__(out, "omega0", omega0)
-    object.__setattr__(out, "antisym", {k: v for k, v in antisym.items() if v})
-    object.__setattr__(out, "sym", {k: v for k, v in sym.items() if v})
-    return out
+    # _make skips the reality checks: complex coefficients may break them
+    return U31Params._make((omega0, {k: v for k, v in antisym.items() if v},
+                            {k: v for k, v in sym.items() if v}))

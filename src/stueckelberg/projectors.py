@@ -9,7 +9,7 @@ spin projectors are fine there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .exact import (ExactMatrix, GR_I, GR_ONE, GR_ZERO, GaussianRational,
@@ -29,25 +29,20 @@ class IrrationalMomentumError(ValueError):
     """|p| or p0 irrational; choose a Pythagorean momentum."""
 
 
-@dataclass(frozen=True)
-class FourMomentum:
+class FourMomentum(namedtuple("FourMomentum", "p1 p2 p3 p0 m")):
     """On-shell momentum (p1, p2, p3; p0, m) with exact shell constraint."""
 
-    p1: Fraction
-    p2: Fraction
-    p3: Fraction
-    p0: Fraction
-    m: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("p1", "p2", "p3", "p0", "m"):
-            object.__setattr__(self, name, as_fraction(getattr(self, name)))
-        if self.m <= 0:
+    def __new__(cls, p1, p2, p3, p0, m):
+        p1, p2, p3, p0, m = (as_fraction(c) for c in (p1, p2, p3, p0, m))
+        if m <= 0:
             raise ValueError("mass must be positive")
-        if self.p0 <= 0:
+        if p0 <= 0:
             raise ValueError("energy must be positive")
-        if self.p0 ** 2 != self.p1 ** 2 + self.p2 ** 2 + self.p3 ** 2 + self.m ** 2:
+        if p0 ** 2 != p1 ** 2 + p2 ** 2 + p3 ** 2 + m ** 2:
             raise ValueError("momentum is off the mass shell")
+        return super().__new__(cls, p1, p2, p3, p0, m)
 
     @staticmethod
     def from_mass_and_momentum(m, p):
@@ -189,24 +184,16 @@ def spin_projection_projector(sigma_p: ExactMatrix, proj: int) -> ExactMatrix:
     raise ValueError("projection must be -1, 0 or +1")
 
 
-@dataclass(frozen=True)
-class ProjectorFamily:
+class ProjectorFamily(namedtuple("ProjectorFamily", "momentum p_slash m_plus m_minus sigma2 "
+                                  "sigma_p spin_sectors projections deltas")):
     """All projection operators for one momentum, each built once.
 
-    spin_sectors is keyed by spin, projections by spin projection and
-    deltas by (eps, spin, projection).  At rest sigma_p is None and
-    projections and deltas are empty.
+    The matrices are exact; spin_sectors is keyed by spin, projections
+    by spin projection and deltas by (eps, spin, projection).  At rest
+    sigma_p is None and projections and deltas are empty.
     """
 
-    momentum: FourMomentum
-    p_slash: ExactMatrix
-    m_plus: ExactMatrix
-    m_minus: ExactMatrix
-    sigma2: ExactMatrix
-    sigma_p: ExactMatrix | None
-    spin_sectors: dict
-    projections: dict
-    deltas: dict
+    __slots__ = ()
 
     @staticmethod
     def build(p: FourMomentum, w: WaveMatrices | None = None) -> "ProjectorFamily":
@@ -238,8 +225,7 @@ def pure_state_projector(p: FourMomentum, eps: int, spin: int, proj: int,
     return ProjectorFamily.build(p, w).deltas[(eps, spin, proj)]
 
 
-@dataclass(frozen=True)
-class SolutionDyad:
+class SolutionDyad(namedtuple("SolutionDyad", "psi psi_bar labels norm_sign")):
     """Rank-1 factorisation of a pure-state projector.
 
     psi is scaled so that its indefinite-metric norm psi^+ eta psi is
@@ -247,12 +233,10 @@ class SolutionDyad:
     psi^+ eta, which makes the outer product reproduce the projector
     exactly.  Reassembly then forces psi_bar . psi = +1, as it must for
     any trace-one idempotent; the indefinite sign lives in norm_sign.
+    labels is (eps, spin, projection).
     """
 
-    psi: tuple
-    psi_bar: tuple
-    labels: tuple  # (eps, spin, projection)
-    norm_sign: int
+    __slots__ = ()
 
 
 def _gi_mul_pair(a, b):

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .exact import as_fraction, fraction_str
@@ -23,8 +22,9 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 
 # Largest accepted Fock truncation.  The fock suite's cost grows with the
-# basis size C(N+4, 4): in one process on a 2-vCPU Xeon host it takes
-# 0.55 s at N = 10, 1.7 s at N = 16 and 3.6 s (38 MB) at N = 20.
+# basis size C(N+4, 4): `verify fock --scheme both` in a fresh process on
+# a 2-vCPU Xeon host takes 0.4 s at N = 10, 1.1 s at N = 16 and 2.6 s
+# (33 MB peak) at N = 20.
 MAX_TRUNCATION = 20
 
 INJECT_ENV = "STUECKELBERG_INJECT_FAIL"
@@ -35,22 +35,18 @@ class ConfigError(ValueError):
     """Invalid suite configuration; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    suites: tuple = ALL_SUITES
-    mass: Fraction = Fraction(4)
-    momentum: tuple = (Fraction(0), Fraction(0), Fraction(3))
-    k0: Fraction = Fraction(5)
-    truncation: int = 6
-    scheme: str = "both"
-    timing: bool = True
-    workers: int = 1
+class SuiteConfig(namedtuple("SuiteConfig", "suites mass momentum k0 truncation scheme "
+                              "timing workers")):
+    """One verification run's settings; `validate` checks them."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "suites", tuple(self.suites))
-        object.__setattr__(self, "mass", as_fraction(self.mass))
-        object.__setattr__(self, "momentum", tuple(as_fraction(c) for c in self.momentum))
-        object.__setattr__(self, "k0", as_fraction(self.k0))
+    __slots__ = ()
+
+    def __new__(cls, suites=ALL_SUITES, mass=Fraction(4),
+                momentum=(Fraction(0), Fraction(0), Fraction(3)), k0=Fraction(5),
+                truncation=6, scheme="both", timing=True, workers=1):
+        return super().__new__(cls, tuple(suites), as_fraction(mass),
+                               tuple(as_fraction(c) for c in momentum), as_fraction(k0),
+                               truncation, scheme, timing, workers)
 
     def validate(self):
         for s in self.suites:
@@ -85,10 +81,14 @@ class SuiteConfig:
         }
 
 
-@dataclass
 class VerificationReport:
-    config: SuiteConfig
-    records: list = field(default_factory=list)
+    """The records of one run, under the configuration that produced them."""
+
+    __slots__ = ("config", "records")
+
+    def __init__(self, config: SuiteConfig, records=None):
+        self.config = config
+        self.records = [] if records is None else records
 
     @property
     def counts(self):
@@ -149,12 +149,20 @@ def _run_one(args):
     return SUITE_RUNNERS[name](cfg)
 
 
+def _process_pool(workers):
+    """A pool of `workers` processes.  Its machinery (multiprocessing,
+    logging, socket, subprocess) is imported here, so that no process but
+    a parallel `verify` loads it."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def run(cfg: SuiteConfig) -> VerificationReport:
     """Validate the configuration, run the selected suites, assemble the report."""
     cfg.validate()
     ordered = [s for s in ALL_SUITES if s in cfg.suites]
     if cfg.workers > 1 and len(ordered) > 1:
-        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(ordered))) as pool:
+        with _process_pool(min(cfg.workers, len(ordered))) as pool:
             chunks = list(pool.map(_run_one, [(s, cfg) for s in ordered]))
     else:
         chunks = [_run_one((s, cfg)) for s in ordered]

@@ -13,11 +13,10 @@ fails with a witness naming the first counterexample.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import permutations, product
-from typing import Callable
 
 from .exact import (ExactMatrix, GR_I, GR_MINUS_ONE, GR_ONE, GR_ZERO,
                     GaussianRational, mat_commutator, mat_rank, mat_vec,
@@ -27,8 +26,8 @@ from . import em as em_mod
 from .epsilon import BIVECTOR_PAIRS, DIM4, DIM5, DIM10, DIM11, identity_of
 from .epsilon import epsilon as eps_unit
 from .epsilon import epsilon_delta
-from .fock import (FockPolyState, LadderOp, apply_covariant, apply_ladder,
-                   decompose_physical, energy_operator, inner_product,
+from .fock import (BilinearOperator, FockPolyState, LadderOp, apply_covariant,
+                   apply_ladder, decompose_physical, energy_operator, inner_product,
                    monomial_basis, normalized_gram, quantize, quantum_charges)
 from .modes import (ModeContext, QuadraticObservable, amplitude_form_hamiltonian,
                     basis_directions, charge_combination, conserved_charges,
@@ -48,15 +47,12 @@ SCHEMES = {"1": (SCHEME_1,), "2": (SCHEME_2,), "both": (SCHEME_1, SCHEME_2)}
 IDX = (1, 2, 3, 4)
 
 
-@dataclass
-class IdentityRecord:
-    suite: str
-    ident: str
-    claim: str
-    status: str  # "pass" | "fail" | "skip"
-    witness: str | None = None
-    reason: str | None = None
-    elapsed_ms: float | None = None
+class IdentityRecord(namedtuple("IdentityRecord",
+                                 "suite ident claim status witness reason elapsed_ms",
+                                 defaults=(None, None, None))):
+    """One identity's outcome; status is "pass", "fail" or "skip"."""
+
+    __slots__ = ()
 
 
 class Recorder:
@@ -89,15 +85,14 @@ class Recorder:
             status="skip", reason=reason, elapsed_ms=0.0))
 
 
-@dataclass(frozen=True)
-class Identity:
-    """One declared claim: its suite, id, claim text, requirement and check."""
+class Identity(namedtuple("Identity", "suite ident claim needs check")):
+    """One declared claim: its suite, id, claim text, requirement and check.
 
-    suite: str
-    ident: str
-    claim: str
-    needs: object  # None, MOVING_FRAME, SCHEME_1 or SCHEME_2
-    check: Callable  # check(suite) -> ok, or (ok, witness)
+    needs is None, MOVING_FRAME, SCHEME_1 or SCHEME_2; check(suite)
+    returns ok, or (ok, witness).
+    """
+
+    __slots__ = ()
 
 
 def identity(ident, claim, needs=None, check=None):
@@ -836,13 +831,27 @@ class Fock(Suite):
               "charge actions and commutators agree between this truncation and a wider one",
               SCHEME_2)
     def truncation_exact(self):
+        # Every charge is a combination of the 16 elementary bilinears
+        # a+_i a_j, with a coefficient table that bracket-commutator-
+        # correspondence and charge-matrix-structure already check.  So each
+        # elementary bilinear, applied as an operator, must equal its two
+        # ladder steps, which enforce the cutoff.  Only on top-degree
+        # states can the cutoff act, at this truncation and a wider one.
         qc, n = self.qc, self.n
         keys = sorted(qc.keys(), key=str)
-        wide = {b: FockPolyState.basis_state(b, n + 2, 2) for b in self.basis}
-        for key in keys:
-            for b, s in self.states.items():
-                if qc[key].apply(s) != qc[key].apply(wide[b]):
-                    return False, f"charge {key}, state {b}"
+        tops = [b for b in self.basis if sum(b) == n]
+        wide = {b: FockPolyState.basis_state(b, n + 2, 2) for b in tops}
+        ops = {(i, j): BilinearOperator({(i, j): GR_ONE}) for i, j in product(IDX, IDX)}
+        create = {i: LadderOp(i, "create") for i in IDX}
+        for j in IDX:
+            annihilate = LadderOp(j, "annihilate")
+            for b in tops:
+                for s in (self.states[b], wide[b]):
+                    lowered = apply_ladder(annihilate, s)
+                    for i in IDX:
+                        if ops[i, j].apply(s) != apply_ladder(create[i], lowered):
+                            return False, (f"bilinear ({i}, {j}), state {b}, "
+                                           f"truncation {s.truncation}")
         # each commutator acts alike on a top-degree state that occupies
         # every mode (modes 1 and 4 below degree 4)
         top = (n - 3, 1, 1, 1) if n >= 4 else (n - 1, 0, 0, 1)

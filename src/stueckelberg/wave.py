@@ -8,7 +8,7 @@ builders construct each independently, and the identity
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .exact import ExactMatrix, GR_ONE, GaussianRational
@@ -87,16 +87,14 @@ def build_lorentz(mu: int, nu: int) -> ExactMatrix:
     return embed_dim10(bmu @ bnu - bnu @ bmu)
 
 
-@dataclass(frozen=True)
-class WaveMatrices:
-    """All wave matrices for the 11-component field, built once and shared."""
+class WaveMatrices(namedtuple("WaveMatrices", "alpha beta1 beta0 eta eta1 lorentz")):
+    """All wave matrices for the 11-component field, built once and shared.
 
-    alpha: dict
-    beta1: dict
-    beta0: dict
-    eta: ExactMatrix
-    eta1: ExactMatrix
-    lorentz: dict  # keyed by ordered pairs (mu, nu) with mu < nu
+    alpha, beta1 and beta0 are keyed by vector index, and lorentz by
+    ordered pairs (mu, nu) with mu < nu.
+    """
+
+    __slots__ = ()
 
     def lorentz_signed(self, mu, nu):
         """J for any index order; antisymmetric, zero when mu == nu."""

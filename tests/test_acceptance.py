@@ -53,8 +53,8 @@ def projector_runs():
 def test_criterion_01_unit_product_rule(algebra_records):
     records, _ = algebra_records
     rec = _record(records, "unit-product-rule")
-    ok = rec.status == "pass" and rec.elapsed_ms < 5000
-    _conclude(1, "matrix-unit product rule, 14641 pairs under 5 s", ok,
+    ok = rec.status == "pass" and rec.elapsed_ms < 600
+    _conclude(1, "matrix-unit product rule, 14641 pairs under 0.6 s", ok,
               f"{rec.elapsed_ms:.0f} ms")
 
 
@@ -63,16 +63,16 @@ def test_criterion_02_trilinear_algebra(algebra_records):
     recs = [_record(records, ident) for ident in
             ("trilinear-beta1", "trilinear-beta0", "trilinear-alpha-negative")]
     elapsed = sum(r.elapsed_ms for r in recs)
-    ok = all(r.status == "pass" for r in recs) and elapsed < 1000
-    _conclude(2, "trilinear relation on both blocks with negative control, under 1 s",
+    ok = all(r.status == "pass" for r in recs) and elapsed < 150
+    _conclude(2, "trilinear relation on both blocks with negative control, under 0.15 s",
               ok, f"{elapsed:.0f} ms")
 
 
 def test_criterion_03_cubic_algebra(algebra_records):
     records, _ = algebra_records
     rec = _record(records, "cubic-alpha")
-    ok = rec.status == "pass" and rec.elapsed_ms < 1000
-    _conclude(3, "cubic relation on all 64 triples, under 1 s", ok,
+    ok = rec.status == "pass" and rec.elapsed_ms < 150
+    _conclude(3, "cubic relation on all 64 triples, under 0.15 s", ok,
               f"{rec.elapsed_ms:.0f} ms")
 
 
@@ -80,8 +80,8 @@ def test_criterion_04_rotation_structure(algebra_records):
     records, _ = algebra_records
     recs = [_record(records, i) for i in ("rotation-closure", "alpha-rotation-bracket")]
     elapsed = sum(r.elapsed_ms for r in recs)
-    ok = all(r.status == "pass" for r in recs) and elapsed < 1000
-    _conclude(4, "rotation generator structure, all pairs and mixed brackets, under 1 s",
+    ok = all(r.status == "pass" for r in recs) and elapsed < 150
+    _conclude(4, "rotation generator structure, all pairs and mixed brackets, under 0.15 s",
               ok, f"{elapsed:.0f} ms")
 
 
@@ -100,8 +100,8 @@ def test_criterion_06_projector_suite(projector_runs):
         for rec in records:
             if rec.status != "pass":
                 problems.append(f"{mass},{momentum}: {rec.ident}={rec.status}")
-    ok = not problems and elapsed < 30
-    _conclude(6, "full projector and dyad suite at three momenta, under 30 s",
+    ok = not problems and elapsed < 1.5
+    _conclude(6, "full projector and dyad suite at three momenta, under 1.5 s",
               ok, f"{elapsed:.1f} s" + ("; " + "; ".join(problems) if problems else ""))
 
 
@@ -125,8 +125,8 @@ def test_criterion_08_fock_suite():
               "energy-indefinite-scheme1", "charges-commute-energy",
               "physical-decomposition", "truncation-exactness")
     ok = all(_record(records, i).status == "pass" for i in needed)
-    ok = ok and all(r.status == "pass" for r in records) and elapsed < 10
-    _conclude(8, "indefinite-metric Fock suite at truncation 6, under 10 s",
+    ok = ok and all(r.status == "pass" for r in records) and elapsed < 1
+    _conclude(8, "indefinite-metric Fock suite at truncation 6, under 1 s",
               ok, f"{elapsed:.1f} s")
 
 
@@ -137,8 +137,8 @@ def test_criterion_09_em_suite():
     needed = ("su2-commutators", "rotations-commute-number", "u2-invariance",
               "dual-group-law", "dual-stokes-rotation")
     ok = all(_record(records, i).status == "pass" for i in needed)
-    ok = ok and all(r.status == "pass" for r in records) and elapsed < 5
-    _conclude(9, "two-mode reduction: charge algebra, invariance, dual rotations, under 5 s",
+    ok = ok and all(r.status == "pass" for r in records) and elapsed < 0.25
+    _conclude(9, "two-mode reduction: charge algebra, invariance, dual rotations, under 0.25 s",
               ok, f"{elapsed:.1f} s")
 
 

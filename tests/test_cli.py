@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stueckelberg
 from stueckelberg import cli, report
 from stueckelberg.cli import main
 from stueckelberg.epsilon import SPACES, BasisIndex, epsilon
@@ -230,10 +235,48 @@ def test_worker_pool_is_capped_at_the_suite_count(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(report, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(report, "_process_pool", SerialPool)
     rep = report.run(SuiteConfig(suites=("u31", "em"), workers=100000))
     assert sizes == [2]
     assert rep.exit_code == EXIT_PASS
+
+
+# Imports a CLI process needs for none of its commands but a parallel
+# `verify`: the process pool pulls in multiprocessing, logging, socket and
+# subprocess, and dataclasses pulls in inspect, ast and dis.
+COLD_START_UNUSED = ("dataclasses", "inspect", "concurrent.futures", "multiprocessing")
+PACKAGE_MODULES = ("exact", "epsilon", "wave", "projectors", "modes", "fock", "em",
+                   "suites", "report", "cli")
+COLD_START_PROBE = """
+import json, sys
+before = set(sys.modules)
+from stueckelberg import cli
+package = sorted(m for m in sys.modules if m.startswith("stueckelberg."))
+try:
+    cli.main(sys.argv[1:])
+except SystemExit:
+    pass
+print(json.dumps({"package": package, "loaded": sorted(set(sys.modules) - before)}),
+      file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ("--help",),
+    ("verify", "projectors", "--json", "--no-timing", "--workers", "1"),
+], ids=["help", "verify-projectors"])
+def test_cli_process_imports_only_what_it_runs(argv):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("STUECKELBERG_")}
+    env["PYTHONPATH"] = str(Path(stueckelberg.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", COLD_START_PROBE, *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stderr.splitlines()[-1])
+    # perfbench/tracer.py imports stueckelberg.cli and then reads all ten
+    # modules from sys.modules, so the package import stays eager
+    assert seen["package"] == sorted(f"stueckelberg.{m}" for m in PACKAGE_MODULES)
+    assert [m for m in seen["loaded"]
+            if any(m == u or m.startswith(u + ".") for u in COLD_START_UNUSED)] == []
 
 
 # The behaviour contract: the stdout sha256 of these `--json --no-timing`
@@ -292,4 +335,4 @@ def test_matrix_json_matches_the_json_module():
     mats += [epsilon(BasisIndex.parse("[12]"), BasisIndex.parse("3"), SPACES["dim11"]),
              projector]
     for m in mats:
-        assert cli._matrix_json(m) == json.dumps(m.to_json_dict(), indent=2) + "\n"
+        assert "".join(cli._matrix_json(m)) == json.dumps(m.to_json_dict(), indent=2) + "\n"

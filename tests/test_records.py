@@ -1,0 +1,82 @@
+"""The record types: validated on construction, immutable, equal by value, picklable."""
+
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from stueckelberg.em import U2Element
+from stueckelberg.exact import GR_ONE, ExactMatrix
+from stueckelberg.fock import LadderOp
+from stueckelberg.modes import ModeContext, U31Params
+from stueckelberg.projectors import FourMomentum, ProjectorFamily, SolutionDyad
+from stueckelberg.report import SuiteConfig
+from stueckelberg.suites import IdentityRecord
+from stueckelberg.wave import wave_matrices
+
+P = FourMomentum.from_mass_and_momentum(4, (0, 0, 3))
+
+
+@pytest.mark.parametrize("record,field", [
+    (LadderOp(1, "create"), "mode"),
+    (ModeContext(5), "k0"),
+    (U31Params(), "omega0"),
+    (P, "p0"),
+    (ProjectorFamily.build(P), "m_plus"),
+    (SolutionDyad((GR_ONE,), (GR_ONE,), (1, 0, 0), 1), "norm_sign"),
+    (wave_matrices(), "eta"),
+    (U2Element(ExactMatrix.identity(2)), "matrix"),
+    (SuiteConfig(), "workers"),
+], ids=lambda x: type(x).__name__ if not isinstance(x, str) else x)
+def test_frozen_record_rejects_assignment(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LadderOp(5, "create"),
+    lambda: LadderOp(0, "annihilate"),
+    lambda: LadderOp(1, "sideways"),
+    lambda: U2Element(ExactMatrix.identity(3)),
+], ids=["mode-5", "mode-0", "direction", "u2-shape"])
+def test_record_validation_still_raises(make):
+    # ModeContext and U31Params validation: tests/test_modes.py
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_records_coerce_their_fields():
+    assert ModeContext("5/2").k0 == Fraction(5, 2)
+    cfg = SuiteConfig(suites=["em"], mass="12", momentum=["3", "4", "0"], k0=2)
+    assert cfg == SuiteConfig(suites=("em",), mass=Fraction(12),
+                              momentum=(Fraction(3), Fraction(4), Fraction(0)),
+                              k0=Fraction(2))
+    assert all(isinstance(c, Fraction) for c in cfg.momentum)
+
+
+@pytest.mark.parametrize("record", [
+    SuiteConfig(suites=("u31", "em"), mass=12, momentum=(3, 4, 0), k0="37/11",
+                truncation=8, scheme="2", timing=False, workers=2),
+    IdentityRecord(suite="fock", ident="gram-indefinite", claim="a claim", status="fail",
+                   witness="state (0, 0, 0, 1)", elapsed_ms=1.5),
+    IdentityRecord("em", "su2-commutators", "a claim", "skip", reason="why"),
+], ids=["SuiteConfig", "IdentityRecord-fail", "IdentityRecord-skip"])
+def test_pool_records_survive_a_pickle_round_trip(record):
+    copy = pickle.loads(pickle.dumps(record))
+    assert copy == record and type(copy) is type(record)
+
+
+def test_u31_params_hold_dicts_of_their_own():
+    a, b = U31Params(), U31Params()
+    assert a.antisym == b.antisym == {} and a.sym == b.sym == {}
+    assert a.antisym is not b.antisym and a.sym is not b.sym
+    given = {(1, 2): GR_ONE}
+    assert U31Params(antisym=given).antisym is not given
+
+
+def test_equal_four_momenta_hash_alike():
+    q = FourMomentum(0, 0, 3, 5, 4)
+    assert q == P and hash(q) == hash(P) and len({q, P}) == 1
+    assert q != FourMomentum.from_mass_and_momentum(12, (3, 4, 0))
