@@ -121,21 +121,21 @@ _ZERO_JSON = _entry_json("0/1", "0/1")
 
 
 def _matrix_json(m):
-    """`_json_dump(m.to_json_dict())`, the same bytes, as one chunk per row.
+    """`_json_dump(m.to_json_dict())`, the same bytes, as one chunk per nonzero entry.
 
-    Each row is formatted from its nonzero entries alone, each run of
-    zero entries written by repetition, so no whole-matrix list is built.
+    One row-major walk of the nonzero entries; each run of zero entries
+    before one is written by repetition, so no whole-matrix list is built.
     """
-    yield f'{{\n  "rows": {m.rows},\n  "cols": {m.cols},\n  "entries": [\n'
-    for i in range(m.rows):
-        parts, col = [], 0
-        for j, v in m.row_entries(i):
-            parts += (_ZERO_JSON * (j - col), _entry_json(*v.as_strings()))
-            col = j + 1
-        parts.append(_ZERO_JSON * (m.cols - col))
-        chunk = "".join(parts)
-        # the last entry of the matrix takes no comma
-        yield chunk if i < m.rows - 1 else chunk[:-2] + "\n  ]\n}\n"
+    chunk = f'{{\n  "rows": {m.rows},\n  "cols": {m.cols},\n  "entries": [\n'
+    pos = 0
+    for (i, j), v in sorted(m.coeffs.items()):
+        yield chunk
+        k = i * m.cols + j
+        chunk = _ZERO_JSON * (k - pos) + _entry_json(*v.as_strings())
+        pos = k + 1
+    chunk += _ZERO_JSON * (m.rows * m.cols - pos)
+    # the last entry of the matrix takes no comma
+    yield chunk[:-2] + "\n  ]\n}\n"
 
 
 def cmd_verify(args):

@@ -1,17 +1,20 @@
-"""Exact arithmetic kernel: Gaussian-rational scalars, matrices, coefficient stores.
+"""Exact arithmetic kernel: Gaussian-rational scalars and one integer coefficient store.
 
 Every identity checked by this package reduces to exact equality over
 Q(i), the field of complex numbers with rational real and imaginary
-parts.  Scalars are `GaussianRational` pairs of Fractions.  Matrices
-are sparse and fraction-free: an `ExactMatrix` stores only its nonzero
-entries, each as a Gaussian-integer numerator, over one denominator
-shared by the whole matrix, and is kept in lowest terms.  Products,
-sums, scalar multiples and elimination (as in Bareiss, Math. Comp. 22,
-1968) thus run on Python ints, and a Fraction is built only when an
-entry is read out as a scalar.  `_ExactCoefficients` is the same store
-keyed by monomials or index pairs instead of matrix positions; the Fock
+parts.  Scalars are `GaussianRational` pairs of Fractions.  Everything
+larger is one store, `_ExactCoefficients`: a dict from a key to the
+Gaussian-integer numerator (re, im) of a nonzero coefficient, over one
+positive denominator shared by the whole object and kept in lowest
+terms.  Sums, scalar multiples and products thus run on Python ints,
+and a Fraction is built only when a coefficient is read out as a
+scalar.  `ExactMatrix` is the store keyed by position (i, j); the Fock
 states, the ladder bilinears and the classical quadratic observables
-are built on it.
+key it by monomial or index pair.  Rank and inverse share one
+fraction-free Gauss-Jordan elimination on a matrix's numerators (after
+Bareiss, Math. Comp. 22, 1968): the rank counts its pivots, and on
+[N | I] it ends at d times the inverse of N for the last pivot d, so
+the inverse divides once, at the end.
 """
 
 from __future__ import annotations
@@ -219,28 +222,23 @@ def _integer_vector(v):
     return [(a * (den // d), b * (den // d)) for a, b, d in parts], den
 
 
-def _pruned(row):
-    """A row without the entries that cancelled to zero."""
-    if _ZZ in row.values():
-        return {j: e for j, e in row.items() if e != _ZZ}
-    return row
+def _pruned(c):
+    """A numerator dict without the entries that cancelled to zero."""
+    if _ZZ in c.values():
+        return {k: e for k, e in c.items() if e != _ZZ}
+    return c
 
 
-def _content(den, rows):
-    """The gcd of den and every numerator component in the dicts `rows`."""
+def _lowest(c, den):
+    """(c, den) divided through by the gcd of den and every numerator component."""
     g = den
-    for row in rows:
+    for a, b in c.values():
         if g == 1:
-            return 1
-        for a, b in row.values():
-            g = math.gcd(g, a, b)
-            if g == 1:
-                return 1
-    return g
-
-
-def _divided(row, g):
-    return {j: (a // g, b // g) for j, (a, b) in row.items()}
+            return c, den
+        g = math.gcd(g, a, b)
+    if g == 1:
+        return c, den
+    return {k: (a // g, b // g) for k, (a, b) in c.items()}, den // g
 
 
 def _common_scale(da, db, sign):
@@ -256,68 +254,47 @@ def _axpy(ra, fa, rb, fb):
 
     Never changes ra or rb; returns ra itself when fa == 1 and rb is empty.
     """
-    row = ra if fa == 1 else {j: (a * fa, b * fa) for j, (a, b) in ra.items()}
+    c = ra if fa == 1 else {k: (a * fa, b * fa) for k, (a, b) in ra.items()}
     if not rb:
-        return row
-    if row is ra:
-        row = dict(ra)
-    for j, (c, d) in rb.items():
-        e = row.get(j)
-        row[j] = (c * fb, d * fb) if e is None else (e[0] + c * fb, e[1] + d * fb)
-    return _pruned(row)
+        return c
+    if c is ra:
+        c = dict(ra)
+    for k, (x, y) in rb.items():
+        e = c.get(k)
+        c[k] = (x * fb, y * fb) if e is None else (e[0] + x * fb, e[1] + y * fb)
+    return _pruned(c)
 
 
-def _times(row, x, y):
-    """The numerator dict row * (x + y*i); nonzero x + y*i keeps every entry nonzero."""
+def _times(c, x, y):
+    """The numerator dict c * (x + y*i); nonzero x + y*i keeps every entry nonzero."""
     if y:
-        return {j: (a * x - b * y, a * y + b * x) for j, (a, b) in row.items()}
-    return {j: (a * x, b * x) for j, (a, b) in row.items()}
-
-
-def _wrap(rows, cols, r, den):
-    m = object.__new__(ExactMatrix)
-    m.rows = rows
-    m.cols = cols
-    m._r = r
-    m._den = den
-    return m
-
-
-def _reduced(rows, cols, r, den):
-    """The matrix with numerator rows r over den > 0, in lowest terms."""
-    g = _content(den, r)
-    if g != 1:
-        den //= g
-        r = tuple(_divided(row, g) for row in r)
-    return _wrap(rows, cols, r, den)
-
-
-def _lowest(c, den):
-    """(c, den) divided through by their common gcd."""
-    if den == 1:
-        return c, 1
-    g = _content(den, (c,))
-    if g == 1:
-        return c, den
-    return _divided(c, g), den // g
+        return {k: (a * x - b * y, a * y + b * x) for k, (a, b) in c.items()}
+    return {k: (a * x, b * x) for k, (a, b) in c.items()}
 
 
 class _ExactCoefficients:
-    """Coefficients stored as `ExactMatrix` stores its entries.
+    """The one exact store: Gaussian-integer numerators over one shared denominator.
 
-    `_c` maps a key to its Gaussian-integer numerator (re, im) and `_den`
-    is the positive denominator they share, in lowest terms (the zero
-    object has denominator 1), so equal objects are stored alike.  Sums,
-    differences and scalar multiples run on ints; subclasses fix the keys
-    and add their own products.
+    `_c` maps a key to the numerator (re, im), a pair of Python ints, of
+    a nonzero coefficient, and `_den` is the positive denominator they
+    all share.  Every object is kept in lowest terms (the gcd of `_den`
+    and all numerators is 1, and the zero object has denominator 1), so
+    equal objects are stored alike.  Objects are immutable: a dict is
+    never changed once an object holds it, so objects may share dicts.
+    Sums, differences and scalar multiples run on ints; subclasses fix
+    the keys (a matrix position, a monomial, an index pair) and add
+    their own products.
     """
 
     __slots__ = ("_c", "_den")
 
-    def _store(self, coeffs, key):
-        """Hold the exact scalars of the mapping coeffs, each under key(its key)."""
+    def _store(self, pairs, key):
+        """Hold the exact scalars of the (key, value) pairs, each under key(its key).
+
+        Values under one key add up.
+        """
         keys, values = [], []
-        for k, v in (coeffs or {}).items():
+        for k, v in pairs:
             v = GaussianRational._coerce(v)
             if v is None:
                 raise TypeError("coefficients must be exact scalars")
@@ -389,19 +366,20 @@ class _ExactCoefficients:
         return f"{type(self).__name__}({dict(self.coeffs)!r})"
 
 
-class ExactMatrix:
-    """Matrix over Q(i): Gaussian-integer numerators over one shared denominator.
+class ExactMatrix(_ExactCoefficients):
+    """Matrix over Q(i): the exact store keyed by position (i, j).
 
-    Only nonzero entries are stored.  Row i is a dict mapping a column j
-    to the numerator (re, im) of entry (i, j), a pair of Python ints, and
-    all entries share the positive denominator `_den`.  Every matrix is
-    kept in lowest terms (the gcd of `_den` and all numerators is 1, and
-    the zero matrix has denominator 1), so equal matrices are stored
-    alike.  Matrices are immutable: a row dict is never changed once a
-    matrix holds it, so matrices may share rows.
+    Only nonzero entries are stored, each as the Gaussian-integer
+    numerator of entry (i, j) over the denominator the whole matrix
+    shares; `rows` and `cols` are the shape.  Sums, differences,
+    negation, scalar multiples (`*` and `/` by a scalar), `is_zero`
+    and equality come from the store; two matrices are equal only if
+    their shapes are too.  The product accumulates each output row in
+    a column-keyed dict, and `mat_rank` and `mat_inverse` eliminate on
+    the numerators without fractions (`_fraction_free`).
     """
 
-    __slots__ = ("rows", "cols", "_r", "_den")
+    __slots__ = ("rows", "cols")
 
     def __init__(self, entries):
         grid = [list(row) for row in entries]
@@ -409,10 +387,9 @@ class ExactMatrix:
             raise ValueError("matrix needs at least one row and column")
         if any(len(r) != len(grid[0]) for r in grid):
             raise ValueError("ragged rows")
-        m = ExactMatrix.sparse(len(grid), len(grid[0]),
-                               (((i, j), e) for i, row in enumerate(grid)
-                                for j, e in enumerate(row)))
-        self.rows, self.cols, self._r, self._den = m.rows, m.cols, m._r, m._den
+        self.rows, self.cols = len(grid), len(grid[0])
+        self._store((((i, j), e) for i, row in enumerate(grid) for j, e in enumerate(row)),
+                    tuple)
 
     @staticmethod
     def sparse(rows, cols, entries):
@@ -422,20 +399,10 @@ class ExactMatrix:
         """
         if rows < 1 or cols < 1:
             raise ValueError("matrix needs at least one row and column")
-        entries = list(entries)
-        for (i, j), _ in entries:
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise IndexError(f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
-        nums, den = _integer_vector(v for _, v in entries)
-        r = [None] * rows
-        for ((i, j), _), (a, b) in zip(entries, nums):
-            if a or b:
-                row = r[i]
-                if row is None:
-                    row = r[i] = {}
-                e = row.get(j)
-                row[j] = (a, b) if e is None else (e[0] + a, e[1] + b)
-        return _reduced(rows, cols, tuple({} if row is None else _pruned(row) for row in r), den)
+        m = object.__new__(ExactMatrix)
+        m.rows, m.cols = rows, cols
+        m._store(entries, m._position)
+        return m
 
     @staticmethod
     def zeros(rows, cols=None):
@@ -444,56 +411,38 @@ class ExactMatrix:
 
     @staticmethod
     def identity(n):
-        if n < 1:
-            raise ValueError("matrix needs at least one row and column")
-        return _wrap(n, n, tuple({i: (1, 0)} for i in range(n)), 1)
+        return ExactMatrix.sparse(n, n, (((i, i), GR_ONE) for i in range(n)))
 
     @staticmethod
     def unit(rows, cols, i, j, scale=GR_ONE):
         """Matrix with a single entry `scale` at (i, j)."""
         return ExactMatrix.sparse(rows, cols, (((i, j), scale),))
 
-    def __getitem__(self, ij):
-        """Entry (i, j); an absent entry is the shared GR_ZERO.
-
-        Sparse Gram checks read about a million absent entries, so that
-        path stays as short as the dense tuple lookup it replaced: it
-        checks only the upper column bound, and a negative column index,
-        which this class does not support, reads as zero.
-        """
+    def _position(self, ij):
         i, j = ij
-        row = self._r[i]
-        if j in row:
-            e = row[j]
-            return _scalar(e[0], e[1], self._den)
-        if j < self.cols:
-            return GR_ZERO
-        raise IndexError(f"column {j} outside a matrix with {self.cols} columns")
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"entry ({i}, {j}) outside a {self.rows}x{self.cols} matrix")
+        return (i, j)
 
-    def _dense(self, row):
-        out = [GR_ZERO] * self.cols
-        den = self._den
-        for j, (a, b) in row.items():
-            out[j] = _scalar(a, b, den)
-        return tuple(out)
+    def _with(self, c, den):
+        out = _ExactCoefficients._with(self, c, den)
+        out.rows, out.cols = self.rows, self.cols
+        return out
+
+    def _check_compatible(self, other):
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
+
+    def __getitem__(self, ij):
+        """Entry (i, j); an absent entry is the shared GR_ZERO."""
+        e = self._c.get(self._position(ij))
+        return GR_ZERO if e is None else _scalar(e[0], e[1], self._den)
 
     def row(self, i):
-        return self._dense(self._r[i])
-
-    def row_entries(self, i):
-        """Row i's nonzero entries as (column, value) pairs, by column."""
-        den = self._den
-        return [(j, _scalar(a, b, den)) for j, (a, b) in sorted(self._r[i].items())]
+        return tuple(self[i, j] for j in range(self.cols))
 
     def column(self, j):
-        if not 0 <= j < self.cols:
-            raise IndexError(f"column {j} outside a matrix with {self.cols} columns")
-        den = self._den
-        out = []
-        for row in self._r:
-            e = row.get(j)
-            out.append(GR_ZERO if e is None else _scalar(e[0], e[1], den))
-        return tuple(out)
+        return tuple(self[i, j] for i in range(self.rows))
 
     @property
     def _m(self):
@@ -502,92 +451,51 @@ class ExactMatrix:
         The package itself never reads this; the benchmark tracer
         (perfbench/tracer.py) reads it to measure coefficient sizes.
         """
-        return tuple(self._dense(row) for row in self._r)
-
-    def _combine(self, other, sign):
-        self._check_same_shape(other)
-        den, fa, fb = _common_scale(self._den, other._den, sign)
-        out = tuple(_axpy(ra, fa, rb, fb) for ra, rb in zip(self._r, other._r))
-        return _reduced(self.rows, self.cols, out, den)
-
-    def __add__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return self._combine(other, 1)
-
-    def __sub__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return self._combine(other, -1)
-
-    def __neg__(self):
-        return _wrap(self.rows, self.cols,
-                     tuple({j: (-a, -b) for j, (a, b) in row.items()} for row in self._r),
-                     self._den)
+        out = [[GR_ZERO] * self.cols for _ in range(self.rows)]
+        for (i, j), (a, b) in self._c.items():
+            out[i][j] = _scalar(a, b, self._den)
+        return tuple(map(tuple, out))
 
     def __matmul__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.shape} @ {other.shape}")
-        brows = other._r
-        out = []
-        for arow in self._r:
-            if not arow:
-                out.append(arow)
+        brows = {}
+        for (t, j), e in other._c.items():
+            row = brows.get(t)
+            if row is None:
+                brows[t] = [(j, e)]
+            else:
+                row.append((j, e))
+        acc_rows = {}
+        for (i, t), (a, b) in self._c.items():
+            brow = brows.get(t)
+            if brow is None:
                 continue
-            acc = {}
-            for t, (a, b) in arow.items():
-                for j, (c, d) in brows[t].items():
-                    e = acc.get(j)
-                    if e is None:
-                        acc[j] = (a * c - b * d, a * d + b * c)
-                    else:
-                        acc[j] = (e[0] + a * c - b * d, e[1] + a * d + b * c)
-            out.append(_pruned(acc))
-        return _reduced(self.rows, other.cols, tuple(out), self._den * other._den)
+            acc = acc_rows.get(i)
+            if acc is None:
+                acc = acc_rows[i] = {}
+            for j, (c, d) in brow:
+                e = acc.get(j)
+                if e is None:
+                    acc[j] = (a * c - b * d, a * d + b * c)
+                else:
+                    acc[j] = (e[0] + a * c - b * d, e[1] + a * d + b * c)
+        c = {(i, j): e for i, acc in acc_rows.items() for j, e in acc.items() if e != _ZZ}
+        out = object.__new__(ExactMatrix)
+        out.rows, out.cols = self.rows, other.cols
+        out._c, out._den = _lowest(c, self._den * other._den)
+        return out
 
-    def _scaled(self, x, y, den):
-        """self * (x + y*i) / den, for integers x, y (not both zero) and den > 0."""
-        return _reduced(self.rows, self.cols, tuple(_times(row, x, y) for row in self._r),
-                        self._den * den)
-
-    def __mul__(self, other):
-        if isinstance(other, ExactMatrix):
-            return self @ other
-        s = GaussianRational._coerce(other)
-        if s is None:
-            return NotImplemented
-        x, y, d = _split(s)
-        if not (x or y):
-            return ExactMatrix.zeros(self.rows, self.cols)
-        return self._scaled(x, y, d)
-
-    def __rmul__(self, other):
-        s = GaussianRational._coerce(other)
-        if s is None:
-            return NotImplemented
-        return self * s
-
-    def __truediv__(self, other):
-        s = GaussianRational._coerce(other)
-        if s is None:
-            return NotImplemented
-        x, y, d = _split(s)
-        if not (x or y):
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        if not y:
-            # d / x, with the sign moved into the numerator
-            return self._scaled(d if x > 0 else -d, 0, abs(x))
-        # d / (x + y i) = d (x - y i) / (x^2 + y^2)
-        return self._scaled(d * x, -d * y, x * x + y * y)
+    def __truediv__(self, s):
+        return self.scale(GR_ONE / s)
 
     def _flipped(self, conjugate):
-        out = tuple({} for _ in range(self.cols))
-        for i, row in enumerate(self._r):
-            for j, (a, b) in row.items():
-                out[j][i] = (a, -b) if conjugate else (a, b)
-        return _wrap(self.cols, self.rows, out, self._den)
+        out = self._with({(j, i): (a, -b) if conjugate else (a, b)
+                          for (i, j), (a, b) in self._c.items()}, self._den)
+        out.rows, out.cols = self.cols, self.rows
+        return out
 
     def transpose(self):
         return self._flipped(False)
@@ -600,15 +508,12 @@ class ExactMatrix:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
         a = b = 0
-        for i, row in enumerate(self._r):
-            e = row.get(i)
+        for i in range(self.rows):
+            e = self._c.get((i, i))
             if e is not None:
                 a += e[0]
                 b += e[1]
         return _scalar(a, b, self._den)
-
-    def is_zero(self):
-        return not any(self._r)
 
     def is_square(self):
         return self.rows == self.cols
@@ -617,19 +522,12 @@ class ExactMatrix:
     def shape(self):
         return (self.rows, self.cols)
 
-    def _check_same_shape(self, other):
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-
     def __eq__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return (self.rows == other.rows and self.cols == other.cols
-                and self._den == other._den and self._r == other._r)
+        same = _ExactCoefficients.__eq__(self, other)
+        return same if same is NotImplemented else same and self.shape == other.shape
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self._den,
-                     tuple(frozenset(row.items()) for row in self._r)))
+        return hash((self.shape, self._den, frozenset(self._c.items())))
 
     def to_json_dict(self):
         """Wire format: row-major entries, each an exact [re, im] string pair.
@@ -637,12 +535,12 @@ class ExactMatrix:
         All zero entries share one ["0/1", "0/1"] list, which keeps large
         sparse dumps small; treat the result as read-only.
         """
-        den = self._den
         zero = ["0/1", "0/1"]
+        c, den = self._c, self._den
         entries = []
-        for row in self._r:
+        for i in range(self.rows):
             for j in range(self.cols):
-                e = row.get(j)
+                e = c.get((i, j))
                 entries.append(zero if e is None
                                else list(_scalar(e[0], e[1], den).as_strings()))
         return {"rows": self.rows, "cols": self.cols, "entries": entries}
@@ -667,44 +565,66 @@ def mat_commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return a @ b - b @ a
 
 
-def mat_rank(a: ExactMatrix) -> int:
-    """Rank by fraction-free (Bareiss) elimination over Gaussian integers.
+def _numerator_rows(a: ExactMatrix):
+    """Row i of a's numerators as a dict column -> (re, im), for each row i."""
+    rows = [{} for _ in range(a.rows)]
+    for (i, j), e in a._c.items():
+        rows[i][j] = e
+    return rows
 
-    The shared denominator leaves the rank unchanged, so elimination runs
-    on the numerators, and every intermediate value is an exact Gaussian
-    integer: each update (x * piv - y * z) / prev divides exactly.
+
+def _fraction_free(rows, cols):
+    """Fraction-free Gauss-Jordan elimination (after Bareiss, Math. Comp. 22, 1968), in place.
+
+    rows are dicts column -> Gaussian-integer numerator; pivots are taken
+    in the first `cols` columns.  Each pivot step replaces every other
+    row by (x * row - y * pivot row) / prev, where x is the pivot, y the
+    row's entry in the pivot column and prev the previous pivot; the
+    division is always exact, and every pivot row's leading entry ends
+    equal to the last pivot.  Returns (number of pivots, last pivot).
     """
-    rows, cols = a.rows, a.cols
-    grid = [[row.get(j, _ZZ) for j in range(cols)] for row in a._r]
     pr, pi = 1, 0
     r = 0
     for c in range(cols):
-        if r == rows:
-            break
-        piv_row = next((i for i in range(r, rows) if grid[i][c] != _ZZ), None)
-        if piv_row is None:
+        piv = next((i for i in range(r, len(rows)) if c in rows[i]), None)
+        if piv is None:
             continue
-        grid[r], grid[piv_row] = grid[piv_row], grid[r]
-        top = grid[r]
+        rows[r], rows[piv] = rows[piv], rows[r]
+        top = rows[r]
         xr, xi = top[c]
         n = pr * pr + pi * pi
-        for i in range(r + 1, rows):
-            cur = grid[i]
-            yr, yi = cur[c]
-            for j in range(c + 1, cols):
-                ar, ai = cur[j]
-                zr, zi = top[j]
+        for i in range(len(rows)):
+            if i == r:
+                continue
+            cur = rows[i]
+            yr, yi = cur.get(c, _ZZ)
+            new = {}
+            for j in cur.keys() | top.keys():
+                if j == c:
+                    continue
+                ar, ai = cur.get(j, _ZZ)
+                zr, zi = top.get(j, _ZZ)
                 tr = ar * xr - ai * xi - yr * zr + yi * zi
                 ti = ar * xi + ai * xr - yr * zi - yi * zr
+                # divide by prev = pr + pi*i: multiply by its conjugate over n
                 qr, rr = divmod(tr * pr + ti * pi, n)
                 qi, ri = divmod(ti * pr - tr * pi, n)
                 if rr or ri:
                     raise ArithmeticError("inexact division in fraction-free elimination")
-                cur[j] = (qr, qi)
-            cur[c] = _ZZ
+                if qr or qi:
+                    new[j] = (qr, qi)
+            rows[i] = new
         pr, pi = xr, xi
         r += 1
-    return r
+    return r, (pr, pi)
+
+
+def mat_rank(a: ExactMatrix) -> int:
+    """Rank by fraction-free elimination on the Gaussian-integer numerators.
+
+    The shared denominator leaves the rank unchanged.
+    """
+    return _fraction_free(_numerator_rows(a), a.cols)[0]
 
 
 def minimal_poly_check(a: ExactMatrix, roots) -> bool:
@@ -722,33 +642,25 @@ def minimal_poly_check(a: ExactMatrix, roots) -> bool:
 
 
 def mat_inverse(a: ExactMatrix) -> ExactMatrix:
-    """Exact inverse by Gauss-Jordan elimination; raises if singular."""
+    """Exact inverse by fraction-free Gauss-Jordan; raises ArithmeticError if singular.
+
+    With a = N / den for the numerator matrix N, elimination on [N | I]
+    ends at [d*I | d*N^-1] with d the last pivot (det N up to sign), so
+    the inverse is den / d times the right-hand block.
+    """
     if not a.is_square():
         raise ValueError("inverse of a non-square matrix")
     n = a.rows
-    left = [list(a.row(i)) for i in range(n)]
-    right = [[GR_ONE if i == j else GR_ZERO for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if left[i][col]:
-                piv = i
-                break
-        if piv is None:
-            raise ArithmeticError("matrix is singular")
-        left[col], left[piv] = left[piv], left[col]
-        right[col], right[piv] = right[piv], right[col]
-        inv = GR_ONE / left[col][col]
-        left[col] = [e * inv for e in left[col]]
-        right[col] = [e * inv for e in right[col]]
-        for i in range(n):
-            if i == col:
-                continue
-            f = left[i][col]
-            if f:
-                left[i] = [x - f * y for x, y in zip(left[i], left[col])]
-                right[i] = [x - f * y for x, y in zip(right[i], right[col])]
-    return ExactMatrix(right)
+    rows = _numerator_rows(a)
+    for i, row in enumerate(rows):
+        row[n + i] = (1, 0)
+    rank, (dr, di) = _fraction_free(rows, n)
+    if rank < n:
+        raise ArithmeticError("matrix is singular")
+    adj = a._with({(i, j - n): e for i, row in enumerate(rows)
+                   for j, e in row.items() if j >= n}, 1)
+    # den / (dr + di*i) = den * (dr - di*i) / (dr^2 + di^2)
+    return adj.scale(_scalar(a._den * dr, -a._den * di, dr * dr + di * di))
 
 
 def vec_dagger(v):
@@ -768,41 +680,29 @@ def mat_vec(m: ExactMatrix, v):
     if m.cols != len(v):
         raise ValueError("dimension mismatch")
     vn, vd = _integer_vector(v)
+    re, im = [0] * m.rows, [0] * m.rows
+    for (i, j), (a, b) in m._c.items():
+        c, d = vn[j]
+        re[i] += a * c - b * d
+        im[i] += a * d + b * c
     den = m._den * vd
-    out = []
-    for row in m._r:
-        sa = sb = 0
-        for j, (a, b) in row.items():
-            c, d = vn[j]
-            sa += a * c - b * d
-            sb += a * d + b * c
-        out.append(_scalar(sa, sb, den))
-    return tuple(out)
+    return tuple(_scalar(x, y, den) for x, y in zip(re, im))
 
 
 def vec_mat(v, m: ExactMatrix):
     if m.rows != len(v):
         raise ValueError("dimension mismatch")
-    vn, vd = _integer_vector(v)
-    acc = {}
-    for (c, d), row in zip(vn, m._r):
-        if not (c or d):
-            continue
-        for j, (a, b) in row.items():
-            sa, sb = acc.get(j, _ZZ)
-            acc[j] = (sa + a * c - b * d, sb + a * d + b * c)
-    den = m._den * vd
-    return tuple(_scalar(*acc.get(j, _ZZ), den) for j in range(m.cols))
+    return mat_vec(m.transpose(), v)
 
 
 def vec_outer(u, v) -> ExactMatrix:
     """Column u times row v."""
     un, ud = _integer_vector(u)
     vn, vd = _integer_vector(v)
-    row_of_v = [(j, c, d) for j, (c, d) in enumerate(vn) if c or d]
-    r = tuple({j: (a * c - b * d, a * d + b * c) for j, c, d in row_of_v} if a or b else {}
-              for a, b in un)
-    return _reduced(len(un), len(vn), r, ud * vd)
+    row_of_v = [(j, x, y) for j, (x, y) in enumerate(vn) if x or y]
+    c = {(i, j): (a * x - b * y, a * y + b * x)
+         for i, (a, b) in enumerate(un) if a or b for j, x, y in row_of_v}
+    return ExactMatrix.zeros(len(un), len(vn))._with(*_lowest(c, ud * vd))
 
 
 def vec_scale(v, s):

@@ -29,9 +29,8 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import (GR_I, GR_MINUS_ONE, GR_ONE, GR_ZERO, GaussianRational,
-                    _ExactCoefficients, _lowest, _pruned, _reduced, _scalar, _times,
-                    as_fraction)
+from .exact import (GR_I, GR_MINUS_ONE, GR_ONE, GR_ZERO, ExactMatrix, GaussianRational,
+                    _ExactCoefficients, _lowest, _pruned, _scalar, as_fraction)
 
 METRIC_SIGNATURE = (1, 1, 1, -1)
 
@@ -103,7 +102,7 @@ class FockPolyState(_SchemeCoefficients):
             raise ValueError("scheme must be 1 or 2")
         self.truncation = truncation
         self.scheme = scheme
-        self._store(coeffs, self._occupation)
+        self._store((coeffs or {}).items(), self._occupation)
 
     def _occupation(self, k):
         k = tuple(int(e) for e in k)
@@ -205,15 +204,12 @@ def normalized_gram(truncation: int, scheme: int = 2) -> tuple:
     Distinct monomials are orthogonal, so only the diagonal is computed.
     """
     basis = monomial_basis(truncation)
-    rows, dens = [], []
+    diagonal = []
     for i, a in enumerate(basis):
         s = FockPolyState.basis_state(a, truncation, scheme)
         re, im, den = _overlap(s, s)
-        rows.append({i: (re, im)} if re or im else {})
-        dens.append(den * _factorial_weight(a))
-    den = math.lcm(*dens)
-    r = tuple(_times(row, den // d, 0) for row, d in zip(rows, dens))
-    return basis, _reduced(len(basis), len(basis), r, den)
+        diagonal.append(((i, i), _scalar(re, im, den * _factorial_weight(a))))
+    return basis, ExactMatrix.sparse(len(basis), len(basis), diagonal)
 
 
 def monomial_basis(truncation: int) -> list:
@@ -241,7 +237,7 @@ class BilinearOperator(_SchemeCoefficients):
 
     def __init__(self, coeffs=None, scheme=2):
         self.scheme = scheme
-        self._store(coeffs, tuple)
+        self._store((coeffs or {}).items(), tuple)
 
     def _check_compatible(self, other):
         if self.scheme != other.scheme:

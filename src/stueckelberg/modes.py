@@ -46,7 +46,7 @@ class QuadraticObservable(_ExactCoefficients):
     __slots__ = ()
 
     def __init__(self, coeffs=None):
-        self._store(coeffs, _monomial)
+        self._store((coeffs or {}).items(), _monomial)
 
     @staticmethod
     def zero():

@@ -16,7 +16,7 @@ from .exact import (ExactMatrix, GR_I, GR_ONE, GR_ZERO, GaussianRational,
                     as_fraction, mat_rank, rational_sqrt, vec_dagger, vec_dot,
                     vec_mat, vec_outer, vec_scale, mat_vec)
 from .epsilon import BIVECTOR_PAIRS, DIM11, BasisIndex
-from .wave import WaveMatrices, wave_matrices
+from .wave import wave_matrices
 
 SPIN_STATES = ((1, 1), (1, -1), (1, 0), (0, 0))  # (spin, projection)
 
@@ -82,9 +82,9 @@ class FourMomentum(namedtuple("FourMomentum", "p1 p2 p3 p0 m")):
                 GaussianRational(self.p3), GaussianRational(0, self.p0))
 
 
-def p_slash(p: FourMomentum, w: WaveMatrices | None = None) -> ExactMatrix:
+def p_slash(p: FourMomentum) -> ExactMatrix:
     """Contraction of the wave matrices with the covariant momentum."""
-    w = w or wave_matrices()
+    w = wave_matrices()
     comps = p.components()
     out = ExactMatrix.zeros(11)
     for mu in (1, 2, 3, 4):
@@ -94,21 +94,20 @@ def p_slash(p: FourMomentum, w: WaveMatrices | None = None) -> ExactMatrix:
     return out
 
 
-def energy_projector(p: FourMomentum, eps: int, w: WaveMatrices | None = None,
-                     ps: ExactMatrix | None = None) -> ExactMatrix:
+def energy_projector(p: FourMomentum, eps: int, ps: ExactMatrix | None = None) -> ExactMatrix:
     """Idempotent extracting the energy-sign eps solutions of the wave equation.
 
-    ps is p_slash(p, w), built here when not given.
+    ps is p_slash(p), built here when not given.
     """
     if eps not in (1, -1):
         raise ValueError("energy sign must be +1 or -1")
-    ps = p_slash(p, w) if ps is None else ps
+    ps = p_slash(p) if ps is None else ps
     ips = ps * GR_I
     m = GaussianRational(p.m)
     return (ips @ (ips - ExactMatrix.identity(11) * (m * eps))) / (m * m * 2)
 
 
-def spin_squared(p: FourMomentum, w: WaveMatrices | None = None) -> ExactMatrix:
+def spin_squared(p: FourMomentum) -> ExactMatrix:
     """Squared Pauli-Lubanski operator in the 11-dimensional representation.
 
     The generator-square contraction runs over unordered index pairs
@@ -117,7 +116,7 @@ def spin_squared(p: FourMomentum, w: WaveMatrices | None = None) -> ExactMatrix:
     Both conventions are pinned by equality with the explicit
     Levi-Civita form, which the test suite checks.
     """
-    w = w or wave_matrices()
+    w = wave_matrices()
     comps = p.components()
     p2 = GaussianRational(p.p_squared)
     jj = ExactMatrix.zeros(11)
@@ -147,9 +146,9 @@ _EPS3 = {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
          (1, 3, 2): -1, (3, 2, 1): -1, (2, 1, 3): -1}
 
 
-def spin_projection_op(p: FourMomentum, w: WaveMatrices | None = None) -> ExactMatrix:
+def spin_projection_op(p: FourMomentum) -> ExactMatrix:
     """Spin projection on the momentum direction; needs |p| rational and nonzero."""
-    w = w or wave_matrices()
+    w = wave_matrices()
     if p.is_at_rest():
         raise RestFrameError("rest-frame: spin direction undefined")
     norm = p.spatial_norm()
@@ -196,16 +195,15 @@ class ProjectorFamily(namedtuple("ProjectorFamily", "momentum p_slash m_plus m_m
     __slots__ = ()
 
     @staticmethod
-    def build(p: FourMomentum, w: WaveMatrices | None = None) -> "ProjectorFamily":
-        w = w or wave_matrices()
-        ps = p_slash(p, w)
-        m_plus = energy_projector(p, 1, w, ps)
-        m_minus = energy_projector(p, -1, w, ps)
-        sigma2 = spin_squared(p, w)
+    def build(p: FourMomentum) -> "ProjectorFamily":
+        ps = p_slash(p)
+        m_plus = energy_projector(p, 1, ps)
+        m_minus = energy_projector(p, -1, ps)
+        sigma2 = spin_squared(p)
         s2 = {s: spin_square_projector(sigma2, s) for s in (0, 1)}
         sigma_p, sp, deltas = None, {}, {}
         if not p.is_at_rest():
-            sigma_p = spin_projection_op(p, w)
+            sigma_p = spin_projection_op(p)
             sp = {q: spin_projection_projector(sigma_p, q) for q in (-1, 0, 1)}
             for eps, m_eps in ((1, m_plus), (-1, m_minus)):
                 for spin, proj in SPIN_STATES:
@@ -213,8 +211,7 @@ class ProjectorFamily(namedtuple("ProjectorFamily", "momentum p_slash m_plus m_m
         return ProjectorFamily(p, ps, m_plus, m_minus, sigma2, sigma_p, s2, sp, deltas)
 
 
-def pure_state_projector(p: FourMomentum, eps: int, spin: int, proj: int,
-                         w: WaveMatrices | None = None) -> ExactMatrix:
+def pure_state_projector(p: FourMomentum, eps: int, spin: int, proj: int) -> ExactMatrix:
     """Rank-1 density matrix for definite energy sign, spin, and projection."""
     if (spin, proj) not in SPIN_STATES:
         raise ValueError(f"invalid (spin, projection) pair ({spin}, {proj})")
@@ -222,7 +219,7 @@ def pure_state_projector(p: FourMomentum, eps: int, spin: int, proj: int,
         raise ValueError("energy sign must be +1 or -1")
     if p.is_at_rest():
         raise RestFrameError("rest-frame: spin direction undefined")
-    return ProjectorFamily.build(p, w).deltas[(eps, spin, proj)]
+    return ProjectorFamily.build(p).deltas[(eps, spin, proj)]
 
 
 class SolutionDyad(namedtuple("SolutionDyad", "psi psi_bar labels norm_sign")):
@@ -316,17 +313,15 @@ def _norm_split(q: Fraction) -> GaussianRational | None:
     return GaussianRational(Fraction(x, q.denominator), Fraction(y, q.denominator))
 
 
-def dyad_factorize(delta: ExactMatrix, labels=(0, 0, 0),
-                   w: WaveMatrices | None = None) -> SolutionDyad:
+def dyad_factorize(delta: ExactMatrix, labels=(0, 0, 0)) -> SolutionDyad:
     """Split a rank-1 idempotent into a normalized column and its metric row."""
-    w = w or wave_matrices()
     if mat_rank(delta) != 1:
         raise ValueError("not a pure state: projector rank differs from 1")
     # the first column of largest squared magnitude, read off the diagonal
     # of delta^+ delta
     col_norms = delta.dagger() @ delta
     psi = delta.column(max(range(delta.cols), key=lambda j: col_norms[j, j].re))
-    eta = w.eta
+    eta = wave_matrices().eta
     nu = vec_dot(vec_dagger(psi), mat_vec(eta, psi))
     if not nu:
         raise ArithmeticError("candidate column has null metric norm")
@@ -345,17 +340,16 @@ def dyad_factorize(delta: ExactMatrix, labels=(0, 0, 0),
 
 
 def verify_first_order_solution(d: SolutionDyad, p: FourMomentum, eps: int,
-                                w: WaveMatrices | None = None,
                                 ps: ExactMatrix | None = None) -> bool:
     """Check the eigen-equation and the component layout of the solution.
 
     The plane-wave rule maps the gradient to i*eps*p on the energy-sign
     eps branch; the bivector slots must then be the antisymmetrised
     derivative of the vector slots scaled by 1/m, and the scalar slot
-    minus the divergence scaled by 1/m.  ps is p_slash(p, w), built here
-    when not given.
+    minus the divergence scaled by 1/m.  ps is p_slash(p), built here when
+    not given.
     """
-    ps = p_slash(p, w) if ps is None else ps
+    ps = p_slash(p) if ps is None else ps
     lhs = vec_scale(mat_vec(ps, d.psi), -GR_I)
     rhs = vec_scale(d.psi, GaussianRational(eps * p.m))
     if lhs != rhs:

@@ -302,11 +302,11 @@ class Projectors(Suite):
 
     @cached_property
     def fam(self):
-        return ProjectorFamily.build(self.p, self.w)
+        return ProjectorFamily.build(self.p)
 
     @cached_property
     def dyads(self):
-        return {k: dyad_factorize(self.fam.deltas[k], labels=k, w=self.w) for k in STATE_KEYS}
+        return {k: dyad_factorize(self.fam.deltas[k], labels=k) for k in STATE_KEYS}
 
     momentum_shell = identity(
         "momentum-shell", "the four-momentum satisfies the exact mass-shell constraint",
@@ -477,7 +477,7 @@ class Projectors(Suite):
               MOVING_FRAME)
     def layout(self):
         for k, d in self.dyads.items():
-            if not verify_first_order_solution(d, self.p, k[0], self.w, self.fam.p_slash):
+            if not verify_first_order_solution(d, self.p, k[0], self.fam.p_slash):
                 return False, f"state {k}"
         return True
 

@@ -112,8 +112,8 @@ def test_criterion_07_canonical_formalism():
     needed = ("charges-conserved", "generating-function", "structure-constants",
               "hamiltonian-two-forms")
     ok = all(_record(records, i).status == "pass" for i in needed)
-    ok = ok and all(r.status == "pass" for r in records) and elapsed < 1.5
-    _conclude(7, "canonical charges, generating function, structure constants, under 1.5 s",
+    ok = ok and all(r.status == "pass" for r in records) and elapsed < 0.75
+    _conclude(7, "canonical charges, generating function, structure constants, under 0.75 s",
               ok, f"{elapsed:.1f} s")
 
 

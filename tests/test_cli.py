@@ -309,6 +309,32 @@ def test_json_report_bytes_are_unchanged(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# The `dump` side of the contract: these digests do not come from the
+# writers that `test_matrix_json_matches_the_json_module` compares, so a
+# fault in the matrix store that both writers share still changes them.
+DUMP_DIGESTS = [
+    (("dump", "gram", "--truncation", "4", "--scheme", "1"),
+     "be275f3d3f7bc4aacd412298c46093929a30f3b92f57af8f50e82c27d301c311"),
+    (("dump", "gram", "--truncation", "4", "--scheme", "2"),
+     "e6f255dba38f1503fdbcf006afd8b09e08014fb80a7b12a34e4926cc24264904"),
+    (("dump", "epsilon", "--space", "dim11", "--a", "1", "--b", "[12]"),
+     "eac9dacb5b1bf52689866b8e2818c3e6856778203a5c207b583477f089971413"),
+    (("dump", "wave-matrices"),
+     "8481aabc36a2d4390aca3b5475c080f61823b3899e82d88711bf4b74f3a29c8c"),
+    (("dump", "solutions", "--mass", "24", "--momentum", "2,3,6", "--spin", "0",
+      "--projection", "0"),
+     "16833a1b0c63dbea3163915f8e307819d4bdab0cf018fba49ec5e554703b19de"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", DUMP_DIGESTS,
+                         ids=[" ".join(argv) for argv, _ in DUMP_DIGESTS])
+def test_dump_bytes_are_unchanged(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_PASS
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "fock", "--truncation", str(report.MAX_TRUNCATION + 1)),
     ("verify", "all", "--truncation", "1000000"),

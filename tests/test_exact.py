@@ -211,6 +211,15 @@ def test_kernel_matches_dense_reference(data):
     assert mat_rank(a) == _naive_rank(ga)
     assert a.is_zero() == all(not x for row in ga for x in row)
     assert (a - a).is_zero() and a - a == ExactMatrix.zeros(n, k)
+    # the same entries in a larger shape are another matrix
+    assert ExactMatrix.sparse(n + 1, k, a.coeffs.items()) != a
+    if n == k:
+        if mat_rank(a) == n:
+            inv = mat_inverse(a)
+            assert a @ inv == ExactMatrix.identity(n) and inv @ a == ExactMatrix.identity(n)
+        else:
+            with pytest.raises(ArithmeticError):
+                mat_inverse(a)
 
     v = data.draw(st.lists(entries, min_size=k, max_size=k))
     u = data.draw(st.lists(entries, min_size=n, max_size=n))
@@ -246,6 +255,17 @@ def test_absent_entry_is_the_shared_zero():
         m[0, 4]
     with pytest.raises(IndexError):
         m[3, 0]
+
+
+@pytest.mark.parametrize("read", [lambda m: m[-1, 0], lambda m: m[0, -1], lambda m: m[2, 0],
+                                  lambda m: m[0, 2], lambda m: m.row(-1), lambda m: m.row(2),
+                                  lambda m: m.column(-1), lambda m: m.column(2)],
+                         ids=["m[-1,0]", "m[0,-1]", "m[2,0]", "m[0,2]", "row(-1)", "row(2)",
+                              "column(-1)", "column(2)"])
+def test_index_outside_the_shape_raises(read):
+    m = ExactMatrix([[1, 2], [3, 4]])
+    with pytest.raises(IndexError, match=r"\(-1, |, -1\)|\(2, |, 2\)"):
+        read(m)
 
 
 def test_wave_matrices_keep_the_dense_wire_format():

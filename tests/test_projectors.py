@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from stueckelberg.exact import (ExactMatrix, GR_I, GR_MINUS_ONE, GR_ONE,
+from stueckelberg.exact import (ExactMatrix, GR_MINUS_ONE, GR_ONE,
                                 GR_ZERO, GaussianRational, mat_commutator,
                                 mat_rank, mat_vec, minimal_poly_check,
                                 vec_dagger, vec_dot, vec_mat, vec_outer,
@@ -49,61 +49,61 @@ def test_spatial_norm_rationality():
 
 def test_rest_frame_pslash(w):
     p = FourMomentum.from_mass_and_momentum(3, (0, 0, 0))
-    ps = p_slash(p, w)
+    ps = p_slash(p)
     assert ps == w.alpha[4] * GaussianRational(0, 3)
 
 
-def test_pslash_cubic_and_trace(w, p435):
-    ps = p_slash(p435, w)
+def test_pslash_cubic_and_trace(p435):
+    ps = p_slash(p435)
     assert ps @ ps @ ps == ps * GaussianRational(p435.p_squared)
     assert not ps.trace()
 
 
 @pytest.mark.parametrize("mass,mom", MOMENTA)
-def test_energy_projectors(w, mass, mom):
+def test_energy_projectors(mass, mom):
     p = FourMomentum.from_mass_and_momentum(mass, mom)
-    mp = energy_projector(p, 1, w)
-    mm = energy_projector(p, -1, w)
+    mp = energy_projector(p, 1)
+    mm = energy_projector(p, -1)
     assert mp @ mp == mp and mm @ mm == mm
     assert (mp @ mm).is_zero()
     assert mat_rank(mp) == 4 and mat_rank(mm) == 4
-    ps = p_slash(p, w)
+    ps = p_slash(p)
     m2 = GaussianRational(p.m * p.m)
     assert mp + mm == (ps @ ps) * (GR_MINUS_ONE / m2)
 
 
-def test_spin_squared_minimal(w, p435):
-    s2 = spin_squared(p435, w)
+def test_spin_squared_minimal(p435):
+    s2 = spin_squared(p435)
     assert minimal_poly_check(s2, [GR_ZERO, GaussianRational(2)])
     assert not s2.is_zero()
     assert s2 != ExactMatrix.identity(11) * GaussianRational(2)
 
 
-def test_spin_squared_in_rest_frame(w):
+def test_spin_squared_in_rest_frame():
     p = FourMomentum.from_mass_and_momentum(2, (0, 0, 0))
-    s2 = spin_squared(p, w)
+    s2 = spin_squared(p)
     assert minimal_poly_check(s2, [GR_ZERO, GaussianRational(2)])
 
 
 def test_spin_projection_structure(w, p435):
-    sp = spin_projection_op(p435, w)
+    sp = spin_projection_op(p435)
     assert sp == w.lorentz[(1, 2)] * GaussianRational(0, -1)
     assert minimal_poly_check(sp, [GR_ZERO, GR_ONE, GR_MINUS_ONE])
-    assert mat_commutator(sp, p_slash(p435, w)).is_zero()
-    s2 = spin_squared(p435, w)
+    assert mat_commutator(sp, p_slash(p435)).is_zero()
+    s2 = spin_squared(p435)
     assert (s2 / GaussianRational(2)) @ sp == sp
 
 
-def test_spin_projection_rest_frame_error(w):
+def test_spin_projection_rest_frame_error():
     p = FourMomentum.from_mass_and_momentum(2, (0, 0, 0))
     with pytest.raises(RestFrameError):
-        spin_projection_op(p, w)
+        spin_projection_op(p)
 
 
-def test_spin_projection_irrational_norm(w):
+def test_spin_projection_irrational_norm():
     p = FourMomentum.from_mass_and_momentum(1, (1, 1, 1))
     with pytest.raises(IrrationalMomentumError):
-        spin_projection_op(p, w)
+        spin_projection_op(p)
 
 
 def test_pure_state_projector_argument_validation(p435):
@@ -120,9 +120,9 @@ def test_pure_state_projector_argument_validation(p435):
 @pytest.mark.parametrize("mass,mom", MOMENTA)
 def test_dyads(w, mass, mom):
     p = FourMomentum.from_mass_and_momentum(mass, mom)
-    fam = ProjectorFamily.build(p, w)
+    fam = ProjectorFamily.build(p)
     for key, delta in sorted(fam.deltas.items()):
-        d = dyad_factorize(delta, labels=key, w=w)
+        d = dyad_factorize(delta, labels=key)
         assert vec_outer(d.psi, d.psi_bar) == delta
         sign = GaussianRational(d.norm_sign)
         assert d.psi_bar == vec_scale(vec_mat(vec_dagger(d.psi), w.eta), sign)
@@ -131,42 +131,24 @@ def test_dyads(w, mass, mom):
         # a rank-one idempotent fixes its own column
         assert mat_vec(delta, d.psi) == d.psi
         assert d.norm_sign == (1 if key[1] == 1 else -1)
-        assert verify_first_order_solution(d, p, key[0], w)
+        assert verify_first_order_solution(d, p, key[0])
 
 
-def test_dyad_rejects_higher_rank(w, p435):
+def test_dyad_rejects_higher_rank(p435):
     with pytest.raises(ValueError, match="pure state"):
-        dyad_factorize(energy_projector(p435, 1, w), w=w)
+        dyad_factorize(energy_projector(p435, 1))
 
 
-def test_eigen_equation_per_dyad(w, p435):
-    ps = p_slash(p435, w)
-    fam = ProjectorFamily.build(p435, w)
-    for key, delta in fam.deltas.items():
-        d = dyad_factorize(delta, labels=key, w=w)
-        lhs = vec_scale(mat_vec(ps, d.psi), -GR_I)
-        assert lhs == vec_scale(d.psi, GaussianRational(key[0] * p435.m))
-
-
-def test_random_vector_fails_verification(w, p435):
+def test_random_vector_fails_verification(p435):
     rng = random.Random(11)
     psi = tuple(GaussianRational(rng.randint(1, 5), rng.randint(0, 3)) for _ in range(11))
     bad = SolutionDyad(psi=psi, psi_bar=psi, labels=(1, 1, 1), norm_sign=1)
-    assert not verify_first_order_solution(bad, p435, 1, w)
+    assert not verify_first_order_solution(bad, p435, 1)
 
 
-def test_spin0_dyad_is_scalar_vector_only(w):
-    for mass, mom in MOMENTA:
-        p = FourMomentum.from_mass_and_momentum(mass, mom)
-        fam = ProjectorFamily.build(p, w)
-        for e in (1, -1):
-            d = dyad_factorize(fam.deltas[(e, 0, 0)], labels=(e, 0, 0), w=w)
-            assert all(not d.psi[pos] for pos in range(5, 11))
-
-
-def test_rest_frame_family_has_no_spin_states(w):
+def test_rest_frame_family_has_no_spin_states():
     p = FourMomentum.from_mass_and_momentum(2, (0, 0, 0))
-    fam = ProjectorFamily.build(p, w)
+    fam = ProjectorFamily.build(p)
     assert fam.sigma_p is None
     assert fam.deltas == {}
 

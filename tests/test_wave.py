@@ -1,11 +1,8 @@
-from itertools import product
-
 import pytest
 
 from stueckelberg.epsilon import BIVECTOR_PAIRS, DIM11, BasisIndex
 from stueckelberg.exact import GR_ONE, GaussianRational, mat_commutator
-from stueckelberg.wave import (alpha_lorentz_bracket_rhs, build_lorentz,
-                               pdk_holds, wave_matrices)
+from stueckelberg.wave import build_lorentz, wave_matrices
 
 IDX = (1, 2, 3, 4)
 
@@ -39,10 +36,6 @@ def test_trilinear_examples(w):
     assert (c[1] @ c[1] @ c[1]) * two == c[1] * two
 
 
-def test_alpha_violates_trilinear(w):
-    assert any(not pdk_holds(w.alpha, *t) for t in product(IDX, repeat=3))
-
-
 def test_lorentz_generator_shape(w):
     for (mu, nu) in BIVECTOR_PAIRS:
         j = w.lorentz[(mu, nu)]
@@ -57,21 +50,8 @@ def test_lorentz_commutator_examples(w):
     assert mat_commutator(w.alpha[1], w.lorentz[(1, 2)]) == w.alpha[2]
 
 
-def test_alpha_vector_transformation(w):
-    for lam in IDX:
-        for mn in BIVECTOR_PAIRS:
-            lhs = mat_commutator(w.alpha[lam], w.lorentz[mn])
-            assert lhs == alpha_lorentz_bracket_rhs(w, lam, *mn), (lam, mn)
-
-
 def test_eta_scalar_entry(w):
     assert w.eta[0, 0] == -GR_ONE
-
-
-def test_eta1_block(w):
-    for i in (1, 2, 3):
-        assert w.eta1 @ w.beta1[i] == -(w.beta1[i] @ w.eta1)
-    assert w.eta1 @ w.beta1[4] == w.beta1[4] @ w.eta1
 
 
 def test_build_lorentz_rejects_equal_indices():
