@@ -293,16 +293,26 @@ class _ExactCoefficients:
 
         Values under one key add up.
         """
-        keys, values = [], []
+        parts, den = [], 1
         for k, v in pairs:
-            v = GaussianRational._coerce(v)
-            if v is None:
-                raise TypeError("coefficients must be exact scalars")
-            keys.append(key(k))
-            values.append(v)
-        nums, den = _integer_vector(values)
+            t = type(v)
+            if t is int:
+                a, b, d = v, 0, 1
+            elif t is Fraction:
+                a, b, d = v.numerator, 0, v.denominator
+            else:
+                v = GaussianRational._coerce(v)
+                if v is None:
+                    raise TypeError("coefficients must be exact scalars")
+                a, b, d = _split(v)
+            parts.append((key(k), a, b, d))
+            if d != den:
+                den = math.lcm(den, d)
         c = {}
-        for k, (a, b) in zip(keys, nums):
+        for k, a, b, d in parts:
+            if d != den:
+                f = den // d
+                a, b = a * f, b * f
             e = c.get(k)
             c[k] = (a, b) if e is None else (e[0] + a, e[1] + b)
         self._c, self._den = _lowest(_pruned(c), den)

@@ -21,6 +21,17 @@ numerator (re, im) of Python ints, over one positive denominator shared
 by the whole object and kept in lowest terms.  The actions, commutators
 and inner products below run on those ints.  `coeffs` is a read-only
 view of the coefficients as `GaussianRational`s, built on each access.
+
+Each operator kind has one action rule, a loop over (monomial, payload)
+pairs that yields each monomial's image and integer factor: the sign
+table, the index shift and the factor n appear there and nowhere else
+(`_ladder_images` for creation and annihilation, `_bilinear_images` for
+an elementary bilinear a+_i a_j).  `apply_ladder` and
+`BilinearOperator.apply` run it on a state's numerators; `ladder_matrix`
+and `BilinearOperator.matrix` run it once over a list of basis
+monomials and return the operator as a sparse `ExactMatrix`, column c
+holding the image of the c-th monomial in the row order of a second
+list.  A claim about every basis state is then one matrix equation.
 """
 
 from __future__ import annotations
@@ -29,8 +40,8 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import (GR_I, GR_MINUS_ONE, GR_ONE, GR_ZERO, ExactMatrix, GaussianRational,
-                    _ExactCoefficients, _lowest, _pruned, _scalar, as_fraction)
+from .exact import (GR_I, GR_ONE, ExactMatrix, GaussianRational, _ExactCoefficients,
+                    _lowest, _pruned, _scalar, as_fraction)
 
 METRIC_SIGNATURE = (1, 1, 1, -1)
 
@@ -98,15 +109,18 @@ class FockPolyState(_SchemeCoefficients):
     __slots__ = ("truncation",)
 
     def __init__(self, coeffs=None, truncation=DEFAULT_TRUNCATION, scheme=2):
+        self._frame(truncation, scheme)
+        self._store((coeffs or {}).items(), self._occupation)
+
+    def _frame(self, truncation, scheme):
         if scheme not in (1, 2):
             raise ValueError("scheme must be 1 or 2")
         self.truncation = truncation
         self.scheme = scheme
-        self._store((coeffs or {}).items(), self._occupation)
 
     def _occupation(self, k):
-        k = tuple(int(e) for e in k)
-        if len(k) != 4 or any(e < 0 for e in k):
+        k = tuple(map(int, k))
+        if len(k) != 4 or min(k) < 0:
             raise ValueError(f"bad occupation tuple {k}")
         if sum(k) > self.truncation:
             raise TruncationOverflowError(
@@ -119,7 +133,11 @@ class FockPolyState(_SchemeCoefficients):
 
     @staticmethod
     def basis_state(n, truncation=DEFAULT_TRUNCATION, scheme=2):
-        return FockPolyState({tuple(n): GR_ONE}, truncation, scheme)
+        """The monomial n with coefficient 1."""
+        s = object.__new__(FockPolyState)
+        s._frame(truncation, scheme)
+        s._c, s._den = {s._occupation(n): (1, 0)}, 1
+        return s
 
     def _check_compatible(self, other):
         if self.scheme != other.scheme:
@@ -133,30 +151,94 @@ class FockPolyState(_SchemeCoefficients):
         return out
 
 
-def apply_ladder(op: LadderOp, s: FockPolyState) -> FockPolyState:
-    """Apply one ladder operator; creation past the cutoff is an error."""
+def _ladder_images(op: LadderOp, scheme: int, truncation: int, items):
+    """The action rule of one ladder operator on (monomial, payload) pairs.
+
+    Yields (image, factor, payload) for each monomial the operator does
+    not kill.  Creation multiplies by the mode's symbol (factor 1) and
+    raises past the cutoff; annihilation differentiates: factor the
+    scheme's sign for the mode times the occupation n, and monomials
+    with n = 0 are killed.  Distinct monomials have distinct images.
+    """
     m = op.mode - 1
-    out = {}
     if op.direction == "create":
-        for k, v in s._c.items():
-            if sum(k) + 1 > s.truncation:
+        for k, p in items:
+            if sum(k) + 1 > truncation:
                 raise TruncationOverflowError(
-                    f"creation on degree-{sum(k)} monomial exceeds truncation {s.truncation}")
+                    f"creation on degree-{sum(k)} monomial exceeds truncation {truncation}")
             nk = list(k)
             nk[m] += 1
-            out[tuple(nk)] = v
-        # creation maps distinct monomials to distinct ones, numerators unchanged
-        return s._with(out, s._den)
-    sign = _ANNIHILATION_SIGNS[s.scheme][m]
-    for k, (a, b) in s._c.items():
-        n = k[m]
-        if n == 0:
-            continue
-        nk = list(k)
-        nk[m] -= 1
-        f = sign * n
-        out[tuple(nk)] = (a * f, b * f)
+            yield tuple(nk), 1, p
+    else:
+        sign = _ANNIHILATION_SIGNS[scheme][m]
+        for k, p in items:
+            n = k[m]
+            if n:
+                nk = list(k)
+                nk[m] -= 1
+                yield tuple(nk), sign * n, p
+
+
+def _bilinear_images(i: int, j: int, scheme: int, items):
+    """The action rule of the elementary bilinear a+_i a_j on (monomial, payload) pairs.
+
+    Yields (image, factor, payload) for each monomial with n = n_j > 0:
+    one quantum moves from mode j to mode i, with the factor the
+    scheme's sign for mode j times n.
+    """
+    sign = _ANNIHILATION_SIGNS[scheme][j - 1]
+    i -= 1
+    j -= 1
+    for k, p in items:
+        n = k[j]
+        if n:
+            if i == j:
+                yield k, sign * n, p
+            else:
+                nk = list(k)
+                nk[j] -= 1
+                nk[i] += 1
+                yield tuple(nk), sign * n, p
+
+
+def _image_matrix(cols, rows, parts, den):
+    """ExactMatrix, len(rows) x len(cols), of a sum of elementary operators.
+
+    parts yields (images, (cr, ci)): the (image, factor, column) triples
+    of one elementary operator on the monomials cols, and its
+    Gaussian-integer coefficient; den is the denominator they share.
+    An image outside rows raises ValueError.
+    """
+    index = {k: r for r, k in enumerate(rows)}
+    out = {}
+    for images, (cr, ci) in parts:
+        for nk, f, c in images:
+            r = index.get(nk)
+            if r is None:
+                raise ValueError(f"image {nk} of monomial {cols[c]} is outside the row set")
+            rc = (r, c)
+            e = out.get(rc)
+            out[rc] = (cr * f, ci * f) if e is None else (e[0] + cr * f, e[1] + ci * f)
+    return ExactMatrix.zeros(len(rows), len(cols))._with(*_lowest(_pruned(out), den))
+
+
+def apply_ladder(op: LadderOp, s: FockPolyState) -> FockPolyState:
+    """Apply one ladder operator; creation past the cutoff is an error."""
+    out = {nk: (a * f, b * f)
+           for nk, f, (a, b) in _ladder_images(op, s.scheme, s.truncation, s._c.items())}
     return s._with(*_lowest(out, s._den))
+
+
+def ladder_matrix(op: LadderOp, cols, rows, truncation: int, scheme: int = 2) -> ExactMatrix:
+    """`apply_ladder` as a matrix from the span of the monomials cols into that of rows.
+
+    Column c is the image of cols[c] at this truncation and scheme, read
+    in the order of rows.  Creation past the cutoff raises
+    TruncationOverflowError and an image outside rows ValueError.
+    """
+    columns = list(zip(cols, range(len(cols))))
+    images = _ladder_images(op, scheme, truncation, columns)
+    return _image_matrix(cols, rows, [(images, (1, 0))], 1)
 
 
 def _factorial_weight(k) -> int:
@@ -204,12 +286,17 @@ def normalized_gram(truncation: int, scheme: int = 2) -> tuple:
     Distinct monomials are orthogonal, so only the diagonal is computed.
     """
     basis = monomial_basis(truncation)
-    diagonal = []
-    for i, a in enumerate(basis):
+    entries, den = [], 1
+    for a in basis:
         s = FockPolyState.basis_state(a, truncation, scheme)
-        re, im, den = _overlap(s, s)
-        diagonal.append(((i, i), _scalar(re, im, den * _factorial_weight(a))))
-    return basis, ExactMatrix.sparse(len(basis), len(basis), diagonal)
+        re, im, d = _overlap(s, s)
+        d *= _factorial_weight(a)
+        g = math.gcd(re, im, d)
+        entries.append((re // g, im // g, d // g))
+        den = math.lcm(den, d // g)
+    c = {(i, i): (re * (den // d), im * (den // d))
+         for i, (re, im, d) in enumerate(entries) if re or im}
+    return basis, ExactMatrix.zeros(len(basis), len(basis))._with(*_lowest(c, den))
 
 
 def monomial_basis(truncation: int) -> list:
@@ -246,30 +333,25 @@ class BilinearOperator(_SchemeCoefficients):
     def apply(self, s: FockPolyState) -> FockPolyState:
         if s.scheme != self.scheme:
             raise SchemeMismatchError("operator and state schemes differ")
-        signs = _ANNIHILATION_SIGNS[s.scheme]
         state = s._c.items()
         out = {}
         for (i, j), (cr, ci) in self._c.items():
-            i -= 1
-            j -= 1
-            sign = signs[j]
-            for k, (a, b) in state:
-                n = k[j]
-                if n == 0:
-                    continue
-                if i == j:
-                    nk = k
-                else:
-                    nk = list(k)
-                    nk[j] -= 1
-                    nk[i] += 1
-                    nk = tuple(nk)
-                f = sign * n
+            for nk, f, (a, b) in _bilinear_images(i, j, s.scheme, state):
                 x = (a * cr - b * ci) * f
                 y = (a * ci + b * cr) * f
                 e = out.get(nk)
                 out[nk] = (x, y) if e is None else (e[0] + x, e[1] + y)
         return s._with(*_lowest(_pruned(out), s._den * self._den))
+
+    def matrix(self, cols, rows) -> ExactMatrix:
+        """`apply` as a matrix from the span of the monomials cols into that of rows.
+
+        Column c is the image of cols[c], read in the order of rows; an
+        image outside rows raises ValueError.
+        """
+        columns = list(zip(cols, range(len(cols))))
+        return _image_matrix(cols, rows, ((_bilinear_images(i, j, self.scheme, columns), e)
+                                          for (i, j), e in self._c.items()), self._den)
 
     def commutator(self, other: "BilinearOperator") -> "BilinearOperator":
         """Exact operator commutator; bilinears close among themselves."""
@@ -371,47 +453,50 @@ def quantize(obs, k0, scheme: int = 2) -> BilinearOperator:
     if scheme != 2:
         raise SchemeMismatchError("quantisation targets the indefinite-metric scheme")
     k0 = as_fraction(k0)
-    create_create = {}
-    annih_annih = {}
-    bilinear = {}
-
-    def add(table, key, v):
-        table[key] = table.get(key, GR_ZERO) + v
-
+    if not k0:
+        raise ZeroDivisionError("quantisation needs a nonzero k0")
     # q_mu = (b + b+)/sqrt(2 k0): ladder sign +1; pi_mu = -i sqrt(k0/2)(b - b+):
     # ladder sign -1.  The radical prefactors only ever meet in pairs:
-    #   q.q -> 1/(2 k0),  pi.pi -> -k0/2,  q.pi -> -i/2.
-    def symbol_sign(idx):
-        return GR_ONE if idx < 4 else GR_MINUS_ONE
+    #   q.q -> 1/(2 k0),  pi.pi -> -k0/2,  q.pi -> -i/2,
+    # that is q^2, -p^2 and -i pq over 2pq for k0 = p/q (signs flipped
+    # with p, so that the denominator stays positive).
+    p, q = k0.numerator, k0.denominator
+    s = 1 if p > 0 else -1
+    pair_factor = {(True, True): (s * q * q, 0), (False, False): (-s * p * p, 0),
+                   (True, False): (0, -s * p * q), (False, True): (0, -s * p * q)}
+    den = obs._den * 2 * abs(p) * q
+    create_create, annih_annih, bilinear = {}, {}, {}
 
-    def pair_factor(idx_a, idx_b):
-        qa, qb = idx_a < 4, idx_b < 4
-        if qa and qb:
-            return GaussianRational(Fraction(1, 2) / k0)
-        if not qa and not qb:
-            return GaussianRational(-k0 / 2)
-        return GaussianRational(0, Fraction(-1, 2))
+    def add(table, key, x, y):
+        e = table.get(key)
+        table[key] = (x, y) if e is None else (e[0] + x, e[1] + y)
 
-    for key, coeff in obs.coeffs.items():
+    for key, (a, b) in obs._c.items():
         if len(key) != 2:
             raise ValueError("only homogeneous quadratics quantise to ladder bilinears")
         i, j = key
         mu, nu = (i % 4) + 1, (j % 4) + 1
-        si, sj = symbol_sign(i), symbol_sign(j)
-        base = coeff * pair_factor(i, j)
+        si, sj = (1 if i < 4 else -1), (1 if j < 4 else -1)
+        fr, fi = pair_factor[i < 4, j < 4]
+        x, y = a * fr - b * fi, a * fi + b * fr
+        pair = (min(mu, nu), max(mu, nu))
         # (b_mu + si b_mu^+)(b_nu + sj b_nu^+), classical commuting symbols;
         # the mixed product is identified with the normal-ordered operator.
-        add(annih_annih, tuple(sorted((mu, nu))), base)
-        add(bilinear, (nu, mu), base * sj)
-        add(bilinear, (mu, nu), base * si)
-        add(create_create, tuple(sorted((mu, nu))), base * si * sj)
-    residue = {k: v for table in (create_create, annih_annih) for k, v in table.items() if v}
+        add(annih_annih, pair, x, y)
+        add(bilinear, (nu, mu), x * sj, y * sj)
+        add(bilinear, (mu, nu), x * si, y * si)
+        add(create_create, pair, x * si * sj, y * si * sj)
+    residue = {k: _scalar(x, y, den) for table in (create_create, annih_annih)
+               for k, (x, y) in table.items() if x or y}
     if residue:
         raise ValueError(f"observable is not a ladder bilinear: residue {residue}")
     out = {}
-    for (m, n), v in bilinear.items():
-        add(out, (m, n), v * covariant_ladder_phase(m) * covariant_ladder_phase(n))
-    return BilinearOperator(out, scheme)
+    for (m, n), (x, y) in bilinear.items():
+        # the product of two covariant phases is 1, i or -1
+        ph = covariant_ladder_phase(m) * covariant_ladder_phase(n)
+        pr, pi = ph.re.numerator, ph.im.numerator
+        out[m, n] = (x * pr - y * pi, x * pi + y * pr)
+    return BilinearOperator(None, scheme)._with(*_lowest(_pruned(out), den))
 
 
 def apply_covariant(mu: int, dagger: bool, s: FockPolyState) -> FockPolyState:

@@ -23,9 +23,9 @@ EXIT_CONFIG = 2
 
 # Largest accepted Fock truncation.  The fock suite's cost grows with the
 # basis size C(N+4, 4): `verify fock --scheme both` in a fresh process on
-# a 2-vCPU Xeon host takes 0.4 s at N = 10, 1.1 s at N = 16 and 2.6 s
-# (33 MB peak) at N = 20.
-MAX_TRUNCATION = 20
+# a 2-vCPU Xeon host takes 0.2 s at N = 10, 1.0 s (34 MB peak) at N = 20
+# and 2.6 s (70 MB peak) at N = 26; N = 28 took up to 3.8 s.
+MAX_TRUNCATION = 26
 
 INJECT_ENV = "STUECKELBERG_INJECT_FAIL"
 WORKERS_ENV = "STUECKELBERG_WORKERS"

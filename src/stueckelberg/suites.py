@@ -28,7 +28,8 @@ from .epsilon import epsilon as eps_unit
 from .epsilon import epsilon_delta
 from .fock import (BilinearOperator, FockPolyState, LadderOp, apply_covariant,
                    apply_ladder, decompose_physical, energy_operator, inner_product,
-                   monomial_basis, normalized_gram, quantize, quantum_charges)
+                   ladder_matrix, monomial_basis, normalized_gram, quantize,
+                   quantum_charges)
 from .modes import (ModeContext, QuadraticObservable, amplitude_form_hamiltonian,
                     basis_directions, charge_combination, conserved_charges,
                     hamiltonian, infinitesimal_transform, params_scaled, pi_sym,
@@ -621,7 +622,22 @@ class U31(Suite):
 # ---------------------------------------------------------------------------
 # fock suite
 
+def _first_column(got, want):
+    """The first column in which two matrices of one shape differ."""
+    return min(c for _, c in (got - want).coeffs)
+
+
 class Fock(Suite):
+    """The indefinite-metric Fock space, truncated at total degree N.
+
+    A claim about every basis state is decided as one equation between
+    sparse `ExactMatrix`es in the monomial basis: each ladder operator
+    and bilinear is built once, by `ladder_matrix` or
+    `BilinearOperator.matrix`, from the same action rule that `apply`
+    and `apply_ladder` run on a single state.  A failing claim names the
+    first basis state whose column differs.
+    """
+
     name = "fock"
 
     def __init__(self, cfg):
@@ -630,6 +646,7 @@ class Fock(Suite):
         self.k0 = cfg.k0
         self.schemes = SCHEMES[cfg.scheme]
         self.basis = monomial_basis(self.n)
+        # the states below top degree, the first len(inner) basis states
         self.inner = [b for b in self.basis if sum(b) <= self.n - 1]
 
     @cached_property
@@ -647,32 +664,37 @@ class Fock(Suite):
         return self.energy[2][0]
 
     @cached_property
-    def states(self):
-        """Occupation tuple -> scheme-2 basis state, over the whole basis."""
-        return {b: FockPolyState.basis_state(b, self.n, 2) for b in self.basis}
+    def p0_matrix(self):
+        return self.p0.matrix(self.basis, self.basis)
 
-    def _ladder_commutator(self, mode, b):
-        c, a = LadderOp(mode, "create"), LadderOp(mode, "annihilate")
-        s = self.states[b]
-        return s, apply_ladder(a, apply_ladder(c, s)) - apply_ladder(c, apply_ladder(a, s))
+    def _ladder_commutators(self, modes, sign):
+        """The modes whose A C - C A is not sign times the identity below top degree.
+
+        Yields (mode, first failing state).
+        """
+        basis, inner, n = self.basis, self.inner, self.n
+        want = ExactMatrix.sparse(len(basis), len(inner),
+                                  (((c, c), sign) for c in range(len(inner))))
+        for mode in modes:
+            create = ladder_matrix(LadderOp(mode, "create"), inner, basis, n)
+            annihilate = LadderOp(mode, "annihilate")
+            comm = (ladder_matrix(annihilate, basis, basis, n) @ create
+                    - create @ ladder_matrix(annihilate, inner, inner, n))
+            if comm != want:
+                yield mode, inner[_first_column(comm, want)]
 
     @identity("ladder-standard",
               "spatial ladder commutators act as the identity on every state", SCHEME_2)
     def ladder_standard(self):
-        for mode in (1, 2, 3):
-            for b in self.inner:
-                s, comm = self._ladder_commutator(mode, b)
-                if comm != s:
-                    return False, f"mode {mode}, state {b}"
+        for mode, b in self._ladder_commutators((1, 2, 3), 1):
+            return False, f"mode {mode}, state {b}"
         return True
 
     @identity("ladder-incorrect-sign",
               "the scalar-sector ladder commutator acts as minus the identity", SCHEME_2)
     def ladder_incorrect(self):
-        for b in self.inner:
-            s, comm = self._ladder_commutator(4, b)
-            if comm != s.scale(GR_MINUS_ONE):
-                return False, f"state {b}"
+        for _, b in self._ladder_commutators((4,), -1):
+            return False, f"state {b}"
         return True
 
     @identity("vacuum-annihilated", "every annihilation operator kills its scheme's vacuum")
@@ -686,12 +708,12 @@ class Fock(Suite):
     @identity("gram-indefinite",
               "normalised norms alternate with the scalar-sector occupation", SCHEME_2)
     def gram2(self):
-        return self._gram_is_diagonal(2, lambda b: GR_MINUS_ONE if b[3] % 2 else GR_ONE)
+        return self._gram_is_diagonal(2, lambda b: -1 if b[3] % 2 else 1)
 
     @identity("gram-positive-scheme1",
               "the swapped-role scheme has an entirely positive Gram diagonal", SCHEME_1)
     def gram1(self):
-        return self._gram_is_diagonal(1, lambda b: GR_ONE)
+        return self._gram_is_diagonal(1, lambda b: 1)
 
     def _gram_is_diagonal(self, scheme, sign):
         """Gram matrix == diag(sign(b)); the witness is the first state whose row differs."""
@@ -700,31 +722,40 @@ class Fock(Suite):
                                   (((i, i), sign(b)) for i, b in enumerate(bas)))
         if g == want:
             return True
-        i = next(i for i in range(len(bas)) if g.row(i) != want.row(i))
-        return False, f"state {bas[i]}"
+        return False, f"state {bas[_first_column(g.transpose(), want.transpose())]}"
+
+    def _off_spectrum(self, matrix, counts, unit=1):
+        """The first basis state matrix does not scale by unit times its count, or None.
+
+        Returns the state's index in the basis.
+        """
+        want = ExactMatrix.sparse(len(self.basis), len(self.basis),
+                                  (((c, c), n) for c, n in enumerate(counts))) * unit
+        return None if matrix == want else _first_column(matrix, want)
 
     @identity("energy-nonnegative",
               "the indefinite-metric energy spectrum is the nonnegative total count", SCHEME_2)
     def energy2(self):
-        for b, s in self.states.items():
-            lam = Fraction(self.k0) * sum(b)
-            if lam < 0 or self.p0.apply(s) != s.scale(GaussianRational(lam)):
-                return False, f"state {b}"
+        counts = [sum(b) for b in self.basis]
+        # the eigenvalue k0 * count is negative where sign(k0) * count is
+        sign = (self.k0 > 0) - (self.k0 < 0)
+        bad = [c for c, m in enumerate(counts) if sign * m < 0][:1]
+        c = self._off_spectrum(self.p0_matrix, counts, self.k0)
+        if c is not None:
+            bad.append(c)
+        if bad:
+            return False, f"state {self.basis[min(bad)]}"
         return True
 
     @identity("energy-indefinite-scheme1",
               "the swapped-role scheme exhibits negative energy eigenvalues", SCHEME_1)
     def energy1(self):
-        p0 = self.energy[1][0]
-        saw_negative = False
-        for b in self.basis:
-            s = FockPolyState.basis_state(b, self.n, 1)
-            lam = Fraction(self.k0) * (b[0] + b[1] + b[2] - b[3])
-            if p0.apply(s) != s.scale(GaussianRational(lam)):
-                return False, f"state {b}"
-            if lam < 0:
-                saw_negative = True
-        return saw_negative, "no negative eigenvalue appeared"
+        counts = [b[0] + b[1] + b[2] - b[3] for b in self.basis]
+        c = self._off_spectrum(self.energy[1][0].matrix(self.basis, self.basis), counts, self.k0)
+        if c is not None:
+            return False, f"state {self.basis[c]}"
+        sign = (self.k0 > 0) - (self.k0 < 0)
+        return any(sign * m < 0 for m in counts), "no negative eigenvalue appeared"
 
     @identity("vacuum-energy-zero", "the normal-ordered energy annihilates each vacuum")
     def vacuum_energy(self):
@@ -740,19 +771,19 @@ class Fock(Suite):
             if not j.commutator(self.p0).is_zero():
                 return False, f"charge {key} (operator table)"
         # action route as an independent confirmation, one charge suffices
-        j = self.qc[("sym", 1, 4)]
-        for b, s in self.states.items():
-            if j.apply(self.p0.apply(s)) != self.p0.apply(j.apply(s)):
-                return False, f"mixed charge action on state {b}"
+        j, p0 = self.qc[("sym", 1, 4)].matrix(self.basis, self.basis), self.p0_matrix
+        jp, pj = j @ p0, p0 @ j
+        if jp != pj:
+            return False, f"mixed charge action on state {self.basis[_first_column(jp, pj)]}"
         return True
 
     @identity("unit-charge-number",
               "the phase charge counts the total quanta on every basis state", SCHEME_2)
     def number_charge(self):
-        j = self.qc[("unit",)]
-        for b, s in self.states.items():
-            if j.apply(s) != s.scale(GaussianRational(sum(b))):
-                return False, f"state {b}"
+        c = self._off_spectrum(self.qc[("unit",)].matrix(self.basis, self.basis),
+                               [sum(b) for b in self.basis])
+        if c is not None:
+            return False, f"state {self.basis[c]}"
         return True
 
     @identity("bracket-commutator-correspondence",
@@ -789,7 +820,7 @@ class Fock(Suite):
         for mu in (1, 2, 3, 4):
             for nu in (1, 2, 3, 4):
                 for b in deep:
-                    s = self.states[b]
+                    s = FockPolyState.basis_state(b, self.n, 2)
 
                     def x(state, mode=mu):
                         return apply_covariant(mode, False, state) + apply_covariant(mode, True, state)
@@ -834,31 +865,50 @@ class Fock(Suite):
         # Every charge is a combination of the 16 elementary bilinears
         # a+_i a_j, with a coefficient table that bracket-commutator-
         # correspondence and charge-matrix-structure already check.  So each
-        # elementary bilinear, applied as an operator, must equal its two
-        # ladder steps, which enforce the cutoff.  Only on top-degree
-        # states can the cutoff act, at this truncation and a wider one.
+        # elementary bilinear, as an operator, must equal its two ladder
+        # steps, which enforce the cutoff.  Only on top-degree states can
+        # the cutoff act, at this truncation and a wider one.
         qc, n = self.qc, self.n
         keys = sorted(qc.keys(), key=str)
         tops = [b for b in self.basis if sum(b) == n]
-        wide = {b: FockPolyState.basis_state(b, n + 2, 2) for b in tops}
-        ops = {(i, j): BilinearOperator({(i, j): GR_ONE}) for i, j in product(IDX, IDX)}
-        create = {i: LadderOp(i, "create") for i in IDX}
+        below = [b for b in self.basis if sum(b) == n - 1]
+        truncations = (n, n + 2)
+        ops = {(i, j): BilinearOperator({(i, j): GR_ONE}).matrix(tops, tops)
+               for i, j in product(IDX, IDX)}
+        steps = [({i: ladder_matrix(LadderOp(i, "create"), below, tops, t) for i in IDX},
+                  {j: ladder_matrix(LadderOp(j, "annihilate"), tops, below, t) for j in IDX})
+                 for t in truncations]
+        # equal ladder matrices at both truncations give equal products
+        if steps[1] == steps[0]:
+            steps.pop()
         for j in IDX:
-            annihilate = LadderOp(j, "annihilate")
-            for b in tops:
-                for s in (self.states[b], wide[b]):
-                    lowered = apply_ladder(annihilate, s)
-                    for i in IDX:
-                        if ops[i, j].apply(s) != apply_ladder(create[i], lowered):
-                            return False, (f"bilinear ({i}, {j}), state {b}, "
-                                           f"truncation {s.truncation}")
+            bad = []  # (first failing state, truncation, i): the order states are scanned in
+            for t, (create, annihilate) in enumerate(steps):
+                for i in IDX:
+                    want = create[i] @ annihilate[j]
+                    if ops[i, j] != want:
+                        bad.append((_first_column(ops[i, j], want), t, i))
+            if bad:
+                c, t, i = min(bad)
+                return False, f"bilinear ({i}, {j}), state {tops[c]}, truncation {truncations[t]}"
+        # the matrices are exact only if no image is dropped: creation on a
+        # top-degree state leaves the basis, by the cutoff at n and by the
+        # row set at n + 2
+        for t in truncations:
+            for i in IDX:
+                try:
+                    ladder_matrix(LadderOp(i, "create"), tops, self.basis, t)
+                except ValueError:
+                    continue
+                return False, f"creation {i} on the top-degree states, truncation {t}"
         # each commutator acts alike on a top-degree state that occupies
         # every mode (modes 1 and 4 below degree 4)
         top = (n - 3, 1, 1, 1) if n >= 4 else (n - 1, 0, 0, 1)
+        narrow, wide = (FockPolyState.basis_state(top, t, 2) for t in truncations)
         for i, ka in enumerate(keys):
             for kb in keys[i + 1:]:
                 c = qc[ka].commutator(qc[kb])
-                if c.apply(self.states[top]) != c.apply(wide[top]):
+                if c.apply(narrow) != c.apply(wide):
                     return False, f"pair ({ka}, {kb})"
         return True
 

@@ -125,8 +125,8 @@ def test_criterion_08_fock_suite():
               "energy-indefinite-scheme1", "charges-commute-energy",
               "physical-decomposition", "truncation-exactness")
     ok = all(_record(records, i).status == "pass" for i in needed)
-    ok = ok and all(r.status == "pass" for r in records) and elapsed < 1
-    _conclude(8, "indefinite-metric Fock suite at truncation 6, under 1 s",
+    ok = ok and all(r.status == "pass" for r in records) and elapsed < 0.5
+    _conclude(8, "indefinite-metric Fock suite at truncation 6, under 0.5 s",
               ok, f"{elapsed:.1f} s")
 
 

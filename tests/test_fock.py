@@ -10,10 +10,9 @@ from stueckelberg.exact import (GR_I, GR_MINUS_ONE, GR_ONE, GR_ZERO,
 from stueckelberg.fock import (BilinearOperator, FockPolyState, LadderOp,
                                SchemeMismatchError, TruncationOverflowError,
                                apply_covariant, apply_ladder, decompose_physical,
-                               energy_operator, inner_product, monomial_basis,
-                               normalized_gram, quantize, quantum_charges)
-from stueckelberg.modes import (ModeContext, conserved_charges,
-                                poisson_bracket, q_sym)
+                               energy_operator, inner_product, ladder_matrix,
+                               monomial_basis, normalized_gram, quantize, quantum_charges)
+from stueckelberg.modes import QuadraticObservable, pi_sym, q_sym
 
 N = 6
 K0 = Fraction(5)
@@ -65,13 +64,6 @@ def test_commutator_actions():
                     - apply_ladder(LadderOp(mode, "create"),
                                    apply_ladder(LadderOp(mode, "annihilate"), s)))
             assert comm == s
-
-
-def test_vacuum_annihilated_in_both_schemes():
-    for scheme in (1, 2):
-        vac = FockPolyState.vacuum(N, scheme)
-        for mode in (1, 2, 3, 4):
-            assert apply_ladder(LadderOp(mode, "annihilate"), vac).is_zero()
 
 
 def test_truncation_overflow_is_loud():
@@ -153,12 +145,6 @@ def test_energy_signs():
     assert out == s.scale(GaussianRational(-2 * K0))
 
 
-def test_vacuum_energy_zero():
-    for scheme in (1, 2):
-        vac = FockPolyState.vacuum(N, scheme)
-        assert energy_operator(K0, scheme).apply(vac).is_zero()
-
-
 def test_quantum_charges_commute_with_energy():
     qc = quantum_charges(K0, 2)
     p0 = energy_operator(K0, 2)
@@ -179,31 +165,9 @@ def test_number_charge_eigenvalues():
         assert qc[("unit",)].apply(s) == s.scale(GaussianRational(sum(b)))
 
 
-def test_quantize_reproduces_charges():
-    ctx = ModeContext(K0)
-    classical = conserved_charges(ctx)
-    quantum = quantum_charges(K0, 2)
-    for key in classical:
-        assert quantize(classical[key], K0, 2) == quantum[key], key
-
-
 def test_quantize_rejects_non_bilinear():
     with pytest.raises(ValueError):
         quantize(q_sym(1) * q_sym(1), K0, 2)
-
-
-def test_commutator_bracket_correspondence_sample():
-    ctx = ModeContext(K0)
-    classical = conserved_charges(ctx)
-    pairs = [(("antisym", 1, 2), ("antisym", 1, 3)),
-             (("antisym", 1, 4), ("sym", 1, 4)),
-             (("sym", 1, 2), ("sym", 2, 3)),
-             (("unit",), ("sym", 1, 4))]
-    for ka, kb in pairs:
-        qa, qb = quantize(classical[ka], K0, 2), quantize(classical[kb], K0, 2)
-        lhs = qa.commutator(qb)
-        rhs = quantize(poisson_bracket(classical[ka], classical[kb]), K0, 2).scale(GR_I)
-        assert lhs == rhs, (ka, kb)
 
 
 def test_canonical_pair_commutator():
@@ -396,3 +360,131 @@ def test_equal_numerators_over_different_denominators_differ():
     assert half != third and half.scale(Fraction(2, 3)) == third
     half, third = (BilinearOperator({(1, 1): Fraction(1, d)}) for d in (2, 3))
     assert half != third and half.scale(Fraction(2, 3)) == third
+
+
+# -- the matrix builders against the per-state action -------------------------
+
+LADDER_OPS = [LadderOp(mode, d) for mode in (1, 2, 3, 4) for d in ("create", "annihilate")]
+
+
+def _column(m, c, rows, truncation, scheme):
+    """Column c of m as a state over the monomials rows."""
+    return FockPolyState({k: m[r, c] for r, k in enumerate(rows) if m[r, c]}, truncation, scheme)
+
+
+def _check_matrix(build, act, cols, rows, truncation, scheme):
+    """build(cols, rows) holds act(basis state) in column c, or raises as act does."""
+    images = []
+    for k in cols:
+        try:
+            images.append(act(FockPolyState.basis_state(k, truncation, scheme)))
+        except TruncationOverflowError:
+            # the cutoff raises whatever the rows, with k alone as the column
+            with pytest.raises(TruncationOverflowError):
+                build([k], rows)
+            with pytest.raises(ValueError):
+                build(cols, rows)
+            return
+    if any(k not in rows for image in images for k in image.coeffs):
+        with pytest.raises(ValueError, match="outside the row set"):
+            build(cols, rows)
+        return
+    m = build(cols, rows)
+    assert m.shape == (len(rows), len(cols))
+    for c, image in enumerate(images):
+        assert _column(m, c, rows, truncation, scheme) == image, cols[c]
+
+
+@given(st.data())
+def test_operator_matrices_match_the_per_state_action(data):
+    truncation = data.draw(st.integers(1, 5))
+    basis = monomial_basis(truncation)
+    scheme = data.draw(st.sampled_from((1, 2)))
+    cols = data.draw(st.lists(st.sampled_from(basis), min_size=1, max_size=12, unique=True))
+    if data.draw(st.booleans()):
+        rows = data.draw(st.permutations(basis))
+    else:
+        rows = data.draw(st.lists(st.sampled_from(basis), min_size=1, unique=True))
+    p = BilinearOperator(data.draw(op_dicts), scheme)
+    _check_matrix(p.matrix, p.apply, cols, rows, truncation, scheme)
+    for op in LADDER_OPS:
+        _check_matrix(lambda cs, rs, op=op: ladder_matrix(op, cs, rs, truncation, scheme),
+                      lambda s, op=op: apply_ladder(op, s), cols, rows, truncation, scheme)
+    with pytest.raises(SchemeMismatchError):
+        p.apply(FockPolyState.basis_state(cols[0], truncation, 3 - scheme))
+
+
+def test_matrix_builders_raise_at_the_cutoff_and_outside_the_rows():
+    basis = monomial_basis(N)
+    top = [(N, 0, 0, 0)]
+    with pytest.raises(TruncationOverflowError):
+        ladder_matrix(LadderOp(2, "create"), top, basis, N)
+    wide = ladder_matrix(LadderOp(2, "create"), top, monomial_basis(N + 1), N + 1)
+    assert wide.shape == (len(monomial_basis(N + 1)), 1)
+    with pytest.raises(ValueError, match="outside the row set"):
+        ladder_matrix(LadderOp(2, "create"), top, basis, N + 1)
+    with pytest.raises(ValueError, match="outside the row set"):
+        BilinearOperator({(2, 1): GR_ONE}).matrix(top, top)
+
+
+# -- integer quantize against the GaussianRational tables ---------------------
+
+def _ref_quantize(obs, k0):
+    """quantize on GaussianRational tables, the pair factors 1/(2 k0), -k0/2, -i/2."""
+    create_create, annih_annih, bilinear = {}, {}, {}
+
+    def add(table, key, v):
+        table[key] = table.get(key, GR_ZERO) + v
+
+    def pair_factor(a, b):
+        if a < 4 and b < 4:
+            return GaussianRational(Fraction(1, 2) / k0)
+        if a >= 4 and b >= 4:
+            return GaussianRational(-k0 / 2)
+        return GaussianRational(0, Fraction(-1, 2))
+
+    for key, coeff in obs.coeffs.items():
+        if len(key) != 2:
+            raise ValueError("not homogeneous")
+        i, j = key
+        mu, nu = (i % 4) + 1, (j % 4) + 1
+        si, sj = (GR_ONE if i < 4 else GR_MINUS_ONE), (GR_ONE if j < 4 else GR_MINUS_ONE)
+        base = coeff * pair_factor(i, j)
+        add(annih_annih, tuple(sorted((mu, nu))), base)
+        add(bilinear, (nu, mu), base * sj)
+        add(bilinear, (mu, nu), base * si)
+        add(create_create, tuple(sorted((mu, nu))), base * si * sj)
+    if any(v for table in (create_create, annih_annih) for v in table.values()):
+        raise ValueError("residue")
+    phase = {1: GR_ONE, 2: GR_ONE, 3: GR_ONE, 4: GR_I}
+    return BilinearOperator({(m, n): v * phase[m] * phase[n] for (m, n), v in bilinear.items()})
+
+
+def _bilinear_blocks(k0):
+    """Quadratics that quantise to ladder bilinears: each has no aa or a+a+ part."""
+    blocks = []
+    for mu in (1, 2, 3, 4):
+        for nu in (1, 2, 3, 4):
+            blocks.append(q_sym(mu) * pi_sym(nu) - q_sym(nu) * pi_sym(mu))
+            blocks.append((q_sym(mu) * q_sym(nu)).scale(k0)
+                          + (pi_sym(mu) * pi_sym(nu)).scale(GR_ONE / GaussianRational(k0)))
+    return blocks
+
+
+@given(st.data())
+def test_integer_quantize_matches_the_rational_tables(data):
+    k0 = data.draw(mixed.filter(bool))
+    blocks = _bilinear_blocks(k0)
+    obs = QuadraticObservable()
+    for _ in range(data.draw(st.integers(0, 4))):
+        obs = obs + data.draw(st.sampled_from(blocks)).scale(data.draw(values))
+    assert quantize(obs, k0, 2) == _ref_quantize(obs, k0)
+    # a q.q or pi.pi term on its own leaves an aa residue
+    mu, nu = data.draw(modes), data.draw(modes)
+    sym = data.draw(st.sampled_from((q_sym, pi_sym)))
+    extra = (sym(mu) * sym(nu)).scale(data.draw(values.filter(bool)))
+    for bad in (obs + extra, obs + QuadraticObservable.constant(GR_ONE), obs + q_sym(mu)):
+        with pytest.raises(ValueError):
+            _ref_quantize(bad, k0)
+        with pytest.raises(ValueError):
+            quantize(bad, k0, 2)

@@ -5,7 +5,8 @@ vacuum scheme the configuration does not run must be absent from the
 report; one that needs a moving frame must be skipped in the rest frame
 with the documented reason; every other declared identity must pass.
 The shared objects the checks read are each built once per suite run,
-and a failing Gram identity names the state it fails on.
+and a failing Gram identity, or a failing claim about every Fock basis
+state, names the state it fails on.
 """
 
 import sys
@@ -13,9 +14,10 @@ from collections import Counter
 
 import pytest
 
-from stueckelberg import modes, suites
+from stueckelberg import fock, modes, suites
 from stueckelberg.exact import ExactMatrix
-from stueckelberg.fock import monomial_basis
+from stueckelberg.fock import (FockPolyState, LadderOp, apply_ladder, energy_operator,
+                               monomial_basis, quantum_charges)
 from stueckelberg.report import SuiteConfig
 from stueckelberg.suites import (IDENTITIES, MOVING_FRAME, REST_FRAME_REASON,
                                  SCHEME_1, SCHEME_2, run_suite)
@@ -113,3 +115,27 @@ def test_gram_failure_names_the_first_differing_state(monkeypatch, entry):
     want = f"state {monomial_basis(2)[entry[0]]}"
     for ident in ("gram-indefinite", "gram-positive-scheme1"):
         assert (records[ident].status, records[ident].witness) == ("fail", want)
+
+
+def test_basis_state_failure_names_the_first_failing_state(monkeypatch):
+    # scheme 2 run with the scheme-1 signs: the scalar sector's sign flips
+    monkeypatch.setitem(fock._ANNIHILATION_SIGNS, 2, (1, 1, 1, 1))
+    cfg = SuiteConfig(truncation=3, scheme="2")
+    records = {r.ident: r for r in run_suite("fock", cfg)}
+    states = {b: FockPolyState.basis_state(b, 3, 2) for b in monomial_basis(3)}
+    create, annihilate = LadderOp(4, "create"), LadderOp(4, "annihilate")
+
+    def first(claim, bs=states):
+        return f"state {next(b for b in bs if not claim(b, states[b]))}"
+
+    p0, unit = energy_operator(cfg.k0, 2), quantum_charges(cfg.k0, 2)[("unit",)]
+    want = {
+        "ladder-incorrect-sign": first(
+            lambda b, s: apply_ladder(annihilate, apply_ladder(create, s))
+            - apply_ladder(create, apply_ladder(annihilate, s)) == -s,
+            [b for b in states if sum(b) < 3]),
+        "energy-nonnegative": first(lambda b, s: p0.apply(s) == s.scale(cfg.k0 * sum(b))),
+        "unit-charge-number": first(lambda b, s: unit.apply(s) == s.scale(sum(b))),
+    }
+    assert {ident: (records[ident].status, records[ident].witness) for ident in want} \
+        == {ident: ("fail", w) for ident, w in want.items()}
