@@ -10,8 +10,8 @@ identity is decided by exact equality; the `verify` CLI and the
 acceptance test suite run the full inventory.
 """
 
-from .exact import (ExactMatrix, GaussianRational, gr,
-                    mat_commutator, mat_inverse, mat_rank, minimal_poly_check)
+from .exact import (ExactMatrix, GaussianRational, mat_commutator, mat_inverse,
+                    mat_rank, minimal_poly_check)
 from .epsilon import (DIM4, DIM5, DIM10, DIM11, SPACES, BasisIndex, SpaceView,
                       epsilon, identity_of)
 from .wave import WaveMatrices, wave_matrices

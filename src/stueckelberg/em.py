@@ -44,13 +44,7 @@ def charge_matrix(which) -> ExactMatrix:
 
 def charge_operator(m: ExactMatrix) -> BilinearOperator:
     """Lift a 2x2 coefficient matrix to the two-mode ladder bilinear."""
-    coeffs = {}
-    for i in range(2):
-        for j in range(2):
-            v = m[i, j]
-            if v:
-                coeffs[(i + 1, j + 1)] = v
-    return BilinearOperator(coeffs, scheme=2)
+    return BilinearOperator.from_table(m)
 
 
 def su2_charges() -> dict:

@@ -157,10 +157,6 @@ class GaussianRational:
     def as_strings(self):
         return (fraction_str(self.re), fraction_str(self.im))
 
-    @staticmethod
-    def from_strings(pair):
-        return GaussianRational._raw(as_fraction(pair[0]), as_fraction(pair[1]))
-
     def __repr__(self):
         if not self.im:
             return f"GR({self.re})"
@@ -179,11 +175,6 @@ GR_ZERO = GaussianRational._raw(_F0, _F0)
 GR_ONE = GaussianRational._raw(_F1, _F0)
 GR_I = GaussianRational._raw(_F0, _F1)
 GR_MINUS_ONE = GaussianRational._raw(-_F1, _F0)
-
-
-def gr(re=0, im=0) -> GaussianRational:
-    """Shorthand constructor accepting ints, Fractions, or 'num/den' strings."""
-    return GaussianRational(as_fraction(re), as_fraction(im))
 
 
 _ZZ = (0, 0)
@@ -448,9 +439,6 @@ class ExactMatrix(_ExactCoefficients):
         e = self._c.get(self._position(ij))
         return GR_ZERO if e is None else _scalar(e[0], e[1], self._den)
 
-    def row(self, i):
-        return tuple(self[i, j] for j in range(self.cols))
-
     def column(self, j):
         return tuple(self[i, j] for i in range(self.rows))
 
@@ -554,15 +542,6 @@ class ExactMatrix(_ExactCoefficients):
                 entries.append(zero if e is None
                                else list(_scalar(e[0], e[1], den).as_strings()))
         return {"rows": self.rows, "cols": self.cols, "entries": entries}
-
-    @staticmethod
-    def from_json_dict(d):
-        rows, cols = d["rows"], d["cols"]
-        flat = [GaussianRational.from_strings(p) for p in d["entries"]]
-        if len(flat) != rows * cols:
-            raise ValueError("entry count does not match dimensions")
-        return ExactMatrix.sparse(rows, cols, (((k // cols, k % cols), e)
-                                               for k, e in enumerate(flat)))
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols})"

@@ -24,14 +24,20 @@ view of the coefficients as `GaussianRational`s, built on each access.
 
 Each operator kind has one action rule, a loop over (monomial, payload)
 pairs that yields each monomial's image and integer factor: the sign
-table, the index shift and the factor n appear there and nowhere else
-(`_ladder_images` for creation and annihilation, `_bilinear_images` for
-an elementary bilinear a+_i a_j).  `apply_ladder` and
-`BilinearOperator.apply` run it on a state's numerators; `ladder_matrix`
-and `BilinearOperator.matrix` run it once over a list of basis
-monomials and return the operator as a sparse `ExactMatrix`, column c
-holding the image of the c-th monomial in the row order of a second
-list.  A claim about every basis state is then one matrix equation.
+table, the index shift and the factor n of an action appear there and
+nowhere else (`_ladder_images` for creation and annihilation,
+`_bilinear_images` for an elementary bilinear a+_i a_j).  `apply_ladder`
+and `BilinearOperator.apply` run it on a state's numerators;
+`ladder_matrix` and `BilinearOperator.matrix` run it once over a list of
+basis monomials and return the operator as a sparse `ExactMatrix`,
+column c holding the image of the c-th monomial in the row order of a
+second list.  A claim about every basis state is then one matrix
+equation.
+
+The sign table has one other reader: a bilinear is also its 4x4
+coefficient table (`BilinearOperator.table` and `from_table`), and the
+commutator of two is the table product A S B - B S A, with S the
+diagonal of the scheme's annihilation signs.
 """
 
 from __future__ import annotations
@@ -50,6 +56,10 @@ DEFAULT_TRUNCATION = 6
 # annihilation sign of modes 1..4 per scheme: scheme 1 swaps the mode-4
 # pair, which restores the standard sign
 _ANNIHILATION_SIGNS = {1: (1, 1, 1, 1), 2: METRIC_SIGNATURE}
+
+# the same signs as the diagonal S of the bilinear commutator's table product
+_SIGN_TABLES = {scheme: ExactMatrix.sparse(4, 4, (((m, m), s) for m, s in enumerate(signs)))
+                for scheme, signs in _ANNIHILATION_SIGNS.items()}
 
 
 class TruncationOverflowError(ValueError):
@@ -353,28 +363,31 @@ class BilinearOperator(_SchemeCoefficients):
         return _image_matrix(cols, rows, ((_bilinear_images(i, j, self.scheme, columns), e)
                                           for (i, j), e in self._c.items()), self._den)
 
+    def table(self) -> ExactMatrix:
+        """The 4x4 coefficient table: entry (i - 1, j - 1) is the coefficient of a+_i a_j."""
+        return ExactMatrix.zeros(4, 4)._with(
+            {(i - 1, j - 1): e for (i, j), e in self._c.items()}, self._den)
+
+    @staticmethod
+    def from_table(t: ExactMatrix, scheme: int = 2) -> "BilinearOperator":
+        """The bilinear whose coefficient table is t, of at most 4 rows and columns.
+
+        Entry (i, j) of t is the coefficient of a+_(i+1) a_(j+1), so a
+        smaller table acts on the first modes only.
+        """
+        return BilinearOperator(None, scheme)._with(
+            {(i + 1, j + 1): e for (i, j), e in t._c.items()}, t._den)
+
     def commutator(self, other: "BilinearOperator") -> "BilinearOperator":
-        """Exact operator commutator; bilinears close among themselves."""
+        """Exact operator commutator: the bilinear with table A S B - B S A.
+
+        A and B are the two tables and S the diagonal of the scheme's
+        annihilation signs, since [a+_i a_j, a+_k a_l] is
+        s_j d_jk a+_i a_l - s_i d_li a+_k a_j (the Jordan-Schwinger map).
+        """
         self._check_compatible(other)
-        signs = _ANNIHILATION_SIGNS[self.scheme]
-        out = {}
-
-        def add(key, x, y):
-            e = out.get(key)
-            out[key] = (x, y) if e is None else (e[0] + x, e[1] + y)
-
-        for (i, j), (ar, ai) in self._c.items():
-            for (k, l), (br, bi) in other._c.items():
-                if j != k and l != i:
-                    continue
-                xr, xi = ar * br - ai * bi, ar * bi + ai * br
-                if j == k:
-                    sj = signs[j - 1]
-                    add((i, l), xr * sj, xi * sj)
-                if l == i:
-                    sl = signs[l - 1]
-                    add((k, j), -xr * sl, -xi * sl)
-        return self._with(*_lowest(_pruned(out), self._den * other._den))
+        a, b, s = self.table(), other.table(), _SIGN_TABLES[self.scheme]
+        return BilinearOperator.from_table(a @ s @ b - b @ s @ a, self.scheme)
 
 
 def covariant_ladder_phase(mu: int) -> GaussianRational:
@@ -497,15 +510,6 @@ def quantize(obs, k0, scheme: int = 2) -> BilinearOperator:
         pr, pi = ph.re.numerator, ph.im.numerator
         out[m, n] = (x * pr - y * pi, x * pi + y * pr)
     return BilinearOperator(None, scheme)._with(*_lowest(_pruned(out), den))
-
-
-def apply_covariant(mu: int, dagger: bool, s: FockPolyState) -> FockPolyState:
-    """Action of the covariant ladder operator, phases included (scheme 2)."""
-    if s.scheme != 2:
-        raise SchemeMismatchError("covariant ladder operators live in scheme 2")
-    out = apply_ladder(LadderOp(mu, "create" if dagger else "annihilate"), s)
-    ph = covariant_ladder_phase(mu)
-    return out if ph is GR_ONE else out.scale(ph)
 
 
 def decompose_physical(s: FockPolyState):

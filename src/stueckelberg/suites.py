@@ -26,10 +26,10 @@ from . import em as em_mod
 from .epsilon import BIVECTOR_PAIRS, DIM4, DIM5, DIM10, DIM11, identity_of
 from .epsilon import epsilon as eps_unit
 from .epsilon import epsilon_delta
-from .fock import (BilinearOperator, FockPolyState, LadderOp, apply_covariant,
-                   apply_ladder, decompose_physical, energy_operator, inner_product,
-                   ladder_matrix, monomial_basis, normalized_gram, quantize,
-                   quantum_charges)
+from .fock import (BilinearOperator, FockPolyState, LadderOp, apply_ladder,
+                   covariant_ladder_phase, decompose_physical, energy_operator,
+                   inner_product, ladder_matrix, monomial_basis, normalized_gram,
+                   quantize, quantum_charges)
 from .modes import (ModeContext, QuadraticObservable, amplitude_form_hamiltonian,
                     basis_directions, charge_combination, conserved_charges,
                     hamiltonian, infinitesimal_transform, params_scaled, pi_sym,
@@ -634,8 +634,9 @@ class Fock(Suite):
     sparse `ExactMatrix`es in the monomial basis: each ladder operator
     and bilinear is built once, by `ladder_matrix` or
     `BilinearOperator.matrix`, from the same action rule that `apply`
-    and `apply_ladder` run on a single state.  A failing claim names the
-    first basis state whose column differs.
+    and `apply_ladder` run on a single state; claims about sample states
+    or commutator tables are equations on a few low-degree states.  A
+    failing claim names the first basis state whose column differs.
     """
 
     name = "fock"
@@ -816,24 +817,29 @@ class Fock(Suite):
               "the quantised coordinate-momentum commutator is i times the Kronecker delta",
               SCHEME_2)
     def canonical_pairs(self):
-        deep = [b for b in self.basis if sum(b) <= self.n - 2][:8]
-        for mu in (1, 2, 3, 4):
-            for nu in (1, 2, 3, 4):
-                for b in deep:
-                    s = FockPolyState.basis_state(b, self.n, 2)
+        # the first 8 states up to degree 2 (fewer below truncation 4), then
+        # the basis prefixes one and two degrees above them
+        top = min(self.n - 2, 2)
+        spans = (monomial_basis(top)[:8], monomial_basis(top + 1), monomial_basis(top + 2))
 
-                    def x(state, mode=mu):
-                        return apply_covariant(mode, False, state) + apply_covariant(mode, True, state)
+        def xy(mode, step):
+            """X = phase (A + C) and Y = phase (A - C) from spans[step] into the next span."""
+            a, c = (ladder_matrix(LadderOp(mode, d), spans[step], spans[step + 1], self.n)
+                    for d in ("annihilate", "create"))
+            ph = covariant_ladder_phase(mode)
+            return (a + c) * ph, (a - c) * ph
 
-                    def y(state, mode=nu):
-                        return apply_covariant(mode, False, state) - apply_covariant(mode, True, state)
-
-                    comm = x(y(s)) - y(x(s))
-                    # [q, pi] carries a factor -i/2 relative to this bare commutator
-                    got = comm.scale(GaussianRational(0, Fraction(-1, 2)))
-                    want = s.scale(GR_I) if mu == nu else s.scale(GR_ZERO)
-                    if got != want:
-                        return False, f"pair ({mu}, {nu}), state {b}"
+        first, second = ({mu: xy(mu, step) for mu in IDX} for step in (0, 1))
+        samples, rows = spans[0], spans[2]
+        unit = ExactMatrix.sparse(len(rows), len(samples),
+                                  (((c, c), 1) for c in range(len(samples))))
+        # [q, pi] carries a factor -i/2 relative to the bare commutator
+        half = GaussianRational(0, Fraction(-1, 2))
+        for mu, nu in product(IDX, IDX):
+            got = (second[mu][0] @ first[nu][1] - second[nu][1] @ first[mu][0]) * half
+            want = unit * (GR_I if mu == nu else 0)
+            if got != want:
+                return False, f"pair ({mu}, {nu}), state {samples[_first_column(got, want)]}"
         return True
 
     @identity("physical-decomposition",
@@ -901,14 +907,14 @@ class Fock(Suite):
                 except ValueError:
                     continue
                 return False, f"creation {i} on the top-degree states, truncation {t}"
-        # each commutator acts alike on a top-degree state that occupies
-        # every mode (modes 1 and 4 below degree 4)
-        top = (n - 3, 1, 1, 1) if n >= 4 else (n - 1, 0, 0, 1)
-        narrow, wide = (FockPolyState.basis_state(top, t, 2) for t in truncations)
+        # a bilinear with table T acts on the degree-1 states as T S, so
+        # that block decides each commutator's table exactly
+        ones = [b for b in self.basis if sum(b) == 1]
+        acts = {key: c.matrix(ones, ones) for key, c in qc.items()}
         for i, ka in enumerate(keys):
             for kb in keys[i + 1:]:
-                c = qc[ka].commutator(qc[kb])
-                if c.apply(narrow) != c.apply(wide):
+                a, b = acts[ka], acts[kb]
+                if qc[ka].commutator(qc[kb]).matrix(ones, ones) != a @ b - b @ a:
                     return False, f"pair ({ka}, {kb})"
         return True
 

@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 import stueckelberg
+from exact_helpers import matrix_from_json
 from stueckelberg import cli, report
 from stueckelberg.cli import main
 from stueckelberg.epsilon import SPACES, BasisIndex, epsilon
-from stueckelberg.exact import ExactMatrix
 from stueckelberg.fock import normalized_gram
 from stueckelberg.projectors import FourMomentum, ProjectorFamily
 from stueckelberg.report import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, SuiteConfig
@@ -66,7 +66,7 @@ def test_dump_epsilon(capsys):
     code, out, _ = run_cli(capsys, "dump", "epsilon", "--space", "dim4",
                            "--a", "1", "--b", "2")
     assert code == EXIT_PASS
-    m = ExactMatrix.from_json_dict(json.loads(out))
+    m = matrix_from_json(json.loads(out))
     assert m.rows == 4
     assert str(m[0, 1]) == "1"
     assert sum(1 for i in range(4) for j in range(4) if m[i, j]) == 1
@@ -84,7 +84,7 @@ def test_dump_wave_matrices_filtered(capsys):
     assert code == EXIT_PASS
     doc = json.loads(out)
     assert set(doc) == {"eta"}
-    eta = ExactMatrix.from_json_dict(doc["eta"])
+    eta = matrix_from_json(doc["eta"])
     assert eta.rows == 11
     assert str(eta[0, 0]) == "-1"
 
@@ -111,7 +111,7 @@ def test_dump_solutions_rest_frame_error(capsys):
 def test_dump_gram(capsys):
     code, out, _ = run_cli(capsys, "dump", "gram", "--truncation", "2")
     assert code == EXIT_PASS
-    g = ExactMatrix.from_json_dict(json.loads(out))
+    g = matrix_from_json(json.loads(out))
     assert g.rows == 15
     diag = {str(g[i, i]) for i in range(g.rows)}
     assert diag == {"1", "-1"}
@@ -298,6 +298,16 @@ REPORT_DIGESTS = [
      "f9249858f9782cd3d21226d1711b6279f8a539278a7baf58b00df219271f1d04"),
     (("verify", "u31", "--k0", "37/11"),
      "59116f28c4a626b0512e585c26cb42082fde3ae93a82eb254f79de2f4e51c789"),
+    # below truncation 4 the canonical-pair samples have a lower top degree;
+    # 10 is the truncation the fock benchmark runs
+    (("verify", "fock", "--scheme", "both", "--truncation", "2"),
+     "ef0a041e47466e0b52e0efd85b865f627fb63b655b4978bdc2cd2ca0bcde198f"),
+    (("verify", "fock", "--scheme", "both", "--truncation", "3"),
+     "dedf9fae79527be2a03928b1a667f485e5212430c860e22975404c20ea190dd3"),
+    (("verify", "fock", "--scheme", "both", "--truncation", "4"),
+     "aa3960d754c031a5f0bd6dcb769b5e81a628987ec2d51685c6a66c2ab0ce46b6"),
+    (("verify", "fock", "--scheme", "both", "--truncation", "10"),
+     "7c8599be8b988691720c72b12581ea2d5566079a98ee2a46bf87a0a598232e74"),
 ]
 
 

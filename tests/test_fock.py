@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stueckelberg.exact import (GR_I, GR_MINUS_ONE, GR_ONE, GR_ZERO,
+from stueckelberg.exact import (ExactMatrix, GR_I, GR_MINUS_ONE, GR_ONE, GR_ZERO,
                                 GaussianRational)
 from stueckelberg.fock import (BilinearOperator, FockPolyState, LadderOp,
                                SchemeMismatchError, TruncationOverflowError,
-                               apply_covariant, apply_ladder, decompose_physical,
+                               apply_ladder, decompose_physical,
                                energy_operator, inner_product, ladder_matrix,
                                monomial_basis, normalized_gram, quantize, quantum_charges)
 from stueckelberg.modes import QuadraticObservable, pi_sym, q_sym
@@ -168,22 +168,6 @@ def test_number_charge_eigenvalues():
 def test_quantize_rejects_non_bilinear():
     with pytest.raises(ValueError):
         quantize(q_sym(1) * q_sym(1), K0, 2)
-
-
-def test_canonical_pair_commutator():
-    s = FockPolyState.basis_state((1, 0, 1, 0), N, 2)
-    for mu in (1, 4):
-        for nu in (1, 4):
-            def x(state, mode=mu):
-                return apply_covariant(mode, False, state) + apply_covariant(mode, True, state)
-
-            def y(state, mode=nu):
-                return apply_covariant(mode, False, state) - apply_covariant(mode, True, state)
-
-            comm = x(y(s)) - y(x(s))
-            got = comm.scale(GaussianRational(0, Fraction(-1, 2)))
-            want = s.scale(GR_I) if mu == nu else s.scale(GR_ZERO)
-            assert got == want
 
 
 def test_physical_decomposition_cases():
@@ -425,6 +409,19 @@ def test_matrix_builders_raise_at_the_cutoff_and_outside_the_rows():
         ladder_matrix(LadderOp(2, "create"), top, basis, N + 1)
     with pytest.raises(ValueError, match="outside the row set"):
         BilinearOperator({(2, 1): GR_ONE}).matrix(top, top)
+
+
+@given(st.data())
+def test_coefficient_table_is_the_degree_one_action(data):
+    scheme = data.draw(st.sampled_from((1, 2)))
+    p = BilinearOperator(data.draw(op_dicts), scheme)
+    t = p.table()
+    assert t.shape == (4, 4) and BilinearOperator.from_table(t, scheme) == p
+    # on the one-quantum states a bilinear acts as its table times the signs
+    ones = [tuple(int(m == k) for m in range(4)) for k in range(4)]
+    signs = ExactMatrix.sparse(4, 4, (((k, k), -1 if scheme == 2 and k == 3 else 1)
+                                      for k in range(4)))
+    assert p.matrix(ones, ones) == t @ signs
 
 
 # -- integer quantize against the GaussianRational tables ---------------------

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from stueckelberg.exact import ExactMatrix, GR_I, GR_ONE, gr
+from exact_helpers import gr
+from stueckelberg.exact import ExactMatrix, GR_I, GR_ONE
 from stueckelberg.modes import (ModeContext, QuadraticObservable, U31Params,
                                 basis_directions, conserved_charges, generating_function,
                                 generator_matrix, hamiltonian,
