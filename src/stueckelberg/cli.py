@@ -17,7 +17,8 @@ from .epsilon import SPACES, BasisIndex
 from .epsilon import epsilon as eps_unit
 from .fock import normalized_gram
 from .projectors import FourMomentum, dyad_factorize, pure_state_projector
-from .report import EXIT_CONFIG, WORKERS_ENV, ConfigError, SuiteConfig, run
+from .report import (EXIT_CONFIG, MAX_TRUNCATION, WORKERS_ENV, ConfigError, SuiteConfig,
+                     run)
 from .suites import ALL_SUITES
 from .wave import wave_matrices
 from . import em as em_mod
@@ -227,6 +228,8 @@ def cmd_stokes(args):
         occupation = (_parse_int(str(n1), "occupation"), _parse_int(str(n2), "occupation"))
         coeffs[occupation] = GaussianRational(_parse_fraction(str(re)), _parse_fraction(str(im)))
     trunc = max(n1 + n2 for (n1, n2) in coeffs)
+    if trunc > MAX_TRUNCATION:
+        raise ConfigError(f"total occupation above the cap {MAX_TRUNCATION}")
     try:
         state = em_mod.polarization_state(coeffs, truncation=max(trunc, 2))
         values = em_mod.stokes_expectations(state)

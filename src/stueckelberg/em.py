@@ -42,14 +42,9 @@ def charge_matrix(which) -> ExactMatrix:
     return PAULI[which] * half
 
 
-def charge_operator(m: ExactMatrix) -> BilinearOperator:
-    """Lift a 2x2 coefficient matrix to the two-mode ladder bilinear."""
-    return BilinearOperator.from_table(m)
-
-
 def su2_charges() -> dict:
     """The four conserved bilinears: rotation triplet and the photon number half."""
-    return {i: charge_operator(charge_matrix(i)) for i in (0, 1, 2, 3)}
+    return {i: BilinearOperator.from_table(charge_matrix(i)) for i in (0, 1, 2, 3)}
 
 
 def em_hamiltonian(k0) -> BilinearOperator:

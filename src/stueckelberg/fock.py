@@ -418,26 +418,24 @@ def energy_operator(k0, scheme: int = 2) -> BilinearOperator:
     return BilinearOperator(terms, scheme)
 
 
-def quantum_charges(k0, scheme: int = 2) -> dict:
-    """The seventeen conserved bilinears in covariant ladder form.
+def quantum_charges() -> dict:
+    """The seventeen conserved bilinears in covariant ladder form, in scheme 2.
 
-    Only the indefinite-metric scheme supports these as degree-preserving
-    operators; the role swap of scheme 1 would make the mixed space-time
-    charges change the grading, so they are restricted to scheme 2.
+    They do not depend on the mode energy.  Only the indefinite-metric
+    scheme supports them as degree-preserving operators: the role swap
+    of scheme 1 would make the mixed space-time charges change the
+    grading.
     """
-    if scheme != 2:
-        raise SchemeMismatchError("quantum charges require the indefinite-metric scheme")
-    del k0  # the charges are energy-independent; kept for interface symmetry
 
     def bilinear(mu, nu, coeff):
         phase = covariant_ladder_phase(mu) * covariant_ladder_phase(nu)
-        return BilinearOperator({(mu, nu): coeff * phase}, scheme)
+        return BilinearOperator({(mu, nu): coeff * phase})
 
     charges = {}
     for mu in range(1, 5):
         for nu in range(mu + 1, 5):
             charges[("antisym", mu, nu)] = bilinear(mu, nu, GR_I) - bilinear(nu, mu, GR_I)
-    total = BilinearOperator({}, scheme)
+    total = BilinearOperator()
     for al in range(1, 5):
         total = total + bilinear(al, al, GR_ONE)
     half = GaussianRational(Fraction(1, 2))
@@ -451,8 +449,8 @@ def quantum_charges(k0, scheme: int = 2) -> dict:
     return charges
 
 
-def quantize(obs, k0, scheme: int = 2) -> BilinearOperator:
-    """Map a classical quadratic in (q, pi) to its normal-ordered operator.
+def quantize(obs, k0) -> BilinearOperator:
+    """Map a classical quadratic in (q, pi) to its normal-ordered scheme-2 operator.
 
     The canonical variables are linear in the ladder pair of each mode
     with weights in which the square root of 2 k0 appears only squared,
@@ -463,8 +461,6 @@ def quantize(obs, k0, scheme: int = 2) -> BilinearOperator:
     double-creation content), since such operators leave the bilinear
     class.
     """
-    if scheme != 2:
-        raise SchemeMismatchError("quantisation targets the indefinite-metric scheme")
     k0 = as_fraction(k0)
     if not k0:
         raise ZeroDivisionError("quantisation needs a nonzero k0")
@@ -509,7 +505,7 @@ def quantize(obs, k0, scheme: int = 2) -> BilinearOperator:
         ph = covariant_ladder_phase(m) * covariant_ladder_phase(n)
         pr, pi = ph.re.numerator, ph.im.numerator
         out[m, n] = (x * pr - y * pi, x * pi + y * pr)
-    return BilinearOperator(None, scheme)._with(*_lowest(_pruned(out), den))
+    return BilinearOperator()._with(*_lowest(_pruned(out), den))
 
 
 def decompose_physical(s: FockPolyState):

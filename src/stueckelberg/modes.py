@@ -2,10 +2,13 @@
 
 Observables are polynomials of degree at most two in the eight canonical
 symbols q1..q4, pi1..pi4, with exact scalar coefficients held in the
-integer store of `exact._ExactCoefficients`.  Group parameters are plain
-Gaussian rationals: the infinitesimal transformation and its generating
-function are linear in them, so "valid to first order in the
-parameters" is decided by plain equality of observables.
+integer store of `exact._ExactCoefficients`.  A u(3,1) parameter set
+is three coefficient tables, the phase omega0 and 4x4 tables A
+(antisymmetric) and S (symmetric), and every map linear in it (the
+generator matrix, the canonical flow, its generating function, the
+charge sum) is a table expression.  The parameters are plain Gaussian
+rationals, so "valid to first order in the parameters" is decided by
+plain equality of observables.
 """
 
 from __future__ import annotations
@@ -15,13 +18,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import (ExactMatrix, GR_I, GR_MINUS_ONE, GR_ONE, GR_ZERO, GaussianRational,
-                    _ExactCoefficients, _lowest, _pruned, as_fraction, mat_commutator,
+                    _ExactCoefficients, _lowest, _pruned, _scalar, as_fraction, mat_commutator,
                     mat_inverse, mat_vec)
 
-N_MODES = 4
 
-
-def _scalar(x):
+def _exact(x):
     c = GaussianRational._coerce(x)
     if c is None:
         raise TypeError(f"not an exact scalar: {x!r}")
@@ -143,157 +144,110 @@ def amplitude_form_hamiltonian(ctx: ModeContext) -> QuadraticObservable:
     return out
 
 
-def u31_unit() -> ExactMatrix:
-    """The phase generator i times the 4x4 identity."""
-    return ExactMatrix.identity(4) * GR_I
+class U31Params(namedtuple("U31Params", "omega0 a s")):
+    """Infinitesimal group parameters as three coefficient tables.
 
-
-def u31_antisym(mu, nu) -> ExactMatrix:
-    """Real antisymmetric generator with +1 at (mu, nu) and -1 at (nu, mu)."""
-    if mu == nu:
-        raise ValueError("antisymmetric generator needs distinct indices")
-    return ExactMatrix.sparse(4, 4, [((mu - 1, nu - 1), GR_ONE), ((nu - 1, mu - 1), -GR_ONE)])
-
-
-def u31_sym(mu, nu) -> ExactMatrix:
-    """Symmetric generator i (e^{mu,nu} + e^{nu,mu} - delta/2)."""
-    terms = [((mu - 1, nu - 1), GR_I), ((nu - 1, mu - 1), GR_I)]
-    if mu == nu:
-        half_i = GR_I * GaussianRational(Fraction(-1, 2))
-        terms += [((a, a), half_i) for a in range(4)]
-    return ExactMatrix.sparse(4, 4, terms)
-
-
-class U31Params(namedtuple("U31Params", "omega0 antisym sym")):
-    """Infinitesimal group parameters with the reality pattern enforced.
-
-    omega0 and the purely spatial entries are real; the mixed space-time
-    entries (a4) are imaginary; the (44) diagonal is real (forced by
-    conjugation consistency of the transformation, though not spelled
-    out with the others).  antisym is keyed by (mu, nu) with mu < nu and
-    sym by (mu, nu) with mu <= nu; each instance holds dicts of its own.
+    omega0 is the phase, `a` the antisymmetric 4x4 table A and `s` the
+    symmetric 4x4 table S, both `ExactMatrix`es with mode mu at index
+    mu - 1.  The constructor takes labelled values: antisym={(mu, nu): v}
+    with mu < nu sets A[mu, nu] = v and A[nu, mu] = -v, and
+    sym={(mu, nu): v} with mu <= nu sets S[mu, nu] = S[nu, mu] = v.  It
+    enforces the reality pattern: omega0 and the purely spatial entries
+    are real; the mixed space-time entries (a4) are imaginary; the (44)
+    diagonal is real (forced by conjugation consistency of the
+    transformation, though not spelled out with the others).
     """
 
     __slots__ = ()
 
     def __new__(cls, omega0=GR_ZERO, antisym=(), sym=()):
-        omega0 = _scalar(omega0)
+        omega0 = _exact(omega0)
         a = {}
         for (mu, nu), v in dict(antisym).items():
             if not (1 <= mu < nu <= 4):
                 raise ValueError("antisymmetric labels need mu < nu")
-            a[(mu, nu)] = _scalar(v)
+            a[(mu, nu)] = _exact(v)
         s = {}
         for (mu, nu), v in dict(sym).items():
             if not (1 <= mu <= nu <= 4):
                 raise ValueError("symmetric labels need mu <= nu")
-            s[(mu, nu)] = _scalar(v)
+            s[(mu, nu)] = _exact(v)
         if omega0.im:
             raise ValueError("omega0 must be real")
-        for (mu, nu), v in a.items():
-            if nu == 4:
-                if v.re:
-                    raise ValueError(f"antisym ({mu},4) parameter must be imaginary")
-            elif v.im:
-                raise ValueError(f"antisym ({mu},{nu}) parameter must be real")
-        for (mu, nu), v in s.items():
-            if nu == 4 and mu != 4:
-                if v.re:
-                    raise ValueError(f"sym ({mu},4) parameter must be imaginary")
-            elif v.im:
-                raise ValueError(f"sym ({mu},{nu}) parameter must be real")
-        return super().__new__(cls, omega0, a, s)
+        for kind, given in (("antisym", a), ("sym", s)):
+            for (mu, nu), v in given.items():
+                if nu == 4 and mu != 4:
+                    if v.re:
+                        raise ValueError(f"{kind} ({mu},4) parameter must be imaginary")
+                elif v.im:
+                    raise ValueError(f"{kind} ({mu},{nu}) parameter must be real")
+        a_table = ExactMatrix.sparse(4, 4, [e for (mu, nu), v in a.items() for e in (
+            ((mu - 1, nu - 1), v), ((nu - 1, mu - 1), -v))])
+        s_table = ExactMatrix.sparse(4, 4, [(ij, v) for (mu, nu), v in s.items()
+                                            for ij in {(mu - 1, nu - 1), (nu - 1, mu - 1)}])
+        return super().__new__(cls, omega0, a_table, s_table)
 
-    def antisym_at(self, mu, nu):
-        if mu == nu:
-            return GR_ZERO
-        if mu < nu:
-            return self.antisym.get((mu, nu), GR_ZERO)
-        return -self.antisym.get((nu, mu), GR_ZERO)
+    def __reduce__(self):
+        return type(self)._make, (tuple(self),)
 
-    def sym_at(self, mu, nu):
-        if mu > nu:
-            mu, nu = nu, mu
-        return self.sym.get((mu, nu), GR_ZERO)
+    def traceless(self):
+        """S0 = S - (tr S / 4) I, the part of S that acts."""
+        return self.s - ExactMatrix.identity(4) * (self.s.trace() * Fraction(1, 4))
 
-    def sym_trace(self):
-        t = GR_ZERO
-        for mu in range(1, 5):
-            t = t + self.sym_at(mu, mu)
-        return t
 
-    def sym_traceless_at(self, mu, nu):
-        v = self.sym_at(mu, nu)
-        if mu == nu:
-            v = v - self.sym_trace() * GaussianRational(Fraction(1, 4))
-        return v
+def _phase_table(params: U31Params) -> ExactMatrix:
+    """W = omega0 I + 2 S0, the table that turns q into pi and pi into q."""
+    return ExactMatrix.identity(4) * params.omega0 + params.traceless() * 2
+
+
+def _table_sum(*terms):
+    """Sum of m.xs over (4x4 table m, four observables or four scalars xs) pairs."""
+    out = [x * GR_ZERO for x in terms[0][1]]
+    for m, xs in terms:
+        for (i, j), c in m.coeffs.items():
+            out[i] = out[i] + xs[j] * c
+    return tuple(out)
 
 
 def generator_matrix(params: U31Params) -> ExactMatrix:
-    """4x4 matrix of the infinitesimal transformation, minus the identity."""
-    out = ExactMatrix.zeros(4)
-    out = out + u31_unit() * (-params.omega0)
-    for mu in range(1, 5):
-        for nu in range(1, 5):
-            a = params.antisym_at(mu, nu)
-            if a and mu < nu:
-                out = out + u31_antisym(mu, nu) * (a + a)
-            s = params.sym.get((mu, nu)) if mu <= nu else None
-            if s:
-                mult = s if mu == nu else s + s
-                out = out - u31_sym(mu, nu) * mult
-    return out
+    """4x4 matrix of the infinitesimal transformation, minus the identity.
+
+    G = 2A - i omega0 I - 2i S0: the flow moves the amplitudes
+    B = q + i pi / k0 by delta B = G B.
+    """
+    return (params.a * 2 - ExactMatrix.identity(4) * (GR_I * params.omega0)
+            - params.traceless() * (GR_I * 2))
 
 
 def infinitesimal_transform(qs, pis, params: U31Params, ctx: ModeContext):
     """First-order canonical variation (delta q, delta pi) of a state.
 
-    Inputs may be plain scalars or observables: only ring operations are
-    used.  The symmetric sector enters through its traceless part.
+    delta q = 2A q + W pi / k0 and delta pi = 2A pi - k0 W q, with
+    W = omega0 I + 2 S0: the symmetric sector enters through its
+    traceless part.  Inputs may be plain scalars or observables: only
+    ring operations are used.
     """
     k0 = GaussianRational(ctx.k0)
-    dq = []
-    dpi = []
-    for mu in range(1, 5):
-        acc_q = pis[mu - 1] * (params.omega0 / k0)
-        acc_p = qs[mu - 1] * (-params.omega0 * k0)
-        for nu in range(1, 5):
-            a = params.antisym_at(mu, nu)
-            if a:
-                acc_q = acc_q + qs[nu - 1] * (a + a)
-                acc_p = acc_p + pis[nu - 1] * (a + a)
-            st = params.sym_traceless_at(mu, nu)
-            if st:
-                two = st + st
-                acc_q = acc_q + pis[nu - 1] * (two / k0)
-                acc_p = acc_p - qs[nu - 1] * (two * k0)
-        dq.append(acc_q)
-        dpi.append(acc_p)
-    return tuple(dq), tuple(dpi)
+    a2, w = params.a * 2, _phase_table(params)
+    return _table_sum((a2, qs), (w / k0, pis)), _table_sum((a2, pis), (w * -k0, qs))
 
 
 def generating_function(params: U31Params, ctx: ModeContext) -> QuadraticObservable:
-    """F(q, pi') for the infinitesimal transformation.
+    """F(q, pi') = q.pi' + pi'.2A.q + (pi'.W.pi' / k0 + k0 q.W.q) / 2.
 
     The momentum symbols stand for the primed momenta here.  The plain
     q.pi' term generates the identity; each parameter adds its bilinear.
     """
     k0 = GaussianRational(ctx.k0)
-    half = GaussianRational(Fraction(1, 2))
+    qs = [q_sym(mu) for mu in range(1, 5)]
+    pis = [pi_sym(mu) for mu in range(1, 5)]
     out = QuadraticObservable()
-    for mu in range(1, 5):
-        out = out + q_sym(mu) * pi_sym(mu)
-        out = out + ((pi_sym(mu) * pi_sym(mu)).scale(GR_ONE / k0)
-                     + (q_sym(mu) * q_sym(mu)).scale(k0)).scale(params.omega0 * half)
-    for mu in range(1, 5):
-        for nu in range(1, 5):
-            a = params.antisym_at(mu, nu)
-            if a:
-                out = out + (pi_sym(mu) * q_sym(nu) - pi_sym(nu) * q_sym(mu)).scale(a)
-            st = params.sym_traceless_at(mu, nu)
-            if st:
-                out = out + ((pi_sym(mu) * pi_sym(nu)).scale(GR_ONE / k0)
-                             + (q_sym(mu) * q_sym(nu)).scale(k0)).scale(st)
+    for q, p in zip(qs, pis):
+        out = out + q * p
+    for (i, j), a in (params.a * 2).coeffs.items():
+        out = out + (pis[i] * qs[j]).scale(a)
+    for (i, j), w in (_phase_table(params) * Fraction(1, 2)).coeffs.items():
+        out = out + (pis[i] * pis[j]).scale(w / k0) + (qs[i] * qs[j]).scale(w * k0)
     return out
 
 
@@ -344,14 +298,20 @@ def conserved_charges(ctx: ModeContext) -> dict:
 def charge_combination(params: U31Params, charges: dict):
     """Parameter-weighted sum over a 17-charge table, classical or quantum.
 
-    Off-diagonal labels enter twice, diagonals once, as in the flow generator.
+    Walks the upper triangles of A and S: each antisymmetric entry and
+    each symmetric off-diagonal entry enters twice, a diagonal once, as
+    in the flow generator.
     """
     out = charges[("unit",)].scale(params.omega0)
-    for (mu, nu), a in params.antisym.items():
-        out = out + charges[("antisym", mu, nu)].scale(a + a)
-    for (mu, nu), s in params.sym.items():
-        mult = s if mu == nu else s + s
-        out = out + charges[("sym", mu, nu)].scale(mult)
+    den = params.a._den
+    for (i, j), (x, y) in params.a._c.items():
+        if i < j:
+            out = out + charges[("antisym", i + 1, j + 1)].scale(_scalar(2 * x, 2 * y, den))
+    den = params.s._den
+    for (i, j), (x, y) in params.s._c.items():
+        if i <= j:
+            w = 1 if i == j else 2
+            out = out + charges[("sym", i + 1, j + 1)].scale(_scalar(w * x, w * y, den))
     return out
 
 
@@ -417,17 +377,9 @@ def structure_constants():
 
 def params_scaled(direction_table, coeffs) -> U31Params:
     """Linear combination of basis directions with the given coefficients."""
-    omega0 = GR_ZERO
-    antisym = {}
-    sym = {}
-    for (name, par), c in zip(direction_table, coeffs):
-        if not c:
-            continue
-        omega0 = omega0 + par.omega0 * c
-        for k, v in par.antisym.items():
-            antisym[k] = antisym.get(k, GR_ZERO) + v * c
-        for k, v in par.sym.items():
-            sym[k] = sym.get(k, GR_ZERO) + v * c
+    omega0, a, s = GR_ZERO, ExactMatrix.zeros(4), ExactMatrix.zeros(4)
+    for (_, par), c in zip(direction_table, coeffs):
+        if c:
+            omega0, a, s = omega0 + par.omega0 * c, a + par.a * c, s + par.s * c
     # _make skips the reality checks: complex coefficients may break them
-    return U31Params._make((omega0, {k: v for k, v in antisym.items() if v},
-                            {k: v for k, v in sym.items() if v}))
+    return U31Params._make((omega0, a, s))

@@ -652,7 +652,7 @@ class Fock(Suite):
 
     @cached_property
     def qc(self):
-        return quantum_charges(self.k0, 2)
+        return quantum_charges()
 
     @cached_property
     def energy(self):
@@ -793,14 +793,14 @@ class Fock(Suite):
         k0 = self.k0
         cc = conserved_charges(ModeContext(k0))
         keys = sorted(cc.keys(), key=str)
-        qmap = {key: quantize(cc[key], k0, 2) for key in keys}
+        qmap = {key: quantize(cc[key], k0) for key in keys}
         for key in keys:
             if qmap[key] != self.qc[key]:
                 return False, f"charge {key}: quantised form differs from direct form"
         for i, ka in enumerate(keys):
             for kb in keys[i + 1:]:
                 lhs = qmap[ka].commutator(qmap[kb])
-                rhs = quantize(poisson_bracket(cc[ka], cc[kb]), k0, 2).scale(GR_I)
+                rhs = quantize(poisson_bracket(cc[ka], cc[kb]), k0).scale(GR_I)
                 if lhs != rhs:
                     return False, f"pair ({ka}, {kb})"
         return True
@@ -1026,7 +1026,7 @@ class Em(Suite):
             got = []
             for i in (0, 1, 2, 3):
                 mc = du.conjugate_charge(em_mod.charge_matrix(i))
-                op = em_mod.charge_operator(mc)
+                op = BilinearOperator.from_table(mc)
                 norm = inner_product(st, st)
                 got.append((inner_product(st, op.apply(st)) / norm).re)
             if got[0] != j0:

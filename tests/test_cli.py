@@ -137,6 +137,7 @@ def test_stokes_rejects_garbage(capsys):
     ("stokes", "--state", '[[1,0,"1/0","0"]]'),
     ("stokes", "--state", '[[1,0,"1","x"]]'),
     ("stokes", "--state", '[[1.5,0,"1","0"]]'),
+    ("stokes", "--state", '[[1000000,0,"1","0"]]'),
     ("verify", "projectors", "--mass", "1", "--momentum", "1,1,1"),
 ])
 def test_bad_input_is_one_line_config_error(capsys, argv):

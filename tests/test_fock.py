@@ -146,20 +146,15 @@ def test_energy_signs():
 
 
 def test_quantum_charges_commute_with_energy():
-    qc = quantum_charges(K0, 2)
+    qc = quantum_charges()
     p0 = energy_operator(K0, 2)
     assert len(qc) == 17
     for key, j in qc.items():
         assert j.commutator(p0).is_zero(), key
 
 
-def test_charges_unavailable_in_scheme1():
-    with pytest.raises(SchemeMismatchError):
-        quantum_charges(K0, 1)
-
-
 def test_number_charge_eigenvalues():
-    qc = quantum_charges(K0, 2)
+    qc = quantum_charges()
     for b in monomial_basis(N)[:40]:
         s = FockPolyState.basis_state(b, N, 2)
         assert qc[("unit",)].apply(s) == s.scale(GaussianRational(sum(b)))
@@ -167,7 +162,7 @@ def test_number_charge_eigenvalues():
 
 def test_quantize_rejects_non_bilinear():
     with pytest.raises(ValueError):
-        quantize(q_sym(1) * q_sym(1), K0, 2)
+        quantize(q_sym(1) * q_sym(1), K0)
 
 
 def test_physical_decomposition_cases():
@@ -475,7 +470,7 @@ def test_integer_quantize_matches_the_rational_tables(data):
     obs = QuadraticObservable()
     for _ in range(data.draw(st.integers(0, 4))):
         obs = obs + data.draw(st.sampled_from(blocks)).scale(data.draw(values))
-    assert quantize(obs, k0, 2) == _ref_quantize(obs, k0)
+    assert quantize(obs, k0) == _ref_quantize(obs, k0)
     # a q.q or pi.pi term on its own leaves an aa residue
     mu, nu = data.draw(modes), data.draw(modes)
     sym = data.draw(st.sampled_from((q_sym, pi_sym)))
@@ -484,4 +479,4 @@ def test_integer_quantize_matches_the_rational_tables(data):
         with pytest.raises(ValueError):
             _ref_quantize(bad, k0)
         with pytest.raises(ValueError):
-            quantize(bad, k0, 2)
+            quantize(bad, k0)

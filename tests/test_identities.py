@@ -128,7 +128,7 @@ def test_basis_state_failure_names_the_first_failing_state(monkeypatch):
     def first(claim, bs=states):
         return f"state {next(b for b in bs if not claim(b, states[b]))}"
 
-    p0, unit = energy_operator(cfg.k0, 2), quantum_charges(cfg.k0, 2)[("unit",)]
+    p0, unit = energy_operator(cfg.k0, 2), quantum_charges()[("unit",)]
     want = {
         "ladder-incorrect-sign": first(
             lambda b, s: apply_ladder(annihilate, apply_ladder(create, s))

@@ -1,0 +1,88 @@
+"""Mutation gate: each known fault must fail exactly its identities.
+
+Each row plants one fault in a copy of the package, runs one `verify`
+process on it, and asserts exit 1 and the exact set of failing
+identities, so an identity that stops catching a fault shows up as a
+changed set.  The score printed at the end counts the faults caught out
+of those tried (mutation testing after DeMillo, Lipton and Sayward,
+"Hints on test data selection", IEEE Computer 11(4), 1978).
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import stueckelberg
+from stueckelberg.report import EXIT_FAIL, EXIT_PASS
+
+PACKAGE = Path(stueckelberg.__file__).resolve().parent
+VERIFY_ALL = ("verify", "all", "--k0", "37/11")
+
+# (fault, file, exact old text, new text, argv, failing "suite/id" set)
+MUTATIONS = [
+    ("trace correction dropped", "modes.py",
+     "return self.s - ExactMatrix.identity(4) * (self.s.trace() * Fraction(1, 4))",
+     "return self.s",
+     VERIFY_ALL, {"u31/trace-direction-trivial"}),
+    ("A once in the generator", "modes.py",
+     "return (params.a * 2 - ExactMatrix.identity(4)",
+     "return (params.a - ExactMatrix.identity(4)",
+     VERIFY_ALL, {"u31/structure-constants", "fock/charge-matrix-structure"}),
+    ("1/k0 for k0 in delta pi", "modes.py",
+     "_table_sum((a2, pis), (w * -k0, qs))",
+     "_table_sum((a2, pis), (w / -k0, qs))",
+     VERIFY_ALL, {"u31/charge-flows", "u31/generating-function",
+                  "u31/hamiltonian-invariance"}),
+    ("A transposed in the flow", "modes.py",
+     "a2, w = params.a * 2, _phase_table(params)",
+     "a2, w = params.a.transpose() * 2, _phase_table(params)",
+     VERIFY_ALL, {"u31/charge-flows", "u31/generating-function"}),
+    ("a once in F", "modes.py",
+     "for (i, j), a in (params.a * 2).coeffs.items():",
+     "for (i, j), a in params.a.coeffs.items():",
+     VERIFY_ALL, {"u31/generating-function"}),
+    ("symmetric off-diagonal charge weight once", "modes.py",
+     "w = 1 if i == j else 2",
+     "w = 1",
+     VERIFY_ALL, {"u31/charge-flows", "u31/structure-constants",
+                  "fock/charge-matrix-structure"}),
+    ("params_scaled drops S", "modes.py",
+     "a + par.a * c, s + par.s * c",
+     "a + par.a * c, s",
+     VERIFY_ALL, {"u31/structure-constants", "fock/charge-matrix-structure"}),
+]
+
+
+def _verify(package_root, argv):
+    """(exit code, failing "suite/id" set) of one verify process on package_root."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("STUECKELBERG_")}
+    env["PYTHONPATH"] = str(package_root)
+    proc = subprocess.run([sys.executable, "-m", "stueckelberg.cli", *argv, "--json",
+                           "--no-timing", "--workers", "1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    records = json.loads(proc.stdout)["identities"] if proc.stdout else []
+    return proc.returncode, {f"{r['suite']}/{r['id']}" for r in records
+                             if r["status"] == "fail"}
+
+
+def test_each_fault_fails_exactly_its_identities(tmp_path):
+    clean = tmp_path / "clean"
+    shutil.copytree(PACKAGE, clean / "stueckelberg",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    assert _verify(clean, VERIFY_ALL) == (EXIT_PASS, set())
+    missed = []
+    for k, (fault, name, old, new, argv, want) in enumerate(MUTATIONS):
+        root = tmp_path / f"m{k}"
+        shutil.copytree(clean, root)
+        path = root / "stueckelberg" / name
+        text = path.read_text()
+        assert text.count(old) == 1, f"{fault}: the old text must occur once in {name}"
+        path.write_text(text.replace(old, new))
+        got = _verify(root, argv)
+        if got != (EXIT_FAIL, want):
+            missed.append((fault, got))
+    print(f"mutation score: {len(MUTATIONS) - len(missed)}/{len(MUTATIONS)} faults caught")
+    assert missed == []

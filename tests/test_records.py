@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from stueckelberg.em import U2Element
-from stueckelberg.exact import GR_ONE, ExactMatrix
+from stueckelberg.exact import GR_I, GR_ONE, ExactMatrix
 from stueckelberg.fock import LadderOp
 from stueckelberg.modes import ModeContext, U31Params
 from stueckelberg.projectors import FourMomentum, ProjectorFamily, SolutionDyad
@@ -62,18 +62,20 @@ def test_records_coerce_their_fields():
     IdentityRecord(suite="fock", ident="gram-indefinite", claim="a claim", status="fail",
                    witness="state (0, 0, 0, 1)", elapsed_ms=1.5),
     IdentityRecord("em", "su2-commutators", "a claim", "skip", reason="why"),
-], ids=["SuiteConfig", "IdentityRecord-fail", "IdentityRecord-skip"])
+    U31Params(GR_ONE, antisym={(1, 4): GR_I}, sym={(2, 2): GR_ONE}),
+], ids=["SuiteConfig", "IdentityRecord-fail", "IdentityRecord-skip", "U31Params"])
 def test_pool_records_survive_a_pickle_round_trip(record):
     copy = pickle.loads(pickle.dumps(record))
     assert copy == record and type(copy) is type(record)
 
 
-def test_u31_params_hold_dicts_of_their_own():
-    a, b = U31Params(), U31Params()
-    assert a.antisym == b.antisym == {} and a.sym == b.sym == {}
-    assert a.antisym is not b.antisym and a.sym is not b.sym
-    given = {(1, 2): GR_ONE}
-    assert U31Params(antisym=given).antisym is not given
+def test_u31_params_hold_an_antisymmetric_and_a_symmetric_table():
+    par = U31Params(antisym={(1, 2): GR_ONE, (2, 4): GR_I}, sym={(1, 3): GR_ONE, (4, 4): 2})
+    assert par.a.transpose() == -par.a and par.s.transpose() == par.s
+    assert par.a[0, 1] == GR_ONE and par.a[3, 1] == -GR_I
+    assert par.s[2, 0] == GR_ONE and par.s[3, 3] == 2 and par.s.trace() == 2
+    assert par.traceless().trace() == 0
+    assert U31Params().a.is_zero() and U31Params().s.is_zero()
 
 
 def test_equal_four_momenta_hash_alike():
