@@ -226,7 +226,8 @@ def cmd_stokes(args):
             raise ConfigError("each term must be [n1, n2, re, im]")
         n1, n2, re, im = term
         occupation = (_parse_int(str(n1), "occupation"), _parse_int(str(n2), "occupation"))
-        coeffs[occupation] = GaussianRational(_parse_fraction(str(re)), _parse_fraction(str(im)))
+        value = GaussianRational(_parse_fraction(str(re)), _parse_fraction(str(im)))
+        coeffs[occupation] = coeffs.get(occupation, 0) + value  # repeated terms add up
     trunc = max(n1 + n2 for (n1, n2) in coeffs)
     if trunc > MAX_TRUNCATION:
         raise ConfigError(f"total occupation above the cap {MAX_TRUNCATION}")

@@ -652,19 +652,6 @@ def mat_inverse(a: ExactMatrix) -> ExactMatrix:
     return adj.scale(_scalar(a._den * dr, -a._den * di, dr * dr + di * di))
 
 
-def vec_dagger(v):
-    """Conjugate of a vector (for forming bras from kets)."""
-    return tuple(e.conjugate() for e in v)
-
-
-def vec_dot(u, v):
-    """Plain bilinear dot product, no conjugation."""
-    s = GR_ZERO
-    for a, b in zip(u, v):
-        s = s + a * b
-    return s
-
-
 def mat_vec(m: ExactMatrix, v):
     if m.cols != len(v):
         raise ValueError("dimension mismatch")
@@ -676,23 +663,3 @@ def mat_vec(m: ExactMatrix, v):
         im[i] += a * d + b * c
     den = m._den * vd
     return tuple(_scalar(x, y, den) for x, y in zip(re, im))
-
-
-def vec_mat(v, m: ExactMatrix):
-    if m.rows != len(v):
-        raise ValueError("dimension mismatch")
-    return mat_vec(m.transpose(), v)
-
-
-def vec_outer(u, v) -> ExactMatrix:
-    """Column u times row v."""
-    un, ud = _integer_vector(u)
-    vn, vd = _integer_vector(v)
-    row_of_v = [(j, x, y) for j, (x, y) in enumerate(vn) if x or y]
-    c = {(i, j): (a * x - b * y, a * y + b * x)
-         for i, (a, b) in enumerate(un) if a or b for j, x, y in row_of_v}
-    return ExactMatrix.zeros(len(un), len(vn))._with(*_lowest(c, ud * vd))
-
-
-def vec_scale(v, s):
-    return tuple(e * s for e in v)

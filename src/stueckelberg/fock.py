@@ -57,10 +57,6 @@ DEFAULT_TRUNCATION = 6
 # pair, which restores the standard sign
 _ANNIHILATION_SIGNS = {1: (1, 1, 1, 1), 2: METRIC_SIGNATURE}
 
-# the same signs as the diagonal S of the bilinear commutator's table product
-_SIGN_TABLES = {scheme: ExactMatrix.sparse(4, 4, (((m, m), s) for m, s in enumerate(signs)))
-                for scheme, signs in _ANNIHILATION_SIGNS.items()}
-
 
 class TruncationOverflowError(ValueError):
     """Creation would push a state past the configured degree bound."""
@@ -386,8 +382,11 @@ class BilinearOperator(_SchemeCoefficients):
         s_j d_jk a+_i a_l - s_i d_li a+_k a_j (the Jordan-Schwinger map).
         """
         self._check_compatible(other)
-        a, b, s = self.table(), other.table(), _SIGN_TABLES[self.scheme]
-        return BilinearOperator.from_table(a @ s @ b - b @ s @ a, self.scheme)
+        a, b, s = self.table(), other.table(), _ANNIHILATION_SIGNS[self.scheme]
+        # S is a diagonal of signs, so S B and S A are B and A with row i times s[i]
+        sb, sa = (t._with({(i, j): (x * s[i], y * s[i]) for (i, j), (x, y) in t._c.items()},
+                          t._den) for t in (b, a))
+        return BilinearOperator.from_table(a @ sb - b @ sa, self.scheme)
 
 
 def covariant_ladder_phase(mu: int) -> GaussianRational:

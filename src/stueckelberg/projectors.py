@@ -12,9 +12,8 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import (ExactMatrix, GR_I, GR_ONE, GR_ZERO, GaussianRational,
-                    as_fraction, mat_rank, rational_sqrt, vec_dagger, vec_dot,
-                    vec_mat, vec_outer, vec_scale, mat_vec)
+from .exact import (ExactMatrix, GR_I, GR_ONE, GaussianRational,
+                    as_fraction, mat_rank, rational_sqrt)
 from .epsilon import BIVECTOR_PAIRS, DIM11, BasisIndex
 from .wave import wave_matrices
 
@@ -222,18 +221,28 @@ def pure_state_projector(p: FourMomentum, eps: int, spin: int, proj: int) -> Exa
     return ProjectorFamily.build(p).deltas[(eps, spin, proj)]
 
 
-class SolutionDyad(namedtuple("SolutionDyad", "psi psi_bar labels norm_sign")):
-    """Rank-1 factorisation of a pure-state projector.
+class SolutionDyad(namedtuple("SolutionDyad", "column row labels norm_sign")):
+    """Rank-1 factorisation of a pure-state projector: an 11x1 column times a 1x11 row.
 
-    psi is scaled so that its indefinite-metric norm psi^+ eta psi is
-    exactly +1 or -1 (recorded as norm_sign); psi_bar is norm_sign times
-    psi^+ eta, which makes the outer product reproduce the projector
-    exactly.  Reassembly then forces psi_bar . psi = +1, as it must for
-    any trace-one idempotent; the indefinite sign lives in norm_sign.
-    labels is (eps, spin, projection).
+    The column psi is scaled so that its indefinite-metric norm
+    psi^+ eta psi is exactly +1 or -1 (recorded as norm_sign); the row
+    psi_bar is norm_sign times psi^+ eta, which makes the product
+    column @ row reproduce the projector exactly.  Reassembly then
+    forces psi_bar psi = +1, as it must for any trace-one idempotent;
+    the indefinite sign lives in norm_sign.  labels is (eps, spin,
+    projection).  column and row are `ExactMatrix`es; psi and psi_bar
+    read them out as tuples of `GaussianRational`.
     """
 
     __slots__ = ()
+
+    @property
+    def psi(self):
+        return self.column.column(0)
+
+    @property
+    def psi_bar(self):
+        return self.row.transpose().column(0)
 
 
 def _gi_mul_pair(a, b):
@@ -314,15 +323,16 @@ def _norm_split(q: Fraction) -> GaussianRational | None:
 
 
 def dyad_factorize(delta: ExactMatrix, labels=(0, 0, 0)) -> SolutionDyad:
-    """Split a rank-1 idempotent into a normalized column and its metric row."""
+    """Split a rank-1 idempotent into a normalized 11x1 column and its 1x11 metric row."""
     if mat_rank(delta) != 1:
         raise ValueError("not a pure state: projector rank differs from 1")
     # the first column of largest squared magnitude, read off the diagonal
     # of delta^+ delta
     col_norms = delta.dagger() @ delta
-    psi = delta.column(max(range(delta.cols), key=lambda j: col_norms[j, j].re))
+    j = max(range(delta.cols), key=lambda j: col_norms[j, j].re)
+    col = delta @ ExactMatrix.unit(delta.cols, 1, j, 0)
     eta = wave_matrices().eta
-    nu = vec_dot(vec_dagger(psi), mat_vec(eta, psi))
+    nu = (col.dagger() @ eta @ col)[0, 0]
     if not nu:
         raise ArithmeticError("candidate column has null metric norm")
     if nu.im:
@@ -332,11 +342,11 @@ def dyad_factorize(delta: ExactMatrix, labels=(0, 0, 0)) -> SolutionDyad:
     if t is None:
         raise ArithmeticError(
             f"metric norm {nu.re} is not a two-square rational; cannot normalize exactly")
-    psi = vec_scale(psi, GR_ONE / t)
-    psi_bar = vec_scale(vec_mat(vec_dagger(psi), eta), GaussianRational(norm_sign))
-    if vec_outer(psi, psi_bar) != delta:
+    col = col / t
+    row = (col.dagger() @ eta) * norm_sign
+    if col @ row != delta:
         raise AssertionError("dyad reassembly failed to reproduce the projector")
-    return SolutionDyad(psi=psi, psi_bar=psi_bar, labels=tuple(labels), norm_sign=norm_sign)
+    return SolutionDyad(column=col, row=row, labels=tuple(labels), norm_sign=norm_sign)
 
 
 def verify_first_order_solution(d: SolutionDyad, p: FourMomentum, eps: int,
@@ -350,24 +360,16 @@ def verify_first_order_solution(d: SolutionDyad, p: FourMomentum, eps: int,
     not given.
     """
     ps = p_slash(p) if ps is None else ps
-    lhs = vec_scale(mat_vec(ps, d.psi), -GR_I)
-    rhs = vec_scale(d.psi, GaussianRational(eps * p.m))
-    if lhs != rhs:
+    col = d.column
+    if (ps @ col) * -GR_I != col * GaussianRational(eps * p.m):
         return False
-    comps = p.components()
-    ieps = GR_I * GaussianRational(eps)
-    m = GaussianRational(p.m)
-    psi_vec = {mu: d.psi[mu] for mu in (1, 2, 3, 4)}
-    # scalar slot: -(i eps p . psi)/m
-    div = GR_ZERO
-    for mu in (1, 2, 3, 4):
-        div = div + comps[mu - 1] * psi_vec[mu]
-    if d.psi[0] != -(ieps * div) / m:
-        return False
-    # bivector slots: (i eps (p_mu psi_nu - p_nu psi_mu))/m
+    # the layout as a fixed point of one matrix: it keeps the vector slots
+    # and rebuilds from them the scalar slot, -(i eps p . psi)/m, and each
+    # bivector slot [mu nu], i eps (p_mu psi_nu - p_nu psi_mu)/m
+    k = [c * GaussianRational(0, Fraction(eps) / p.m) for c in p.components()]
+    layout = [((mu, mu), GR_ONE) for mu in (1, 2, 3, 4)]
+    layout += [((0, mu), -k[mu - 1]) for mu in (1, 2, 3, 4)]
     for (mu, nu) in BIVECTOR_PAIRS:
         pos = DIM11.position(BasisIndex.bivector(mu, nu))
-        want = (ieps * (comps[mu - 1] * psi_vec[nu] - comps[nu - 1] * psi_vec[mu])) / m
-        if d.psi[pos] != want:
-            return False
-    return True
+        layout += [((pos, nu), k[mu - 1]), ((pos, mu), -k[nu - 1])]
+    return ExactMatrix.sparse(11, 11, layout) @ col == col

@@ -19,9 +19,7 @@ from functools import cached_property, partial
 from itertools import permutations, product
 
 from .exact import (ExactMatrix, GR_I, GR_MINUS_ONE, GR_ONE, GR_ZERO,
-                    GaussianRational, mat_commutator, mat_rank, mat_vec,
-                    minimal_poly_check, vec_dagger, vec_dot, vec_mat,
-                    vec_outer, vec_scale)
+                    GaussianRational, mat_commutator, mat_rank, minimal_poly_check)
 from . import em as em_mod
 from .epsilon import BIVECTOR_PAIRS, DIM4, DIM5, DIM10, DIM11, identity_of
 from .epsilon import epsilon as eps_unit
@@ -140,6 +138,15 @@ def run_suite(name, cfg) -> list:
 # ---------------------------------------------------------------------------
 # algebra suite
 
+def _blocks(rows, cols, blocks):
+    """The matrix of rows x cols 11x11 blocks, from ((block row, block column), entries) pairs.
+
+    entries are one block's ((i, j), value) pairs; blocks not named are zero.
+    """
+    return ExactMatrix.sparse(11 * rows, 11 * cols, (
+        ((11 * r + i, 11 * c + j), v) for (r, c), entries in blocks for (i, j), v in entries))
+
+
 def _trilinear(betas):
     for t in product(IDX, repeat=3):
         if not pdk_holds(betas, *t):
@@ -153,15 +160,27 @@ class Algebra(Suite):
     @identity("unit-product-rule",
               "matrix-unit product rule holds for all 14641 ordered basis pairs")
     def product_rule(self):
+        # one product: the units stacked (1331x11) times the units side by
+        # side (11x1331) holds E_ab E_cd in block (ab, cd), for ab = 11 a + b
         labels = DIM11.labels
-        units = {(a, b): eps_unit(a, b, DIM11) for a in labels for b in labels}
-        zero = ExactMatrix.zeros(11)
-        for (a, b), mab in units.items():
-            for (c, d), mcd in units.items():
-                want = units[(a, d)] if epsilon_delta(b, c) else zero
-                if mab @ mcd != want:
-                    return False, f"basis pair ({a},{b}) x ({c},{d})"
-        return True
+        n = len(labels)
+        units = [tuple(eps_unit(a, b, DIM11).coeffs.items()) for a in labels for b in labels]
+        stacked = _blocks(n * n, 1, (((k, 0), u) for k, u in enumerate(units)))
+        side = _blocks(1, n * n, (((0, k), u) for k, u in enumerate(units)))
+        # the expected block (ab, cd) is delta_bc E_ad: one term per nonzero delta
+        want = ExactMatrix.zeros(n ** 3)
+        for b, c in product(range(n), repeat=2):
+            delta = epsilon_delta(labels[b], labels[c])
+            if delta:
+                want = want + _blocks(n * n, n * n, (
+                    ((n * a + b, n * c + d), units[n * a + d])
+                    for a, d in product(range(n), repeat=2))) * delta
+        diff = stacked @ side - want
+        if diff.is_zero():
+            return True
+        ab, cd = min((i // n, j // n) for i, j in diff.coeffs)
+        a, b, c, d = (labels[k] for k in divmod(ab, n) + divmod(cd, n))
+        return False, f"basis pair ({a},{b}) x ({c},{d})"
 
     @identity("unit-trace", "trace of a basis unit equals the label delta")
     def unit_trace(self):
@@ -438,21 +457,21 @@ class Projectors(Suite):
               MOVING_FRAME)
     def reassembly(self):
         for k, d in self.dyads.items():
-            if vec_outer(d.psi, d.psi_bar) != self.fam.deltas[k]:
+            if d.column @ d.row != self.fam.deltas[k]:
                 return False, f"state {k}"
         return True
 
     @identity("dyad-metric-row", "each dyad row is the signed metric conjugate of its column",
               MOVING_FRAME)
     def metric_row(self):
-        eta = self.w.eta
+        eta, one = self.w.eta, ExactMatrix.identity(1)
         for k, d in self.dyads.items():
-            sign = GaussianRational(d.norm_sign)
-            if d.psi_bar != vec_scale(vec_mat(vec_dagger(d.psi), eta), sign):
+            bra = d.column.dagger() @ eta
+            if d.row != bra * d.norm_sign:
                 return False, f"state {k}: row is not the signed metric conjugate"
-            if vec_dot(vec_dagger(d.psi), mat_vec(eta, d.psi)) != sign:
+            if bra @ d.column != one * d.norm_sign:
                 return False, f"state {k}: metric norm is not the recorded sign"
-            if vec_dot(d.psi_bar, d.psi) != GR_ONE:
+            if d.row @ d.column != one:
                 return False, f"state {k}: row-column contraction is not one"
         return True
 
@@ -469,8 +488,7 @@ class Projectors(Suite):
               MOVING_FRAME)
     def eigen_equation(self):
         for k, d in self.dyads.items():
-            lhs = vec_scale(mat_vec(self.fam.p_slash, d.psi), -GR_I)
-            if lhs != vec_scale(d.psi, GaussianRational(k[0]) * self.m):
+            if (self.fam.p_slash @ d.column) * -GR_I != d.column * (self.m * k[0]):
                 return False, f"state {k}"
         return True
 
@@ -487,7 +505,7 @@ class Projectors(Suite):
         for e in (1, -1):
             d = self.dyads[(e, 0, 0)]
             for pos in range(5, 11):
-                if d.psi[pos]:
+                if d.column[pos, 0]:
                     return False, f"energy sign {e}, slot {pos}"
         return True
 

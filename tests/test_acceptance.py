@@ -53,8 +53,8 @@ def projector_runs():
 def test_criterion_01_unit_product_rule(algebra_records):
     records, _ = algebra_records
     rec = _record(records, "unit-product-rule")
-    ok = rec.status == "pass" and rec.elapsed_ms < 600
-    _conclude(1, "matrix-unit product rule, 14641 pairs under 0.6 s", ok,
+    ok = rec.status == "pass" and rec.elapsed_ms < 150
+    _conclude(1, "matrix-unit product rule, 14641 pairs under 0.15 s", ok,
               f"{rec.elapsed_ms:.0f} ms")
 
 

@@ -125,6 +125,16 @@ def test_stokes_command(capsys):
     assert json.loads(out)["J3"] == "-1/2"
 
 
+def test_stokes_adds_repeated_occupations(capsys):
+    # the state 2|1,0> + |0,1>, its first term given twice
+    code, out, _ = run_cli(capsys, "stokes", "--state",
+                           '[[1,0,"1","0"],[0,1,"1","0"],[1,0,"1","0"]]', "--json")
+    assert code == EXIT_PASS
+    assert (json.loads(out)["J1"], json.loads(out)["J3"]) == ("2/5", "3/10")
+    code, out, err = run_cli(capsys, "stokes", "--state", '[[1,0,"1","0"],[1,0,"-1","0"]]')
+    assert (code, out, err) == (EXIT_CONFIG, "", "configuration error: zero-norm state\n")
+
+
 def test_stokes_rejects_garbage(capsys):
     code, _, err = run_cli(capsys, "stokes", "--state", "not json")
     assert code == EXIT_CONFIG
@@ -291,6 +301,13 @@ REPORT_DIGESTS = [
      "2fb6e78295fee74751feae04a303b6597137023035b301488c6305812d81bf44"),
     (("verify", "projectors", "--mass", "24", "--momentum", "2,3,6"),
      "3a6e62cbe48c08744d00e090164c3ce95c1b97c1eea52267525de6770b9a1aea"),
+    # the benchmark sweep's three generated momenta at seed 1
+    (("verify", "projectors", "--mass", "24", "--momentum", "2,6,3"),
+     "81a59228c7ec34315b01afae2181d69af22e48c97ad47705993f699b13f36fad"),
+    (("verify", "projectors", "--mass=125/7", "--momentum=-180/7,192/7,144/7"),
+     "6af181f7a587aa044663c0abae8c209314f53ee670aba417aab3d68936d52f5f"),
+    (("verify", "projectors", "--mass=58125", "--momentum=3640,11648,-3136"),
+     "06d145918903c000673ca96255f6facd02a9646fcf96b7004d50c6a8f85a7631"),
     (("verify", "projectors", "--momentum", "0,0,0"),
      "8faaf51e5aeb3293e42ecec1cb544d21402d42c4956657ad439419ffe25233b3"),
     (("verify", "fock", "--scheme", "1"),
@@ -335,6 +352,19 @@ DUMP_DIGESTS = [
     (("dump", "solutions", "--mass", "24", "--momentum", "2,3,6", "--spin", "0",
       "--projection", "0"),
      "16833a1b0c63dbea3163915f8e307819d4bdab0cf018fba49ec5e554703b19de"),
+] + [
+    # all eight (energy sign, spin, projection) states at one fractional momentum
+    (("dump", "solutions", "--mass", "125/7", "--momentum=-180/7,192/7,144/7",
+      f"--energy-sign={eps}", "--spin", spin, f"--projection={proj}"), digest)
+    for eps, spin, proj, digest in (
+        ("+1", "1", "+1", "8dca9609f64e30d37f57865d1aa1ea4293592b3378e69fd2418656e583423ca5"),
+        ("+1", "1", "-1", "4fe635a04d2baec256bc8a09c1ab670a6a7261079154f5e2822a8c30ad88286d"),
+        ("+1", "1", "0", "5c724eb585c7123f44d9c3064da1fa83b915d8934e9470dc4b88323c76c2f392"),
+        ("+1", "0", "0", "31ad7c4fddf77d951cad3aa1f8f7176729fed88dd774ba43f1416376900076a1"),
+        ("-1", "1", "+1", "be323ff8c70d03bc39ea88077c43c342969647e74cf6ded696dbfe2415f86cb0"),
+        ("-1", "1", "-1", "ed934c0de15e6ff3f9c1b0655840689d164eae3936610a9e2a325a446b98c3f8"),
+        ("-1", "1", "0", "16473ff548a23e1c3cdc9d8ef3164a9260db79ec6a3db03b99ddddda3ebd72a0"),
+        ("-1", "0", "0", "e16328dbe376386981825568e640497e00fd32a7ddcb4df5d48622bd74ee4d65"))
 ]
 
 

@@ -9,8 +9,7 @@ from exact_helpers import gr, matrix_from_json, row
 from stueckelberg.exact import (ExactMatrix, GR_I, GR_MINUS_ONE, GR_ONE, GR_ZERO,
                                 GaussianRational, fraction_str,
                                 mat_commutator, mat_inverse, mat_rank,
-                                mat_vec, minimal_poly_check, rational_sqrt,
-                                vec_mat, vec_outer)
+                                mat_vec, minimal_poly_check, rational_sqrt)
 from stueckelberg.modes import QuadraticObservable, poisson_bracket
 from stueckelberg.wave import wave_matrices
 
@@ -109,7 +108,7 @@ def test_rank_against_independent_elimination():
 def test_rank_extremes():
     assert mat_rank(ExactMatrix.identity(11)) == 11
     assert mat_rank(ExactMatrix.zeros(11)) == 0
-    assert mat_rank(vec_outer((GR_ONE, gr(2)), (gr(3), gr(5)))) == 1
+    assert mat_rank(ExactMatrix([[GR_ONE], [gr(2)]]) @ ExactMatrix([[gr(3), gr(5)]])) == 1
 
 
 def test_rank_of_product_bound():
@@ -225,8 +224,8 @@ def test_kernel_matches_dense_reference(data):
     v = data.draw(st.lists(entries, min_size=k, max_size=k))
     u = data.draw(st.lists(entries, min_size=n, max_size=n))
     assert mat_vec(a, v) == tuple(_ref_sum(x * y for x, y in zip(row, v)) for row in ga)
-    assert vec_mat(u, a) == tuple(_ref_sum(u[i] * ga[i][j] for i in range(n))
-                                  for j in range(k))
+    assert _dense(ExactMatrix([u]) @ a) == [[_ref_sum(u[i] * ga[i][j] for i in range(n))
+                                             for j in range(k)]]
 
 
 def test_cancellation_gives_canonical_zero():

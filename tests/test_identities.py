@@ -15,6 +15,7 @@ from collections import Counter
 import pytest
 
 from stueckelberg import fock, modes, suites
+from stueckelberg.epsilon import DIM11, BasisIndex, epsilon as eps_unit, epsilon_delta
 from stueckelberg.exact import ExactMatrix
 from stueckelberg.fock import (FockPolyState, LadderOp, apply_ladder, energy_operator,
                                monomial_basis, quantum_charges)
@@ -139,3 +140,40 @@ def test_basis_state_failure_names_the_first_failing_state(monkeypatch):
     }
     assert {ident: (records[ident].status, records[ident].witness) for ident in want} \
         == {ident: ("fail", w) for ident, w in want.items()}
+
+
+def _transposed_at(a0, b0):
+    def unit(a, b, space):
+        return eps_unit(b, a, space) if (a, b) == (a0, b0) else eps_unit(a, b, space)
+    return unit
+
+
+def _delta_also(b0, c0, value=1):
+    def delta(b, c):
+        return value if (b, c) == (b0, c0) else epsilon_delta(b, c)
+    return delta
+
+
+V2, V3, B13, B34 = (BasisIndex.parse(t) for t in ("2", "3", "[13]", "[34]"))
+
+UNIT_FAULTS = {
+    "unit-transposed": (_transposed_at(V2, B13), epsilon_delta),
+    "unit-doubled": (lambda a, b, space: eps_unit(a, b, space) * (2 if (a, b) == (B34, V3) else 1),
+                     epsilon_delta),
+    "delta-extra": (eps_unit, _delta_also(B13, V2)),
+    "delta-dropped": (eps_unit, _delta_also(V3, V3, 0)),
+    "delta-doubled": (eps_unit, _delta_also(B34, B34, 2)),
+}
+
+
+@pytest.mark.parametrize("fault", UNIT_FAULTS)
+def test_unit_product_witness_is_the_first_failing_pair(monkeypatch, fault):
+    unit, delta = UNIT_FAULTS[fault]
+    monkeypatch.setattr(suites, "eps_unit", unit)
+    monkeypatch.setattr(suites, "epsilon_delta", delta)
+    # the per-pair scan the block product replaced, in its order
+    units = {(a, b): unit(a, b, DIM11) for a in DIM11.labels for b in DIM11.labels}
+    want = next(f"basis pair ({a},{b}) x ({c},{d})"
+                for (a, b), mab in units.items() for (c, d), mcd in units.items()
+                if mab @ mcd != units[(a, d)] * delta(b, c))
+    assert suites.Algebra(SuiteConfig()).product_rule() == (False, want)

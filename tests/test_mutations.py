@@ -53,6 +53,22 @@ MUTATIONS = [
      "a + par.a * c, s + par.s * c",
      "a + par.a * c, s",
      VERIFY_ALL, {"u31/structure-constants", "fock/charge-matrix-structure"}),
+    ("matrix units transposed", "epsilon.py",
+     "space.position(a), space.position(b))",
+     "space.position(b), space.position(a))",
+     VERIFY_ALL, {"algebra/unit-product-rule"}),
+    ("energy projector sign swapped", "projectors.py",
+     "ExactMatrix.identity(11) * (m * eps))",
+     "ExactMatrix.identity(11) * (m * -eps))",
+     VERIFY_ALL, {"projectors/eigen-equation", "projectors/component-layout"}),
+    ("momentum contraction conjugated", "projectors.py",
+     "out = out + w.alpha[mu] * c\n",
+     "out = out + w.alpha[mu] * c.conjugate()\n",
+     VERIFY_ALL, {"projectors/projector-commutators", "projectors/state-idempotent",
+                  "projectors/state-orthogonal", "projectors/state-rank-one",
+                  "projectors/dyad-reassembly", "projectors/dyad-metric-row",
+                  "projectors/dyad-norm-signs", "projectors/eigen-equation",
+                  "projectors/component-layout", "projectors/spin0-no-bivector"}),
 ]
 
 

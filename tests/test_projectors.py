@@ -4,9 +4,7 @@ import pytest
 
 from stueckelberg.exact import (ExactMatrix, GR_MINUS_ONE, GR_ONE,
                                 GR_ZERO, GaussianRational, mat_commutator,
-                                mat_rank, mat_vec, minimal_poly_check,
-                                vec_dagger, vec_dot, vec_mat, vec_outer,
-                                vec_scale)
+                                mat_rank, minimal_poly_check)
 from stueckelberg.projectors import (FourMomentum, IrrationalMomentumError,
                                      ProjectorFamily, RestFrameError,
                                      SolutionDyad, dyad_factorize,
@@ -123,13 +121,16 @@ def test_dyads(w, mass, mom):
     fam = ProjectorFamily.build(p)
     for key, delta in sorted(fam.deltas.items()):
         d = dyad_factorize(delta, labels=key)
-        assert vec_outer(d.psi, d.psi_bar) == delta
-        sign = GaussianRational(d.norm_sign)
-        assert d.psi_bar == vec_scale(vec_mat(vec_dagger(d.psi), w.eta), sign)
-        assert vec_dot(vec_dagger(d.psi), mat_vec(w.eta, d.psi)) == sign
-        assert vec_dot(d.psi_bar, d.psi) == GR_ONE
+        col, row, one = d.column, d.row, ExactMatrix.identity(1)
+        assert (col.shape, row.shape) == ((11, 1), (1, 11))
+        assert d.psi == tuple(col[i, 0] for i in range(11))
+        assert d.psi_bar == tuple(row[0, j] for j in range(11))
+        assert col @ row == delta
+        assert row == (col.dagger() @ w.eta) * d.norm_sign
+        assert col.dagger() @ w.eta @ col == one * d.norm_sign
+        assert row @ col == one
         # a rank-one idempotent fixes its own column
-        assert mat_vec(delta, d.psi) == d.psi
+        assert delta @ col == col
         assert d.norm_sign == (1 if key[1] == 1 else -1)
         assert verify_first_order_solution(d, p, key[0])
 
@@ -142,8 +143,20 @@ def test_dyad_rejects_higher_rank(p435):
 def test_random_vector_fails_verification(p435):
     rng = random.Random(11)
     psi = tuple(GaussianRational(rng.randint(1, 5), rng.randint(0, 3)) for _ in range(11))
-    bad = SolutionDyad(psi=psi, psi_bar=psi, labels=(1, 1, 1), norm_sign=1)
+    bad = SolutionDyad(column=ExactMatrix([[x] for x in psi]), row=ExactMatrix([psi]),
+                       labels=(1, 1, 1), norm_sign=1)
     assert not verify_first_order_solution(bad, p435, 1)
+
+
+def test_layout_half_rejects_a_changed_slot(p435):
+    # with p_slash replaced by i*m times the identity every column passes the
+    # eigen half of the check, so its layout half decides alone
+    d = dyad_factorize(ProjectorFamily.build(p435).deltas[(1, 1, 1)])
+    ps = ExactMatrix.identity(11) * GaussianRational(0, p435.m)
+    assert verify_first_order_solution(d, p435, 1, ps)
+    for slot in (0, 6):  # the scalar slot and the [13] slot
+        changed = d.column + ExactMatrix.unit(11, 1, slot, 0)
+        assert not verify_first_order_solution(d._replace(column=changed), p435, 1, ps)
 
 
 def test_rest_frame_family_has_no_spin_states():

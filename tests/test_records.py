@@ -23,7 +23,7 @@ P = FourMomentum.from_mass_and_momentum(4, (0, 0, 3))
     (U31Params(), "omega0"),
     (P, "p0"),
     (ProjectorFamily.build(P), "m_plus"),
-    (SolutionDyad((GR_ONE,), (GR_ONE,), (1, 0, 0), 1), "norm_sign"),
+    (SolutionDyad(ExactMatrix.identity(1), ExactMatrix.identity(1), (1, 0, 0), 1), "norm_sign"),
     (wave_matrices(), "eta"),
     (U2Element(ExactMatrix.identity(2)), "matrix"),
     (SuiteConfig(), "workers"),
