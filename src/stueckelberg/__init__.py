@@ -17,7 +17,7 @@ from .epsilon import (DIM4, DIM5, DIM10, DIM11, SPACES, BasisIndex, SpaceView,
 from .wave import WaveMatrices, wave_matrices
 from .projectors import (FourMomentum, IrrationalMomentumError, ProjectorFamily,
                          RestFrameError, SolutionDyad, dyad_factorize,
-                         energy_projector, p_slash, pure_state_projector,
+                         p_slash, pure_state_projector,
                          spin_projection_op, spin_squared,
                          verify_first_order_solution)
 from .modes import (ModeContext, QuadraticObservable, U31Params,

@@ -180,11 +180,6 @@ GR_MINUS_ONE = GaussianRational._raw(-_F1, _F0)
 _ZZ = (0, 0)
 
 
-def _as_scalar(x) -> GaussianRational:
-    s = GaussianRational._coerce(x)
-    return s if s is not None else GaussianRational(x)
-
-
 def _split(s: GaussianRational):
     """Integers (a, b, d) with d > 0 and s == (a + b*i) / d."""
     re, im = s.re, s.im
@@ -202,15 +197,6 @@ def _scalar(a, b, den) -> GaussianRational:
     if den == 1:
         return GaussianRational._raw(Fraction(a), Fraction(b) if b else _F0)
     return GaussianRational._raw(Fraction(a, den), Fraction(b, den) if b else _F0)
-
-
-def _integer_vector(v):
-    """([(a, b), ...], d): the scalars of v as Gaussian integers over one d > 0."""
-    parts = [_split(_as_scalar(x)) for x in v]
-    den = 1
-    for _, _, d in parts:
-        den = math.lcm(den, d)
-    return [(a * (den // d), b * (den // d)) for a, b, d in parts], den
 
 
 def _pruned(c):
@@ -650,16 +636,3 @@ def mat_inverse(a: ExactMatrix) -> ExactMatrix:
                    for j, e in row.items() if j >= n}, 1)
     # den / (dr + di*i) = den * (dr - di*i) / (dr^2 + di^2)
     return adj.scale(_scalar(a._den * dr, -a._den * di, dr * dr + di * di))
-
-
-def mat_vec(m: ExactMatrix, v):
-    if m.cols != len(v):
-        raise ValueError("dimension mismatch")
-    vn, vd = _integer_vector(v)
-    re, im = [0] * m.rows, [0] * m.rows
-    for (i, j), (a, b) in m._c.items():
-        c, d = vn[j]
-        re[i] += a * c - b * d
-        im[i] += a * d + b * c
-    den = m._den * vd
-    return tuple(_scalar(x, y, den) for x, y in zip(re, im))

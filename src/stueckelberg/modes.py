@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .exact import (ExactMatrix, GR_I, GR_MINUS_ONE, GR_ONE, GR_ZERO, GaussianRational,
                     _ExactCoefficients, _lowest, _pruned, _scalar, as_fraction, mat_commutator,
-                    mat_inverse, mat_vec)
+                    mat_inverse)
 
 
 def _exact(x):
@@ -362,9 +362,11 @@ def decompose_generator(m: ExactMatrix):
     check where it matters.
     """
     names, inv = _generator_basis_inverse()
-    b = [m[i, j] for i in range(4) for j in range(4)]
-    x = mat_vec(inv, b)
-    return {name: x[k] for k, name in enumerate(names)}
+    # m's entries, row-major, as a 16x1 column on m's own store
+    col = m._with({(4 * i + j, 0): e for (i, j), e in m._c.items()}, m._den)
+    col.rows, col.cols = 16, 1
+    x = inv @ col
+    return {name: x[k, 0] for k, name in enumerate(names)}
 
 
 @lru_cache(maxsize=None)

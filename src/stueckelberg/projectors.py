@@ -55,10 +55,6 @@ class FourMomentum(namedtuple("FourMomentum", "p1 p2 p3 p0 m")):
         return FourMomentum(p1, p2, p3, p0, m)
 
     @property
-    def spatial(self):
-        return (self.p1, self.p2, self.p3)
-
-    @property
     def p_squared(self) -> Fraction:
         """Invariant p^2 = |p|^2 - p0^2, equal to -m^2 on shell."""
         return -self.m ** 2
@@ -91,19 +87,6 @@ def p_slash(p: FourMomentum) -> ExactMatrix:
         if c:
             out = out + w.alpha[mu] * c
     return out
-
-
-def energy_projector(p: FourMomentum, eps: int, ps: ExactMatrix | None = None) -> ExactMatrix:
-    """Idempotent extracting the energy-sign eps solutions of the wave equation.
-
-    ps is p_slash(p), built here when not given.
-    """
-    if eps not in (1, -1):
-        raise ValueError("energy sign must be +1 or -1")
-    ps = p_slash(p) if ps is None else ps
-    ips = ps * GR_I
-    m = GaussianRational(p.m)
-    return (ips @ (ips - ExactMatrix.identity(11) * (m * eps))) / (m * m * 2)
 
 
 def spin_squared(p: FourMomentum) -> ExactMatrix:
@@ -162,26 +145,6 @@ def spin_projection_op(p: FourMomentum) -> ExactMatrix:
     return out
 
 
-def spin_square_projector(sigma2: ExactMatrix, spin: int) -> ExactMatrix:
-    """Projector onto the spin-0 or spin-1 sector from the squared-spin operator."""
-    half = sigma2 / GaussianRational(2)
-    if spin == 1:
-        return half
-    if spin == 0:
-        return ExactMatrix.identity(11) - half
-    raise ValueError("spin must be 0 or 1")
-
-
-def spin_projection_projector(sigma_p: ExactMatrix, proj: int) -> ExactMatrix:
-    """Projector onto a spin-projection eigenvalue (+1, -1, or 0)."""
-    ident = ExactMatrix.identity(11)
-    if proj in (1, -1):
-        return (sigma_p @ (sigma_p + ident * GaussianRational(proj))) / GaussianRational(2)
-    if proj == 0:
-        return ident - sigma_p @ sigma_p
-    raise ValueError("projection must be -1, 0 or +1")
-
-
 class ProjectorFamily(namedtuple("ProjectorFamily", "momentum p_slash m_plus m_minus sigma2 "
                                   "sigma_p spin_sectors projections deltas")):
     """All projection operators for one momentum, each built once.
@@ -189,21 +152,30 @@ class ProjectorFamily(namedtuple("ProjectorFamily", "momentum p_slash m_plus m_m
     The matrices are exact; spin_sectors is keyed by spin, projections
     by spin projection and deltas by (eps, spin, projection).  At rest
     sigma_p is None and projections and deltas are empty.
+
+    Every projector is a polynomial in p_slash, sigma2 or sigma_p: the
+    energy-sign eps projector is (i ps)(i ps - eps m) / 2m^2, the spin
+    sectors are sigma2 / 2 (spin 1) and its complement (spin 0), and the
+    projection-q projector is sigma_p (sigma_p + q) / 2 for q = +1, -1
+    and 1 - sigma_p^2 for q = 0.
     """
 
     __slots__ = ()
 
     @staticmethod
     def build(p: FourMomentum) -> "ProjectorFamily":
+        ident = ExactMatrix.identity(11)
         ps = p_slash(p)
-        m_plus = energy_projector(p, 1, ps)
-        m_minus = energy_projector(p, -1, ps)
+        ips, m = ps * GR_I, GaussianRational(p.m)
+        m_plus, m_minus = ((ips @ (ips - ident * (m * eps))) / (m * m * 2) for eps in (1, -1))
         sigma2 = spin_squared(p)
-        s2 = {s: spin_square_projector(sigma2, s) for s in (0, 1)}
+        half = sigma2 / GaussianRational(2)
+        s2 = {0: ident - half, 1: half}
         sigma_p, sp, deltas = None, {}, {}
         if not p.is_at_rest():
             sigma_p = spin_projection_op(p)
-            sp = {q: spin_projection_projector(sigma_p, q) for q in (-1, 0, 1)}
+            sp = {q: (sigma_p @ (sigma_p + ident * q)) / GaussianRational(2) if q
+                  else ident - sigma_p @ sigma_p for q in (-1, 0, 1)}
             for eps, m_eps in ((1, m_plus), (-1, m_minus)):
                 for spin, proj in SPIN_STATES:
                     deltas[(eps, spin, proj)] = m_eps @ s2[spin] @ sp[proj]
@@ -326,10 +298,12 @@ def dyad_factorize(delta: ExactMatrix, labels=(0, 0, 0)) -> SolutionDyad:
     """Split a rank-1 idempotent into a normalized 11x1 column and its 1x11 metric row."""
     if mat_rank(delta) != 1:
         raise ValueError("not a pure state: projector rank differs from 1")
-    # the first column of largest squared magnitude, read off the diagonal
-    # of delta^+ delta
-    col_norms = delta.dagger() @ delta
-    j = max(range(delta.cols), key=lambda j: col_norms[j, j].re)
+    # the first column of largest squared magnitude; the entries share one
+    # denominator, so their numerators rank the columns
+    norms = [0] * delta.cols
+    for (_, j), (a, b) in delta._c.items():
+        norms[j] += a * a + b * b
+    j = max(range(delta.cols), key=norms.__getitem__)
     col = delta @ ExactMatrix.unit(delta.cols, 1, j, 0)
     eta = wave_matrices().eta
     nu = (col.dagger() @ eta @ col)[0, 0]
@@ -349,20 +323,16 @@ def dyad_factorize(delta: ExactMatrix, labels=(0, 0, 0)) -> SolutionDyad:
     return SolutionDyad(column=col, row=row, labels=tuple(labels), norm_sign=norm_sign)
 
 
-def verify_first_order_solution(d: SolutionDyad, p: FourMomentum, eps: int,
-                                ps: ExactMatrix | None = None) -> bool:
-    """Check the eigen-equation and the component layout of the solution.
+def verify_first_order_solution(d: SolutionDyad, p: FourMomentum, eps: int) -> bool:
+    """Check the component layout of the solution column.
 
     The plane-wave rule maps the gradient to i*eps*p on the energy-sign
     eps branch; the bivector slots must then be the antisymmetrised
     derivative of the vector slots scaled by 1/m, and the scalar slot
-    minus the divergence scaled by 1/m.  ps is p_slash(p), built here when
-    not given.
+    minus the divergence scaled by 1/m.  The eigen-equation itself is
+    the identity `projectors/eigen-equation`.
     """
-    ps = p_slash(p) if ps is None else ps
     col = d.column
-    if (ps @ col) * -GR_I != col * GaussianRational(eps * p.m):
-        return False
     # the layout as a fixed point of one matrix: it keeps the vector slots
     # and rebuilds from them the scalar slot, -(i eps p . psi)/m, and each
     # bivector slot [mu nu], i eps (p_mu psi_nu - p_nu psi_mu)/m

@@ -451,6 +451,10 @@ class Projectors(Suite):
             ranks = tuple(mat_rank(m_eps @ self.fam.projections[q]) for q in (1, -1, 0))
             if ranks != (1, 1, 2):
                 return False, f"energy sign {e}: sector ranks {ranks}"
+        # and each projector's image carries its own label as eigenvalue
+        for q, proj in self.fam.projections.items():
+            if self.fam.sigma_p @ proj != proj * q:
+                return False, f"projection {q}: not an eigenvalue of its projector"
         return True
 
     @identity("dyad-reassembly", "each dyad rebuilds its projector as an outer product",
@@ -496,7 +500,7 @@ class Projectors(Suite):
               MOVING_FRAME)
     def layout(self):
         for k, d in self.dyads.items():
-            if not verify_first_order_solution(d, self.p, k[0], self.fam.p_slash):
+            if not verify_first_order_solution(d, self.p, k[0]):
                 return False, f"state {k}"
         return True
 

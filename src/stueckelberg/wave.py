@@ -68,30 +68,15 @@ def embed_dim5(m: ExactMatrix) -> ExactMatrix:
     return _embed(m, 0)
 
 
-def build_eta1() -> ExactMatrix:
-    """10x10 Hermitianizing matrix 2*beta4^2 - I for the spin-1 block."""
-    b4 = build_beta1(4)
-    return (b4 @ b4) * GaussianRational(2) - ExactMatrix.identity(10)
-
-
-def build_eta() -> ExactMatrix:
-    """11x11 Hermitianizing matrix: -1 on the scalar slot, eta1 on the rest."""
-    return ExactMatrix.sparse(11, 11, [((0, 0), -GR_ONE)]) + embed_dim10(build_eta1())
-
-
-def build_lorentz(mu: int, nu: int) -> ExactMatrix:
-    """11x11 rotation generator from the spin-1 block; scalar slot untouched."""
-    if mu == nu:
-        raise ValueError("rotation generator needs distinct indices")
-    bmu, bnu = build_beta1(mu), build_beta1(nu)
-    return embed_dim10(bmu @ bnu - bnu @ bmu)
-
-
 class WaveMatrices(namedtuple("WaveMatrices", "alpha beta1 beta0 eta eta1 lorentz")):
     """All wave matrices for the 11-component field, built once and shared.
 
     alpha, beta1 and beta0 are keyed by vector index, and lorentz by
-    ordered pairs (mu, nu) with mu < nu.
+    ordered pairs (mu, nu) with mu < nu.  The rotation generators and
+    the Hermitianizing matrices come from the spin-1 block: J_mn is
+    [beta1_m, beta1_n] with the scalar slot untouched, eta1 is
+    2 beta1_4^2 - 1, and eta is -1 on the scalar slot and eta1 on the
+    rest.
     """
 
     __slots__ = ()
@@ -110,9 +95,13 @@ def wave_matrices() -> WaveMatrices:
     alpha = {nu: build_alpha(nu) for nu in VECTOR_INDICES}
     beta1 = {nu: build_beta1(nu) for nu in VECTOR_INDICES}
     beta0 = {nu: build_beta0(nu) for nu in VECTOR_INDICES}
-    lorentz = {(mu, nu): build_lorentz(mu, nu) for (mu, nu) in BIVECTOR_PAIRS}
-    return WaveMatrices(alpha=alpha, beta1=beta1, beta0=beta0,
-                        eta=build_eta(), eta1=build_eta1(), lorentz=lorentz)
+    lorentz = {(mu, nu): embed_dim10(beta1[mu] @ beta1[nu] - beta1[nu] @ beta1[mu])
+               for (mu, nu) in BIVECTOR_PAIRS}
+    b4 = beta1[4]
+    eta1 = (b4 @ b4) * GaussianRational(2) - ExactMatrix.identity(10)
+    eta = ExactMatrix.sparse(11, 11, [((0, 0), -GR_ONE)]) + embed_dim10(eta1)
+    return WaveMatrices(alpha=alpha, beta1=beta1, beta0=beta0, eta=eta, eta1=eta1,
+                        lorentz=lorentz)
 
 
 def pdk_holds(betas: dict, mu: int, nu: int, al: int) -> bool:

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stueckelberg
 from exact_helpers import matrix_from_json
@@ -403,3 +407,110 @@ def test_matrix_json_matches_the_json_module():
              projector]
     for m in mats:
         assert "".join(cli._matrix_json(m)) == json.dumps(m.to_json_dict(), indent=2) + "\n"
+
+
+# -- CLI fuzz: any argv exits 0, 1 or 2, never with a traceback ---------------
+
+def _either(valid, malformed):
+    """One draw in four from the malformed values."""
+    return st.integers(0, 3).flatmap(
+        lambda k: st.sampled_from(malformed if k == 3 else valid))
+
+
+RATIONALS = _either(("4", "12", "24", "125/7", "37/11", "1"),
+                    ("0", "-3", "abc", "1/0", "1.5", "", " ", "1e400"))
+# on-shell pairs with a rational |p| and energy, and pairs that are not
+MASS_MOMENTUM = _either(
+    (("4", "0,0,3"), ("12", "3,4,0"), ("24", "2,3,6"), ("125/7", "-180/7,192/7,144/7"),
+     ("3", "0,0,0")),
+    (("1", "1,1,1"), ("4", "1,2"), ("4", "a,b,c"), ("4", "1/0,0,0"), ("4", "0,0,3,4"),
+     ("4", ""), ("0", "0,0,3"), ("-3", "0,0,3"), ("abc", "0,0,3"), ("1", "0,0,1")))
+TRUNCATIONS = _either(tuple(str(n) for n in range(2, 9)), ("0", "1", "-4", "x", "2.5", ""))
+LABELS = _either(("0", "1", "2", "3", "4", "[12]", "[34]"), ("5", "[11]", "[1]", "x", ""))
+STATE_TERM = st.tuples(_either((0, 1, 2, 3), (-1, "1", "x", 1.5)), st.sampled_from((0, 1, 2)),
+                       _either(("1", "-1", "0", "1/3"), ("x", "1/0")),
+                       _either(("0", "1", "2/5"), ("0.5",)))
+
+
+def _options(draw, pairs):
+    """A flag list: each (flag, values) pair drawn in or left out."""
+    argv = []
+    for flag, values in pairs:
+        if draw(st.booleans()):
+            value = draw(values)
+            argv += [f"{flag}={value}"] if value.startswith("-") else [flag, value]
+    return argv
+
+
+FIRST_IDENTITY = {"projectors": "momentum-shell", "em": "su2-commutators",
+                  "fock": "ladder-standard", "u31": "canonical-brackets"}
+
+
+@st.composite
+def cli_argvs(draw):
+    """(argv, failure hook target or None) for one in-process CLI call."""
+    kind = draw(st.sampled_from(("verify", "epsilon", "wave", "solutions", "gram", "stokes")))
+    if kind == "verify":
+        suite = draw(st.sampled_from(tuple(FIRST_IDENTITY) + ("bogus",)))
+        argv = ["verify", suite]
+        if draw(st.booleans()):
+            mass, momentum = draw(MASS_MOMENTUM)
+            argv += ["--mass", mass, f"--momentum={momentum}"]
+        argv += _options(draw, [("--k0", RATIONALS), ("--truncation", TRUNCATIONS),
+                                ("--scheme", _either(("1", "2", "both"), ("3",)))])
+        argv += [f for f in ("--json", "--no-timing") if draw(st.booleans())]
+        # the failure hook forces one record to fail, or names no record
+        inject = draw(st.sampled_from((None, FIRST_IDENTITY.get(suite), "no-such-id")))
+        return argv + ["--workers", "1"], inject
+    if kind == "epsilon":
+        return ["dump", "epsilon", "--a", draw(LABELS), "--b", draw(LABELS)] + _options(
+            draw, [("--space", st.sampled_from(("dim11", "dim10", "dim5", "dim4", "dim7")))]), None
+    if kind == "wave":
+        return ["dump", "wave-matrices"] + _options(
+            draw, [("--which", st.sampled_from(("alpha", "eta1", "lorentz", "gamma")))]), None
+    if kind == "solutions":
+        mass, momentum = draw(MASS_MOMENTUM)
+        return ["dump", "solutions", "--mass", mass, f"--momentum={momentum}"] + _options(
+            draw, [("--energy-sign", st.sampled_from(("+1", "-1", "1", "0", "x"))),
+                   ("--spin", st.sampled_from(("0", "1", "2", "x"))),
+                   ("--projection", st.sampled_from(("1", "-1", "0", "+1", "2", "x")))]), None
+    if kind == "gram":
+        # sizes inside the cap, or far enough above it to show the exit 2
+        sizes = _either(("0", "1", "2", "3", "4"), ("11", "1000000", "-1", "x"))
+        return ["dump", "gram"] + _options(
+            draw, [("--truncation", sizes), ("--scheme", _either(("1", "2"), ("3", "x")))]), None
+    terms = draw(st.lists(STATE_TERM, min_size=1, max_size=3))
+    state = json.dumps([list(t) for t in terms])
+    state = draw(_either((state,), ("[", "{}", "[]", "[[27,0,\"1\",\"0\"]]")))
+    return ["stokes", "--state", state] + [f for f in ("--json",) if draw(st.booleans())], None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cli_argvs())
+def test_any_argv_exits_0_1_or_2_without_a_traceback(case):
+    argv, inject = case
+    out, err = io.StringIO(), io.StringIO()
+    old = os.environ.pop(report.INJECT_ENV, None)
+    if inject:
+        os.environ[report.INJECT_ENV] = inject
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors and --help
+                code = exc.code
+    finally:
+        os.environ.pop(report.INJECT_ENV, None)
+        if old is not None:
+            os.environ[report.INJECT_ENV] = old
+    assert code in (EXIT_PASS, EXIT_FAIL, EXIT_CONFIG), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_CONFIG:
+        assert out.getvalue() == ""
+    elif argv[0] == "verify":
+        text = out.getvalue()
+        failed = (any(r["status"] == "fail" for r in json.loads(text)["identities"])
+                  if "--json" in argv else "\nFAIL  " in "\n" + text)
+        assert (code == EXIT_FAIL) == failed
+    else:
+        assert code == EXIT_PASS

@@ -77,9 +77,6 @@ BUILDER_CALLS = {
     "p_slash": 1,
     "spin_squared": 1,
     "spin_projection_op": 1,
-    "energy_projector": 2,
-    "spin_square_projector": 2,
-    "spin_projection_projector": 3,
     "decompose_generator": 120,
     "quantum_charges": 1,
     "energy_operator": 2,

@@ -20,6 +20,12 @@ from stueckelberg.report import EXIT_FAIL, EXIT_PASS
 
 PACKAGE = Path(stueckelberg.__file__).resolve().parent
 VERIFY_ALL = ("verify", "all", "--k0", "37/11")
+VERIFY_FOCK = ("verify", "fock", "--k0", "37/11")
+# the pure-state identities a wrong spin-sector or projection projector fails
+STATE_IDS = {f"projectors/{i}" for i in (
+    "state-idempotent", "state-orthogonal", "state-rank-one", "state-completeness",
+    "dyad-reassembly", "dyad-metric-row", "dyad-norm-signs", "eigen-equation",
+    "component-layout", "spin0-no-bivector")}
 
 # (fault, file, exact old text, new text, argv, failing "suite/id" set)
 MUTATIONS = [
@@ -58,8 +64,8 @@ MUTATIONS = [
      "space.position(b), space.position(a))",
      VERIFY_ALL, {"algebra/unit-product-rule"}),
     ("energy projector sign swapped", "projectors.py",
-     "ExactMatrix.identity(11) * (m * eps))",
-     "ExactMatrix.identity(11) * (m * -eps))",
+     "ident * (m * eps))",
+     "ident * (m * -eps))",
      VERIFY_ALL, {"projectors/eigen-equation", "projectors/component-layout"}),
     ("momentum contraction conjugated", "projectors.py",
      "out = out + w.alpha[mu] * c\n",
@@ -69,6 +75,38 @@ MUTATIONS = [
                   "projectors/dyad-reassembly", "projectors/dyad-metric-row",
                   "projectors/dyad-norm-signs", "projectors/eigen-equation",
                   "projectors/component-layout", "projectors/spin0-no-bivector"}),
+    ("spin-sector half dropped", "projectors.py",
+     "half = sigma2 / GaussianRational(2)",
+     "half = sigma2",
+     VERIFY_ALL, STATE_IDS),
+    ("projection-zero projector linear", "projectors.py",
+     "ident - sigma_p @ sigma_p",
+     "ident - sigma_p",
+     VERIFY_ALL, STATE_IDS | {"projectors/spinproj-spectrum"}),
+    ("projection projector sign flipped", "projectors.py",
+     "sigma_p + ident * q",
+     "sigma_p - ident * q",
+     VERIFY_ALL, {"projectors/spinproj-spectrum"}),
+    ("eta1 without its factor 2", "wave.py",
+     "(b4 @ b4) * GaussianRational(2) - ExactMatrix.identity(10)",
+     "(b4 @ b4) - ExactMatrix.identity(10)",
+     VERIFY_ALL, {"algebra/eta-anticommutes-spatial", "algebra/eta-involution",
+                  "algebra/eta-spin1-block", "projectors/component-layout",
+                  "projectors/dyad-metric-row", "projectors/dyad-norm-signs",
+                  "projectors/dyad-reassembly", "projectors/eigen-equation",
+                  "projectors/spin0-no-bivector"}),
+    ("generator commutator order swapped", "wave.py",
+     "beta1[mu] @ beta1[nu] - beta1[nu] @ beta1[mu]",
+     "beta1[nu] @ beta1[mu] - beta1[mu] @ beta1[nu]",
+     VERIFY_ALL, {"algebra/alpha-rotation-bracket", "algebra/rotation-closure"}),
+    ("bilinear sign read at the creation mode", "fock.py",
+     "sign = _ANNIHILATION_SIGNS[scheme][j - 1]",
+     "sign = _ANNIHILATION_SIGNS[scheme][i - 1]",
+     VERIFY_FOCK, {"fock/truncation-exactness"}),
+    ("bilinear creation index shifted", "fock.py",
+     "nk[i] += 1",
+     "nk[(i + 1) % 4] += 1",
+     VERIFY_FOCK, {"fock/truncation-exactness"}),
 ]
 
 

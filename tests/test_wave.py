@@ -2,7 +2,7 @@ import pytest
 
 from stueckelberg.epsilon import BIVECTOR_PAIRS, DIM11, BasisIndex
 from stueckelberg.exact import GR_ONE, GaussianRational, mat_commutator
-from stueckelberg.wave import build_lorentz, wave_matrices
+from stueckelberg.wave import wave_matrices
 
 IDX = (1, 2, 3, 4)
 
@@ -52,8 +52,3 @@ def test_lorentz_commutator_examples(w):
 
 def test_eta_scalar_entry(w):
     assert w.eta[0, 0] == -GR_ONE
-
-
-def test_build_lorentz_rejects_equal_indices():
-    with pytest.raises(ValueError):
-        build_lorentz(2, 2)
