@@ -392,6 +392,13 @@ class ExactMatrix(_ExactCoefficients):
         return m
 
     @staticmethod
+    def _of(rows, cols, c, den):
+        """The rows x cols matrix holding the numerators c over den, already in lowest terms."""
+        out = object.__new__(ExactMatrix)
+        out.rows, out.cols, out._c, out._den = rows, cols, c, den
+        return out
+
+    @staticmethod
     def zeros(rows, cols=None):
         cols = rows if cols is None else cols
         return ExactMatrix.sparse(rows, cols, ())
@@ -412,9 +419,7 @@ class ExactMatrix(_ExactCoefficients):
         return (i, j)
 
     def _with(self, c, den):
-        out = _ExactCoefficients._with(self, c, den)
-        out.rows, out.cols = self.rows, self.cols
-        return out
+        return ExactMatrix._of(self.rows, self.cols, c, den)
 
     def _check_compatible(self, other):
         if self.shape != other.shape:
@@ -467,19 +472,14 @@ class ExactMatrix(_ExactCoefficients):
                 else:
                     acc[j] = (e[0] + a * c - b * d, e[1] + a * d + b * c)
         c = {(i, j): e for i, acc in acc_rows.items() for j, e in acc.items() if e != _ZZ}
-        out = object.__new__(ExactMatrix)
-        out.rows, out.cols = self.rows, other.cols
-        out._c, out._den = _lowest(c, self._den * other._den)
-        return out
+        return ExactMatrix._of(self.rows, other.cols, *_lowest(c, self._den * other._den))
 
     def __truediv__(self, s):
         return self.scale(GR_ONE / s)
 
     def _flipped(self, conjugate):
-        out = self._with({(j, i): (a, -b) if conjugate else (a, b)
-                          for (i, j), (a, b) in self._c.items()}, self._den)
-        out.rows, out.cols = self.cols, self.rows
-        return out
+        c = {(j, i): (a, -b) if conjugate else (a, b) for (i, j), (a, b) in self._c.items()}
+        return ExactMatrix._of(self.cols, self.rows, c, self._den)
 
     def transpose(self):
         return self._flipped(False)

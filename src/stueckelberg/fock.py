@@ -225,7 +225,7 @@ def _image_matrix(cols, rows, parts, den):
             rc = (r, c)
             e = out.get(rc)
             out[rc] = (cr * f, ci * f) if e is None else (e[0] + cr * f, e[1] + ci * f)
-    return ExactMatrix.zeros(len(rows), len(cols))._with(*_lowest(_pruned(out), den))
+    return ExactMatrix._of(len(rows), len(cols), *_lowest(_pruned(out), den))
 
 
 def apply_ladder(op: LadderOp, s: FockPolyState) -> FockPolyState:
@@ -302,7 +302,7 @@ def normalized_gram(truncation: int, scheme: int = 2) -> tuple:
         den = math.lcm(den, d // g)
     c = {(i, i): (re * (den // d), im * (den // d))
          for i, (re, im, d) in enumerate(entries) if re or im}
-    return basis, ExactMatrix.zeros(len(basis), len(basis))._with(*_lowest(c, den))
+    return basis, ExactMatrix._of(len(basis), len(basis), *_lowest(c, den))
 
 
 def monomial_basis(truncation: int) -> list:
@@ -361,8 +361,8 @@ class BilinearOperator(_SchemeCoefficients):
 
     def table(self) -> ExactMatrix:
         """The 4x4 coefficient table: entry (i - 1, j - 1) is the coefficient of a+_i a_j."""
-        return ExactMatrix.zeros(4, 4)._with(
-            {(i - 1, j - 1): e for (i, j), e in self._c.items()}, self._den)
+        return ExactMatrix._of(4, 4, {(i - 1, j - 1): e for (i, j), e in self._c.items()},
+                               self._den)
 
     @staticmethod
     def from_table(t: ExactMatrix, scheme: int = 2) -> "BilinearOperator":
@@ -371,8 +371,10 @@ class BilinearOperator(_SchemeCoefficients):
         Entry (i, j) of t is the coefficient of a+_(i+1) a_(j+1), so a
         smaller table acts on the first modes only.
         """
-        return BilinearOperator(None, scheme)._with(
-            {(i + 1, j + 1): e for (i, j), e in t._c.items()}, t._den)
+        op = object.__new__(BilinearOperator)
+        op.scheme, op._den = scheme, t._den
+        op._c = {(i + 1, j + 1): e for (i, j), e in t._c.items()}
+        return op
 
     def commutator(self, other: "BilinearOperator") -> "BilinearOperator":
         """Exact operator commutator: the bilinear with table A S B - B S A.

@@ -363,8 +363,7 @@ def decompose_generator(m: ExactMatrix):
     """
     names, inv = _generator_basis_inverse()
     # m's entries, row-major, as a 16x1 column on m's own store
-    col = m._with({(4 * i + j, 0): e for (i, j), e in m._c.items()}, m._den)
-    col.rows, col.cols = 16, 1
+    col = ExactMatrix._of(16, 1, {(4 * i + j, 0): e for (i, j), e in m._c.items()}, m._den)
     x = inv @ col
     return {name: x[k, 0] for k, name in enumerate(names)}
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .exact import (ExactMatrix, GR_I, GR_ONE, GaussianRational,
                     as_fraction, mat_rank, rational_sqrt)
-from .epsilon import BIVECTOR_PAIRS, DIM11, BasisIndex
+from .epsilon import BIVECTOR_PAIRS, DIM11, VECTOR_INDICES, BasisIndex
 from .wave import wave_matrices
 
 SPIN_STATES = ((1, 1), (1, -1), (1, 0), (0, 0))  # (spin, projection)
@@ -92,36 +92,22 @@ def p_slash(p: FourMomentum) -> ExactMatrix:
 def spin_squared(p: FourMomentum) -> ExactMatrix:
     """Squared Pauli-Lubanski operator in the 11-dimensional representation.
 
-    The generator-square contraction runs over unordered index pairs
-    (the antisymmetric pair carries an implicit 1/2, as in the summed
-    identity formulas); the momentum cross term runs over all indices.
-    Both conventions are pinned by equality with the explicit
-    Levi-Civita form, which the test suite checks.
+    It is (p^2 sum J^2 - sum_sigma K_sigma K_sigma) / m^2, where
+    K_sigma = sum_mu p_mu J_mu,sigma contracts the generators with the
+    momentum, so the cross term takes four products.  The generator-square
+    sum runs over unordered index pairs (the antisymmetric pair carries an
+    implicit 1/2, as in the summed identity formulas).  Both conventions
+    are pinned by equality with the explicit Levi-Civita form, which the
+    test suite checks.
     """
     w = wave_matrices()
-    comps = p.components()
-    p2 = GaussianRational(p.p_squared)
-    jj = ExactMatrix.zeros(11)
-    for (mu, nu) in ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)):
-        j = w.lorentz_signed(mu, nu)
-        jj = jj + j @ j
-    cross = ExactMatrix.zeros(11)
-    for mu in (1, 2, 3, 4):
-        cmu = comps[mu - 1]
-        if not cmu:
-            continue
-        for nu in (1, 2, 3, 4):
-            cnu = comps[nu - 1]
-            if not cnu:
-                continue
-            acc = ExactMatrix.zeros(11)
-            for sig in (1, 2, 3, 4):
-                if sig == mu and sig == nu:
-                    continue
-                acc = acc + w.lorentz_signed(mu, sig) @ w.lorentz_signed(nu, sig)
-            cross = cross + acc * (cmu * cnu)
-    m2 = GaussianRational(p.m * p.m)
-    return (jj * p2 - cross) / m2
+    comps = tuple(zip(VECTOR_INDICES, p.components()))
+    zero = ExactMatrix.zeros(11)
+    jj = sum((j @ j for j in w.lorentz.values()), zero)
+    ks = [sum((w.lorentz_signed(mu, sig) * c for mu, c in comps if c and mu != sig), zero)
+          for sig in VECTOR_INDICES]
+    cross = sum((k @ k for k in ks), zero)
+    return (jj * GaussianRational(p.p_squared) - cross) / GaussianRational(p.m * p.m)
 
 
 _EPS3 = {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,

@@ -35,9 +35,7 @@ from .modes import (ModeContext, QuadraticObservable, amplitude_form_hamiltonian
                     transform_from_generating_function)
 from .projectors import (SPIN_STATES, FourMomentum, ProjectorFamily,
                          dyad_factorize, verify_first_order_solution)
-from .wave import (alpha_lorentz_bracket_rhs, build_alpha, build_beta0,
-                   build_beta1, cubic_alpha_holds, embed_dim5, embed_dim10,
-                   lorentz_bracket_rhs, pdk_holds, wave_matrices)
+from .wave import build_alpha, build_beta0, build_beta1, embed_dim5, embed_dim10, wave_matrices
 
 MOVING_FRAME = "moving frame"
 SCHEME_1, SCHEME_2 = 1, 2
@@ -147,11 +145,46 @@ def _blocks(rows, cols, blocks):
         ((11 * r + i, 11 * c + j), v) for (r, c), entries in blocks for (i, j), v in entries))
 
 
-def _trilinear(betas):
+# the orderings (a, b, c) of a triple's slots that a cubic relation sums:
+# the Duffin-Kemmer-Petiau trilinear relation of the spin-1 and spin-0
+# blocks sums two, the symmetrised cubic of the 11-dim matrices all six
+TRILINEAR = ((0, 1, 2), (2, 1, 0))
+SYMMETRISED = tuple(permutations(range(3)))
+
+
+def _cubic_failure(ms, orders):
+    """The first triple t (mu, nu, alpha) breaking the cubic relation, or None.
+
+    The relation is sum over orders of m_t[a] m_t[b] m_t[c] = sum over the
+    orders with t[a] = t[b] of m_t[c]; ms is keyed by vector index.
+    """
+    zero = ExactMatrix.zeros(ms[1].rows)
     for t in product(IDX, repeat=3):
-        if not pdk_holds(betas, *t):
-            return False, f"triple {t}"
-    return True
+        m = [ms[k] for k in t]
+        lhs = sum((m[a] @ m[b] @ m[c] for a, b, c in orders), zero)
+        if lhs != sum((m[c] for a, b, c in orders if t[a] == t[b]), zero):
+            return t
+    return None
+
+
+def _every_triple(ms, orders):
+    t = _cubic_failure(ms, orders)
+    return t is None or (False, f"triple {t}")
+
+
+def _rotated(x, t, m, n):
+    """The image of X_t under the rotation generator J_mn, one four-vector rule per index.
+
+    Sum over k of d(t_k, m) X(t with t_k -> n) - d(t_k, n) X(t with t_k -> m);
+    x(*indices) is the matrix X at those indices.
+    """
+    out = ExactMatrix.zeros(11)
+    for k, tk in enumerate(t):
+        if tk == m:
+            out = out + x(*t[:k], n, *t[k + 1:])
+        if tk == n:
+            out = out - x(*t[:k], m, *t[k + 1:])
+    return out
 
 
 class Algebra(Suite):
@@ -206,55 +239,41 @@ class Algebra(Suite):
                 return False, f"alpha_{nu}"
         return True
 
-    @identity("trilinear-beta1",
-              "trilinear wave-matrix relation holds for all 64 triples on the 10-dim spin-1 block")
-    def trilinear_beta1(self):
-        return _trilinear(self.w.beta1)
-
-    @identity("trilinear-beta0",
-              "trilinear wave-matrix relation holds for all 64 triples on the 5-dim spin-0 block")
-    def trilinear_beta0(self):
-        return _trilinear(self.w.beta0)
-
-    @identity("trilinear-alpha-negative",
-              "the 11-dim matrices violate the trilinear relation for at least one triple")
-    def alpha_negative(self):
-        for t in product(IDX, repeat=3):
-            if not pdk_holds(self.w.alpha, *t):
-                return True
-        return False, "the 11-dim matrices unexpectedly satisfy the trilinear relation"
-
-    @identity("cubic-alpha", "six-term symmetrised cubic relation holds for all 64 triples")
-    def cubic(self):
-        for t in product(IDX, repeat=3):
-            if not cubic_alpha_holds(self.w.alpha, *t):
-                return False, f"triple {t}"
-        return True
+    trilinear_beta1 = identity(
+        "trilinear-beta1",
+        "trilinear wave-matrix relation holds for all 64 triples on the 10-dim spin-1 block",
+        check=lambda s: _every_triple(s.w.beta1, TRILINEAR))
+    trilinear_beta0 = identity(
+        "trilinear-beta0",
+        "trilinear wave-matrix relation holds for all 64 triples on the 5-dim spin-0 block",
+        check=lambda s: _every_triple(s.w.beta0, TRILINEAR))
+    alpha_negative = identity(
+        "trilinear-alpha-negative",
+        "the 11-dim matrices violate the trilinear relation for at least one triple",
+        check=lambda s: _cubic_failure(s.w.alpha, TRILINEAR) is not None or (
+            False, "the 11-dim matrices unexpectedly satisfy the trilinear relation"))
+    cubic = identity(
+        "cubic-alpha", "six-term symmetrised cubic relation holds for all 64 triples",
+        check=lambda s: _every_triple(s.w.alpha, SYMMETRISED))
 
     @identity("rotation-closure",
               "rotation generators close with the standard structure constants")
     def rotation_closure(self):
-        w = self.w
-        for rs in product(IDX, repeat=2):
-            if rs[0] == rs[1]:
-                continue
-            for mn in product(IDX, repeat=2):
-                if mn[0] == mn[1]:
-                    continue
-                lhs = mat_commutator(w.lorentz_signed(*rs), w.lorentz_signed(*mn))
-                if lhs != lorentz_bracket_rhs(w, rs[0], rs[1], mn[0], mn[1]):
-                    return False, f"generator pair {rs}, {mn}"
+        j = self.w.lorentz_signed
+        pairs = [t for t in product(IDX, repeat=2) if t[0] != t[1]]
+        for rs, mn in product(pairs, repeat=2):
+            if mat_commutator(j(*rs), j(*mn)) != _rotated(j, rs, *mn):
+                return False, f"generator pair {rs}, {mn}"
         return True
 
     @identity("alpha-rotation-bracket",
               "wave matrices transform as a four-vector under the rotation generators")
     def alpha_rotation(self):
-        w = self.w
-        for lam in IDX:
-            for mn in BIVECTOR_PAIRS:
-                lhs = mat_commutator(w.alpha[lam], w.lorentz[mn])
-                if lhs != alpha_lorentz_bracket_rhs(w, lam, *mn):
-                    return False, f"(lambda, pair) = ({lam}, {mn})"
+        alpha = self.w.alpha
+        for lam, mn in product(IDX, BIVECTOR_PAIRS):
+            if mat_commutator(alpha[lam], self.w.lorentz[mn]) != _rotated(
+                    alpha.__getitem__, (lam,), *mn):
+                return False, f"(lambda, pair) = ({lam}, {mn})"
         return True
 
     @identity("rotation-scalar-slot", "rotation generators leave the scalar component untouched")

@@ -103,54 +103,3 @@ def wave_matrices() -> WaveMatrices:
     return WaveMatrices(alpha=alpha, beta1=beta1, beta0=beta0, eta=eta, eta1=eta1,
                         lorentz=lorentz)
 
-
-def pdk_holds(betas: dict, mu: int, nu: int, al: int) -> bool:
-    """Trilinear relation b_mu b_nu b_al + b_al b_nu b_mu = d(mu,nu) b_al + d(al,nu) b_mu."""
-    bm, bn, ba = betas[mu], betas[nu], betas[al]
-    lhs = bm @ bn @ ba + ba @ bn @ bm
-    n = bm.rows
-    rhs = ExactMatrix.zeros(n)
-    if mu == nu:
-        rhs = rhs + ba
-    if al == nu:
-        rhs = rhs + bm
-    return lhs == rhs
-
-
-def cubic_alpha_holds(alphas: dict, mu: int, nu: int, al: int) -> bool:
-    """Six-term symmetrised cubic relation obeyed by the 11-dim matrices."""
-    am, an, aa = alphas[mu], alphas[nu], alphas[al]
-    lhs = (am @ an @ aa + aa @ an @ am + am @ aa @ an
-           + an @ aa @ am + an @ am @ aa + aa @ am @ an)
-    rhs = ExactMatrix.zeros(11)
-    if mu == nu:
-        rhs = rhs + aa
-    if al == nu:
-        rhs = rhs + am
-    if mu == al:
-        rhs = rhs + an
-    return lhs == rhs * GaussianRational(2)
-
-
-def lorentz_bracket_rhs(w: WaveMatrices, rho, sig, mu, nu) -> ExactMatrix:
-    """Right-hand side of the generator commutation relation for [J_rs, J_mn]."""
-    out = ExactMatrix.zeros(11)
-    if sig == mu:
-        out = out + w.lorentz_signed(rho, nu)
-    if rho == nu:
-        out = out + w.lorentz_signed(sig, mu)
-    if rho == mu:
-        out = out - w.lorentz_signed(sig, nu)
-    if sig == nu:
-        out = out - w.lorentz_signed(rho, mu)
-    return out
-
-
-def alpha_lorentz_bracket_rhs(w: WaveMatrices, lam, mu, nu) -> ExactMatrix:
-    """Right-hand side of [alpha_lam, J_mn] = d(lam,mu) alpha_nu - d(lam,nu) alpha_mu."""
-    out = ExactMatrix.zeros(11)
-    if lam == mu:
-        out = out + w.alpha[nu]
-    if lam == nu:
-        out = out - w.alpha[mu]
-    return out

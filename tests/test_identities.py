@@ -11,17 +11,20 @@ state, names the state it fails on.
 
 import sys
 from collections import Counter
+from itertools import product
 
 import pytest
 
 from stueckelberg import fock, modes, suites
-from stueckelberg.epsilon import DIM11, BasisIndex, epsilon as eps_unit, epsilon_delta
-from stueckelberg.exact import ExactMatrix
+from stueckelberg.epsilon import (BIVECTOR_PAIRS, DIM11, BasisIndex, epsilon as eps_unit,
+                                  epsilon_delta)
+from stueckelberg.exact import ExactMatrix, mat_commutator
 from stueckelberg.fock import (FockPolyState, LadderOp, apply_ladder, energy_operator,
                                monomial_basis, quantum_charges)
 from stueckelberg.report import SuiteConfig
-from stueckelberg.suites import (IDENTITIES, MOVING_FRAME, REST_FRAME_REASON,
+from stueckelberg.suites import (IDENTITIES, IDX, MOVING_FRAME, REST_FRAME_REASON,
                                  SCHEME_1, SCHEME_2, run_suite)
+from stueckelberg.wave import embed_dim10
 
 # The default configuration is also the first acceptance momentum, m = 4
 # and p = (0, 0, 3); the other two acceptance momenta follow it.
@@ -174,3 +177,110 @@ def test_unit_product_witness_is_the_first_failing_pair(monkeypatch, fault):
                 for (a, b), mab in units.items() for (c, d), mcd in units.items()
                 if mab @ mcd != units[(a, d)] * delta(b, c))
     assert suites.Algebra(SuiteConfig()).product_rule() == (False, want)
+
+
+# the per-triple and per-pair checks that the cubic and rotation rules replaced
+def _pdk_holds(betas, mu, nu, al):
+    bm, bn, ba = betas[mu], betas[nu], betas[al]
+    rhs = ExactMatrix.zeros(bm.rows)
+    if mu == nu:
+        rhs = rhs + ba
+    if al == nu:
+        rhs = rhs + bm
+    return bm @ bn @ ba + ba @ bn @ bm == rhs
+
+
+def _cubic_alpha_holds(alphas, mu, nu, al):
+    am, an, aa = alphas[mu], alphas[nu], alphas[al]
+    lhs = (am @ an @ aa + aa @ an @ am + am @ aa @ an
+           + an @ aa @ am + an @ am @ aa + aa @ am @ an)
+    rhs = ExactMatrix.zeros(11)
+    if mu == nu:
+        rhs = rhs + aa
+    if al == nu:
+        rhs = rhs + am
+    if mu == al:
+        rhs = rhs + an
+    return lhs == rhs * 2
+
+
+def _lorentz_bracket_rhs(w, rho, sig, mu, nu):
+    out = ExactMatrix.zeros(11)
+    if sig == mu:
+        out = out + w.lorentz_signed(rho, nu)
+    if rho == nu:
+        out = out + w.lorentz_signed(sig, mu)
+    if rho == mu:
+        out = out - w.lorentz_signed(sig, nu)
+    if sig == nu:
+        out = out - w.lorentz_signed(rho, mu)
+    return out
+
+
+def _alpha_lorentz_bracket_rhs(w, lam, mu, nu):
+    out = ExactMatrix.zeros(11)
+    if lam == mu:
+        out = out + w.alpha[nu]
+    if lam == nu:
+        out = out - w.alpha[mu]
+    return out
+
+
+def _first_triple(holds, ms):
+    return next((f"triple {t}" for t in product(IDX, repeat=3) if not holds(ms, *t)), None)
+
+
+def _reference(w):
+    """id -> the result the deleted loops give on the wave matrices w."""
+    pairs = [t for t in product(IDX, repeat=2) if t[0] != t[1]]
+    witnesses = {
+        "trilinear-beta1": _first_triple(_pdk_holds, w.beta1),
+        "trilinear-beta0": _first_triple(_pdk_holds, w.beta0),
+        "cubic-alpha": _first_triple(_cubic_alpha_holds, w.alpha),
+        "rotation-closure": next((
+            f"generator pair {rs}, {mn}" for rs in pairs for mn in pairs
+            if mat_commutator(w.lorentz_signed(*rs), w.lorentz_signed(*mn))
+            != _lorentz_bracket_rhs(w, *rs, *mn)), None),
+        "alpha-rotation-bracket": next((
+            f"(lambda, pair) = ({lam}, {mn})" for lam in IDX for mn in BIVECTOR_PAIRS
+            if mat_commutator(w.alpha[lam], w.lorentz[mn])
+            != _alpha_lorentz_bracket_rhs(w, lam, *mn)), None),
+    }
+    out = {ident: True if t is None else (False, t) for ident, t in witnesses.items()}
+    out["trilinear-alpha-negative"] = (
+        _first_triple(_pdk_holds, w.alpha) is not None
+        or (False, "the 11-dim matrices unexpectedly satisfy the trilinear relation"))
+    return out
+
+
+def _with_entry(family, nu, i, j):
+    """The wave matrices with entry (i, j) of family[nu] raised by one."""
+    def fault(w):
+        ms = getattr(w, family)
+        n = ms[nu].rows
+        return w._replace(**{family: {**ms, nu: ms[nu] + ExactMatrix.unit(n, n, i, j)}})
+    return fault
+
+
+WAVE_FAULTS = {
+    "none": lambda w: w,
+    "beta1-entry": _with_entry("beta1", 3, 2, 7),
+    "beta0-entry": _with_entry("beta0", 2, 0, 0),
+    "alpha-entry": _with_entry("alpha", 4, 5, 9),
+    # the 11-dim matrices without their spin-0 block obey the trilinear relation
+    "alpha-spin1-only": lambda w: w._replace(alpha={nu: embed_dim10(b)
+                                                    for nu, b in w.beta1.items()}),
+    "generator-flipped": lambda w: w._replace(lorentz={**w.lorentz,
+                                                       (2, 4): -w.lorentz[(2, 4)]}),
+}
+
+
+@pytest.mark.parametrize("fault", WAVE_FAULTS)
+def test_wave_relation_witness_is_the_first_failing_triple(fault):
+    w = WAVE_FAULTS[fault](suites.wave_matrices())
+    algebra = suites.Algebra(SuiteConfig())
+    algebra.w = w
+    want = _reference(w)
+    got = {d.ident: d.check(algebra) for d in suites.Algebra.identities if d.ident in want}
+    assert got == want
+    assert (fault == "none") == all(r is True for r in want.values())

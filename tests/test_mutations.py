@@ -99,6 +99,29 @@ MUTATIONS = [
      "beta1[mu] @ beta1[nu] - beta1[nu] @ beta1[mu]",
      "beta1[nu] @ beta1[mu] - beta1[mu] @ beta1[nu]",
      VERIFY_ALL, {"algebra/alpha-rotation-bracket", "algebra/rotation-closure"}),
+    ("cubic rule's delta side zero", "suites.py",
+     "lhs != sum((m[c] for a, b, c in orders if t[a] == t[b]), zero)",
+     "lhs != zero",
+     VERIFY_ALL, {"algebra/cubic-alpha", "algebra/trilinear-beta0", "algebra/trilinear-beta1"}),
+    ("rotation rule's minus term made plus", "suites.py",
+     "out = out - x(",
+     "out = out + x(",
+     VERIFY_ALL, {"algebra/alpha-rotation-bracket", "algebra/rotation-closure"}),
+    ("spin square's momentum term added", "projectors.py",
+     "jj * GaussianRational(p.p_squared) - cross",
+     "jj * GaussianRational(p.p_squared) + cross",
+     VERIFY_ALL, STATE_IDS | {f"projectors/{i}" for i in (
+         "spin2-dual-route", "spin2-minimal", "spin2-absorbs-projection",
+         "projector-commutators")}),
+    ("scalar terms of the 11-dim wave matrices dropped", "wave.py",
+     "    terms += [((v, sc), GR_ONE), ((sc, v), GR_ONE)]\n",
+     "",
+     VERIFY_ALL, {"algebra/alpha-block-split", "algebra/trilinear-alpha-negative",
+                  "projectors/component-layout", "projectors/dyad-metric-row",
+                  "projectors/dyad-norm-signs", "projectors/dyad-reassembly",
+                  "projectors/eigen-equation", "projectors/energy-rank",
+                  "projectors/spin0-no-bivector", "projectors/spinproj-spectrum",
+                  "projectors/state-rank-one"}),
     ("bilinear sign read at the creation mode", "fock.py",
      "sign = _ANNIHILATION_SIGNS[scheme][j - 1]",
      "sign = _ANNIHILATION_SIGNS[scheme][i - 1]",
