@@ -10,16 +10,13 @@ identity is decided by exact equality; the `verify` CLI and the
 acceptance test suite run the full inventory.
 """
 
-from .exact import (ExactMatrix, GaussianRational, mat_commutator, mat_inverse,
-                    mat_rank, minimal_poly_check)
-from .epsilon import (DIM4, DIM5, DIM10, DIM11, SPACES, BasisIndex, SpaceView,
-                      epsilon, identity_of)
+from .exact import ExactMatrix, GaussianRational, mat_commutator, mat_inverse, mat_rank
+from .epsilon import DIM4, DIM5, DIM10, DIM11, SPACES, BasisIndex, SpaceView, epsilon
 from .wave import WaveMatrices, wave_matrices
 from .projectors import (FourMomentum, IrrationalMomentumError, ProjectorFamily,
                          RestFrameError, SolutionDyad, dyad_factorize,
                          p_slash, pure_state_projector,
-                         spin_projection_op, spin_squared,
-                         verify_first_order_solution)
+                         spin_projection_op, spin_squared)
 from .modes import (ModeContext, QuadraticObservable, U31Params,
                     conserved_charges, generating_function, hamiltonian,
                     infinitesimal_transform, poisson_bracket)

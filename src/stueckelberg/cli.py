@@ -30,6 +30,8 @@ from . import em as em_mod
 # output grows as B*B, to about 125 MB at N = 12.
 MAX_GRAM_TRUNCATION = 10
 
+CONFIG_KEYS = ("mass", "momentum", "k0", "truncation", "scheme", "suites", "workers")
+
 
 def _parse_fraction(text):
     try:
@@ -62,9 +64,12 @@ def _load_config_file(path):
                     continue
                 if "=" not in line:
                     raise ConfigError(f"config line without '=': {line!r}")
-                key, _, val = line.partition("=")
-                values[key.strip()] = val.strip()
-    except OSError as exc:
+                key, _, val = (part.strip() for part in line.partition("="))
+                if key not in CONFIG_KEYS:
+                    raise ConfigError(f"unknown config key {key!r}; "
+                                      f"choose from {', '.join(CONFIG_KEYS)}")
+                values[key] = val
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     return values
 

@@ -34,17 +34,15 @@ def one_photon(mode: int, truncation=4) -> FockPolyState:
     return polarization_state({(1, 0) if mode == 1 else (0, 1): GR_ONE}, truncation)
 
 
-def charge_matrix(which) -> ExactMatrix:
-    """Coefficient matrix M of the bilinear charge b^+ M b on the two modes."""
-    half = GaussianRational(Fraction(1, 2))
-    if which == 0:
-        return ExactMatrix.identity(2) * half
-    return PAULI[which] * half
+# the coefficient tables M of the four charges b^+ M b on the two modes:
+# the photon-number half I/2 and the rotation triplet tau_i/2
+STOKES_TABLES = (ExactMatrix.identity(2) * Fraction(1, 2),) + tuple(
+    PAULI[i] * Fraction(1, 2) for i in (1, 2, 3))
 
 
 def su2_charges() -> dict:
     """The four conserved bilinears: rotation triplet and the photon number half."""
-    return {i: BilinearOperator.from_table(charge_matrix(i)) for i in (0, 1, 2, 3)}
+    return {i: BilinearOperator.from_table(t) for i, t in enumerate(STOKES_TABLES)}
 
 
 def em_hamiltonian(k0) -> BilinearOperator:
@@ -122,17 +120,16 @@ class U2Element(namedtuple("U2Element", "matrix")):
         return ExactMatrix(rows)
 
 
-def stokes_expectations(s: FockPolyState):
-    """(J0, J1, J2, J3) expectation values on a normalised two-mode state."""
+def stokes_expectations(s: FockPolyState, tables=STOKES_TABLES):
+    """<s|Q s>/<s|s> for the charge Q of each table: (J0, J1, J2, J3) by default."""
     if any(k[2] or k[3] for k in s.coeffs):
         raise ValueError("state occupies non-transverse modes")
     norm = inner_product(s, s)
     if not norm:
         raise ValueError("zero-norm state")
-    charges = su2_charges()
     out = []
-    for i in (0, 1, 2, 3):
-        val = inner_product(s, charges[i].apply(s)) / norm
+    for t in tables:
+        val = inner_product(s, BilinearOperator.from_table(t).apply(s)) / norm
         if val.im:
             raise AssertionError("charge expectation should be real")
         out.append(val.re)

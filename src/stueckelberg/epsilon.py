@@ -12,7 +12,7 @@ indices swapped flips the sign.
 
 from __future__ import annotations
 
-from .exact import ExactMatrix, GR_ONE, GaussianRational
+from .exact import ExactMatrix
 
 VECTOR_INDICES = (1, 2, 3, 4)
 BIVECTOR_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
@@ -149,31 +149,3 @@ def epsilon_delta(a: BasisIndex, b: BasisIndex):
     """
     return 1 if a == b else 0
 
-
-def identity_of(space: SpaceView) -> ExactMatrix:
-    """Identity via the summed basis formula, verified against the literal one.
-
-    The bivector part is summed over all ordered index pairs with the 1/2
-    factor, so the sign flips of the unordered lookups must compensate the
-    double counting exactly.
-    """
-    terms = []
-    half = GaussianRational(1) / GaussianRational(2)
-    for lbl in space.labels:
-        if lbl.kind == "bivector":
-            continue
-        p = space.position(lbl)
-        terms.append(((p, p), GR_ONE))
-    if any(lbl.kind == "bivector" for lbl in space.labels):
-        for mu in VECTOR_INDICES:
-            for nu in VECTOR_INDICES:
-                lbl, sign = bivector_component(mu, nu)
-                if lbl is None:
-                    continue
-                p = space.position(lbl)
-                terms.append(((p, p), half * (sign * sign)))
-    total = ExactMatrix.sparse(space.dim, space.dim, terms)
-    literal = ExactMatrix.identity(space.dim)
-    if total != literal:
-        raise AssertionError(f"summed identity differs from literal identity in {space.name}")
-    return total

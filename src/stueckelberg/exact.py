@@ -602,20 +602,6 @@ def mat_rank(a: ExactMatrix) -> int:
     return _fraction_free(_numerator_rows(a), a.cols)[0]
 
 
-def minimal_poly_check(a: ExactMatrix, roots) -> bool:
-    """True iff the product of (A - r*I) over the given roots vanishes."""
-    if not a.is_square():
-        raise ValueError("minimal polynomial check needs a square matrix")
-    ident = ExactMatrix.identity(a.rows)
-    prod = ident
-    for r in roots:
-        s = GaussianRational._coerce(r)
-        if s is None:
-            raise TypeError("roots must be exact scalars")
-        prod = prod @ (a - ident * s)
-    return prod.is_zero()
-
-
 def mat_inverse(a: ExactMatrix) -> ExactMatrix:
     """Exact inverse by fraction-free Gauss-Jordan; raises ArithmeticError if singular.
 

@@ -375,12 +375,3 @@ def structure_constants():
     return tuple((ni, nj, decompose_generator(mat_commutator(ai, aj)))
                  for i, (ni, ai) in enumerate(mats) for nj, aj in mats[i + 1:])
 
-
-def params_scaled(direction_table, coeffs) -> U31Params:
-    """Linear combination of basis directions with the given coefficients."""
-    omega0, a, s = GR_ZERO, ExactMatrix.zeros(4), ExactMatrix.zeros(4)
-    for (_, par), c in zip(direction_table, coeffs):
-        if c:
-            omega0, a, s = omega0 + par.omega0 * c, a + par.a * c, s + par.s * c
-    # _make skips the reality checks: complex coefficients may break them
-    return U31Params._make((omega0, a, s))

@@ -12,9 +12,8 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import (ExactMatrix, GR_I, GR_ONE, GaussianRational,
-                    as_fraction, mat_rank, rational_sqrt)
-from .epsilon import BIVECTOR_PAIRS, DIM11, VECTOR_INDICES, BasisIndex
+from .exact import ExactMatrix, GR_I, GaussianRational, as_fraction, mat_rank, rational_sqrt
+from .epsilon import VECTOR_INDICES
 from .wave import wave_matrices
 
 SPIN_STATES = ((1, 1), (1, -1), (1, 0), (0, 0))  # (spin, projection)
@@ -308,24 +307,3 @@ def dyad_factorize(delta: ExactMatrix, labels=(0, 0, 0)) -> SolutionDyad:
         raise AssertionError("dyad reassembly failed to reproduce the projector")
     return SolutionDyad(column=col, row=row, labels=tuple(labels), norm_sign=norm_sign)
 
-
-def verify_first_order_solution(d: SolutionDyad, p: FourMomentum, eps: int) -> bool:
-    """Check the component layout of the solution column.
-
-    The plane-wave rule maps the gradient to i*eps*p on the energy-sign
-    eps branch; the bivector slots must then be the antisymmetrised
-    derivative of the vector slots scaled by 1/m, and the scalar slot
-    minus the divergence scaled by 1/m.  The eigen-equation itself is
-    the identity `projectors/eigen-equation`.
-    """
-    col = d.column
-    # the layout as a fixed point of one matrix: it keeps the vector slots
-    # and rebuilds from them the scalar slot, -(i eps p . psi)/m, and each
-    # bivector slot [mu nu], i eps (p_mu psi_nu - p_nu psi_mu)/m
-    k = [c * GaussianRational(0, Fraction(eps) / p.m) for c in p.components()]
-    layout = [((mu, mu), GR_ONE) for mu in (1, 2, 3, 4)]
-    layout += [((0, mu), -k[mu - 1]) for mu in (1, 2, 3, 4)]
-    for (mu, nu) in BIVECTOR_PAIRS:
-        pos = DIM11.position(BasisIndex.bivector(mu, nu))
-        layout += [((pos, nu), k[mu - 1]), ((pos, mu), -k[nu - 1])]
-    return ExactMatrix.sparse(11, 11, layout) @ col == col

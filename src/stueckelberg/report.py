@@ -49,6 +49,8 @@ class SuiteConfig(namedtuple("SuiteConfig", "suites mass momentum k0 truncation 
                                truncation, scheme, timing, workers)
 
     def validate(self):
+        if not self.suites:
+            raise ConfigError("no suite to run")
         for s in self.suites:
             if s not in ALL_SUITES:
                 raise ConfigError(f"unknown suite {s!r}; choose from {', '.join(ALL_SUITES)}")

@@ -19,22 +19,21 @@ from functools import cached_property, partial
 from itertools import permutations, product
 
 from .exact import (ExactMatrix, GR_I, GR_MINUS_ONE, GR_ONE, GR_ZERO,
-                    GaussianRational, mat_commutator, mat_rank, minimal_poly_check)
+                    GaussianRational, mat_commutator, mat_rank)
 from . import em as em_mod
-from .epsilon import BIVECTOR_PAIRS, DIM4, DIM5, DIM10, DIM11, identity_of
+from .epsilon import (BIVECTOR_PAIRS, DIM4, DIM5, DIM10, DIM11, BasisIndex,
+                      bivector_component, epsilon_delta)
 from .epsilon import epsilon as eps_unit
-from .epsilon import epsilon_delta
 from .fock import (BilinearOperator, FockPolyState, LadderOp, apply_ladder,
                    covariant_ladder_phase, decompose_physical, energy_operator,
                    inner_product, ladder_matrix, monomial_basis, normalized_gram,
                    quantize, quantum_charges)
 from .modes import (ModeContext, QuadraticObservable, amplitude_form_hamiltonian,
                     basis_directions, charge_combination, conserved_charges,
-                    hamiltonian, infinitesimal_transform, params_scaled, pi_sym,
+                    hamiltonian, infinitesimal_transform, pi_sym,
                     poisson_bracket, q_sym, structure_constants, trace_direction,
                     transform_from_generating_function)
-from .projectors import (SPIN_STATES, FourMomentum, ProjectorFamily,
-                         dyad_factorize, verify_first_order_solution)
+from .projectors import SPIN_STATES, FourMomentum, ProjectorFamily, dyad_factorize
 from .wave import build_alpha, build_beta0, build_beta1, embed_dim5, embed_dim10, wave_matrices
 
 MOVING_FRAME = "moving frame"
@@ -227,8 +226,18 @@ class Algebra(Suite):
     @identity("unit-completeness",
               "summed diagonal units rebuild the identity in every subspace view")
     def completeness(self):
+        # the bivector units are summed over all ordered pairs (mu, nu) with a
+        # half, so the signs of the swapped lookups must square away exactly
+        half = Fraction(1, 2)
         for space in (DIM4, DIM5, DIM10, DIM11):
-            identity_of(space)  # raises on mismatch
+            pos = space.position
+            terms = [((pos(a), pos(a)), 1) for a in space.labels if a.kind != "bivector"]
+            for mu, nu in product(IDX, IDX):
+                a, sign = bivector_component(mu, nu)
+                if a in space:
+                    terms.append(((pos(a), pos(a)), half * (sign * sign)))
+            if ExactMatrix.sparse(space.dim, space.dim, terms) != ExactMatrix.identity(space.dim):
+                return False, f"view {space.name}"
         return True
 
     @identity("alpha-block-split",
@@ -325,6 +334,15 @@ class Algebra(Suite):
 STATE_KEYS = [(e, s, q) for e in (1, -1) for (s, q) in SPIN_STATES]
 
 
+def _annihilates(a, roots):
+    """True iff the product of (A - r I) over the roots vanishes."""
+    ident = ExactMatrix.identity(a.rows)
+    prod = ident
+    for r in roots:
+        prod = prod @ (a - ident * r)
+    return prod.is_zero()
+
+
 def _permutation_sign(perm):
     """Levi-Civita symbol of a permutation of (1, 2, 3, 4): -1 to its inversion count."""
     inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
@@ -399,13 +417,13 @@ class Projectors(Suite):
 
     spin2_minimal = identity(
         "spin2-minimal", "the squared-spin operator annihilates (x)(x - 2)",
-        check=lambda s: minimal_poly_check(s.fam.sigma2, [GR_ZERO, GaussianRational(2)]))
+        check=lambda s: _annihilates(s.fam.sigma2, [GR_ZERO, GaussianRational(2)]))
     spin2_both_sectors = identity(
         "spin2-both-sectors", "both spin sectors are present: the operator is neither 0 nor 2",
         check=lambda s: not s.fam.sigma2.is_zero() and s.fam.sigma2 != ExactMatrix.identity(11) * 2)
     spinproj_minimal = identity(
         "spinproj-minimal", "the spin-projection operator annihilates (x)(x-1)(x+1)", MOVING_FRAME,
-        check=lambda s: minimal_poly_check(s.fam.sigma_p, [GR_ZERO, GR_ONE, GR_MINUS_ONE]))
+        check=lambda s: _annihilates(s.fam.sigma_p, [GR_ZERO, GR_ONE, GR_MINUS_ONE]))
     spin2_absorbs_projection = identity(
         "spin2-absorbs-projection", "half the squared spin absorbs the projection operator",
         MOVING_FRAME,
@@ -518,8 +536,20 @@ class Projectors(Suite):
     @identity("component-layout", "every dyad has the derivative component layout",
               MOVING_FRAME)
     def layout(self):
+        # the layout as the fixed points of one matrix per energy sign eps: it
+        # keeps the vector slots and rebuilds from them the scalar slot,
+        # -(i eps p . psi)/m, and each bivector slot [mu nu],
+        # i eps (p_mu psi_nu - p_nu psi_mu)/m
+        fixed = {}
+        for eps in (1, -1):
+            ip = [c * GaussianRational(0, Fraction(eps) / self.p.m) for c in self.p.components()]
+            terms = [((mu, mu), 1) for mu in IDX] + [((0, mu), -ip[mu - 1]) for mu in IDX]
+            for mu, nu in BIVECTOR_PAIRS:
+                pos = DIM11.position(BasisIndex.bivector(mu, nu))
+                terms += [((pos, nu), ip[mu - 1]), ((pos, mu), -ip[nu - 1])]
+            fixed[eps] = ExactMatrix.sparse(11, 11, terms)
         for k, d in self.dyads.items():
-            if not verify_first_order_solution(d, self.p, k[0]):
+            if fixed[k[0]] @ d.column != d.column:
                 return False, f"state {k}"
         return True
 
@@ -537,12 +567,11 @@ class Projectors(Suite):
 # u31 suite
 
 def _realises_structure_constants(charges, bracket):
-    """bracket(Q_i, Q_j) == Q_[A_i, A_j] for every basis pair, over a 17-charge table."""
-    dirs = basis_directions()
-    q = {name: charge_combination(par, charges) for name, par in dirs}
+    """bracket(Q_i, Q_j) == sum over k of f_ij^k Q_k for every pair, over a 17-charge table."""
+    q = {name: charge_combination(par, charges) for name, par in basis_directions()}
+    zero = charges[("unit",)].scale(0)
     for ni, nj, coeffs in structure_constants():
-        rebuilt = params_scaled(dirs, [coeffs[n] for n, _ in dirs])
-        if bracket(q[ni], q[nj]) != charge_combination(rebuilt, charges):
+        if bracket(q[ni], q[nj]) != sum((q[n].scale(c) for n, c in coeffs.items() if c), zero):
             return False, f"pair ({ni}, {nj})"
     return True
 
@@ -1062,14 +1091,10 @@ class Em(Suite):
         states = [em_mod.one_photon(1, trunc), em_mod.one_photon(2, trunc),
                   em_mod.polarization_state({(1, 0): GR_ONE, (0, 1): GaussianRational(1, 1)}, trunc),
                   em_mod.polarization_state({(2, 0): GR_ONE, (0, 2): GaussianRational(2)}, trunc)]
+        turned = [du.conjugate_charge(t) for t in em_mod.STOKES_TABLES]
         for st in states:
             j0, j1, j2, j3 = em_mod.stokes_expectations(st)
-            got = []
-            for i in (0, 1, 2, 3):
-                mc = du.conjugate_charge(em_mod.charge_matrix(i))
-                op = BilinearOperator.from_table(mc)
-                norm = inner_product(st, st)
-                got.append((inner_product(st, op.apply(st)) / norm).re)
+            got = em_mod.stokes_expectations(st, turned)
             if got[0] != j0:
                 return False, "number charge moved"
             if (got[3], got[1]) != (cos_t * j3 + sin_t * j1, -sin_t * j3 + cos_t * j1):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -206,6 +207,23 @@ def test_unknown_suite_in_config_file(capsys, tmp_path):
     assert "unknown suite" in err
 
 
+@pytest.mark.parametrize("argv,text,message", [
+    # a misspelt key is not dropped in silence
+    (("verify", "em"), "mas = 7\n",
+     "unknown config key 'mas'; choose from " + ", ".join(cli.CONFIG_KEYS)),
+    # an empty suite list is not a run of nothing with exit 0
+    (("verify", "all"), "suites =\n", "no suite to run"),
+    (("verify", "em"), b"k0 = \xff\n", None),
+], ids=["unknown-key", "empty-suites", "not-utf8"])
+def test_bad_config_file_is_one_line_config_error(capsys, tmp_path, argv, text, message):
+    cfg = tmp_path / "suite.cfg"
+    (cfg.write_bytes if isinstance(text, bytes) else cfg.write_text)(text)
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert (code, out, err.count("\n")) == (EXIT_CONFIG, "", 1)
+    assert err.startswith("configuration error: ")
+    assert message is None or err == f"configuration error: {message}\n"
+
+
 def test_injected_failure_flips_exit(capsys, monkeypatch):
     monkeypatch.setenv("STUECKELBERG_INJECT_FAIL", "eta-hermitian")
     code, out, _ = run_cli(capsys, "verify", "algebra", "--json", "--no-timing")
@@ -320,6 +338,12 @@ REPORT_DIGESTS = [
      "f9249858f9782cd3d21226d1711b6279f8a539278a7baf58b00df219271f1d04"),
     (("verify", "u31", "--k0", "37/11"),
      "59116f28c4a626b0512e585c26cb42082fde3ae93a82eb254f79de2f4e51c789"),
+    # the configuration the mutation gate runs
+    (("verify", "all", "--k0", "37/11"),
+     "3d2a391e42c8d1450a746a9ca6dec63f9b51093cf0da71118a701216b1ce2da8"),
+    # the em suite caps its states at truncation 4; below it they shrink
+    (("verify", "em", "--truncation", "2"),
+     "d1ffc2523022435ea0e01d5af97df9fdfd9fc20e3674243a9b81c7145292c3b0"),
     # below truncation 4 the canonical-pair samples have a lower top degree;
     # 10 is the truncation the fock benchmark runs
     (("verify", "fock", "--scheme", "both", "--truncation", "2"),
@@ -341,10 +365,16 @@ def test_json_report_bytes_are_unchanged(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# The `dump` side of the contract: these digests do not come from the
-# writers that `test_matrix_json_matches_the_json_module` compares, so a
-# fault in the matrix store that both writers share still changes them.
+# The `dump` and `stokes` side of the contract: these digests do not come
+# from the writers that `test_matrix_json_matches_the_json_module`
+# compares, so a fault in the matrix store that both writers share still
+# changes them.
+STOKES_STATE = '[[1,0,"1","0"],[0,1,"1","1"]]'  # J = 1/2, 1/3, 1/3, -1/6
 DUMP_DIGESTS = [
+    (("stokes", "--state", STOKES_STATE),
+     "dfe199d84caa8bd6bc5252d7176b77827d30502de6c12a59fa1832098d560efd"),
+    (("stokes", "--state", STOKES_STATE, "--json"),
+     "92a9a0c2d32f9c591f908ee2f0bc48ba8e264fd2542a941dc67d4ceaaeb5bcb3"),
     (("dump", "gram", "--truncation", "4", "--scheme", "1"),
      "be275f3d3f7bc4aacd412298c46093929a30f3b92f57af8f50e82c27d301c311"),
     (("dump", "gram", "--truncation", "4", "--scheme", "2"),
@@ -427,6 +457,11 @@ MASS_MOMENTUM = _either(
      ("4", ""), ("0", "0,0,3"), ("-3", "0,0,3"), ("abc", "0,0,3"), ("1", "0,0,1")))
 TRUNCATIONS = _either(tuple(str(n) for n in range(2, 9)), ("0", "1", "-4", "x", "2.5", ""))
 LABELS = _either(("0", "1", "2", "3", "4", "[12]", "[34]"), ("5", "[11]", "[1]", "x", ""))
+# config-file lines, one in four with a malformed or unknown key
+CONFIG_LINES = _either(("k0 = 37/11", "truncation = 4", "scheme = 2", "mass = 12",
+                        "momentum = 3,4,0", "suites = em,u31", "workers = 1", "# comment", ""),
+                       ("mas = 7", "suites =", "k0", "truncation = x", "suites = bogus",
+                        "colour = red"))
 STATE_TERM = st.tuples(_either((0, 1, 2, 3), (-1, "1", "x", 1.5)), st.sampled_from((0, 1, 2)),
                        _either(("1", "-1", "0", "1/3"), ("x", "1/0")),
                        _either(("0", "1", "2/5"), ("0.5",)))
@@ -448,10 +483,11 @@ FIRST_IDENTITY = {"projectors": "momentum-shell", "em": "su2-commutators",
 
 @st.composite
 def cli_argvs(draw):
-    """(argv, failure hook target or None) for one in-process CLI call."""
+    """(argv, failure hook target or None, config-file text or None) for one CLI call."""
     kind = draw(st.sampled_from(("verify", "epsilon", "wave", "solutions", "gram", "stokes")))
+    inject = config = None
     if kind == "verify":
-        suite = draw(st.sampled_from(tuple(FIRST_IDENTITY) + ("bogus",)))
+        suite = draw(st.sampled_from(tuple(FIRST_IDENTITY) + ("all", "bogus")))
         argv = ["verify", suite]
         if draw(st.booleans()):
             mass, momentum = draw(MASS_MOMENTUM)
@@ -459,37 +495,45 @@ def cli_argvs(draw):
         argv += _options(draw, [("--k0", RATIONALS), ("--truncation", TRUNCATIONS),
                                 ("--scheme", _either(("1", "2", "both"), ("3",)))])
         argv += [f for f in ("--json", "--no-timing") if draw(st.booleans())]
+        argv += ["--workers", "1"]
         # the failure hook forces one record to fail, or names no record
         inject = draw(st.sampled_from((None, FIRST_IDENTITY.get(suite), "no-such-id")))
-        return argv + ["--workers", "1"], inject
-    if kind == "epsilon":
-        return ["dump", "epsilon", "--a", draw(LABELS), "--b", draw(LABELS)] + _options(
-            draw, [("--space", st.sampled_from(("dim11", "dim10", "dim5", "dim4", "dim7")))]), None
-    if kind == "wave":
-        return ["dump", "wave-matrices"] + _options(
-            draw, [("--which", st.sampled_from(("alpha", "eta1", "lorentz", "gamma")))]), None
-    if kind == "solutions":
+        config = draw(st.none() | st.lists(CONFIG_LINES, max_size=3).map("\n".join))
+    elif kind == "epsilon":
+        argv = ["dump", "epsilon", "--a", draw(LABELS), "--b", draw(LABELS)] + _options(
+            draw, [("--space", st.sampled_from(("dim11", "dim10", "dim5", "dim4", "dim7")))])
+    elif kind == "wave":
+        argv = ["dump", "wave-matrices"] + _options(
+            draw, [("--which", st.sampled_from(("alpha", "eta1", "lorentz", "gamma")))])
+    elif kind == "solutions":
         mass, momentum = draw(MASS_MOMENTUM)
-        return ["dump", "solutions", "--mass", mass, f"--momentum={momentum}"] + _options(
+        argv = ["dump", "solutions", "--mass", mass, f"--momentum={momentum}"] + _options(
             draw, [("--energy-sign", st.sampled_from(("+1", "-1", "1", "0", "x"))),
                    ("--spin", st.sampled_from(("0", "1", "2", "x"))),
-                   ("--projection", st.sampled_from(("1", "-1", "0", "+1", "2", "x")))]), None
-    if kind == "gram":
+                   ("--projection", st.sampled_from(("1", "-1", "0", "+1", "2", "x")))])
+    elif kind == "gram":
         # sizes inside the cap, or far enough above it to show the exit 2
         sizes = _either(("0", "1", "2", "3", "4"), ("11", "1000000", "-1", "x"))
-        return ["dump", "gram"] + _options(
-            draw, [("--truncation", sizes), ("--scheme", _either(("1", "2"), ("3", "x")))]), None
-    terms = draw(st.lists(STATE_TERM, min_size=1, max_size=3))
-    state = json.dumps([list(t) for t in terms])
-    state = draw(_either((state,), ("[", "{}", "[]", "[[27,0,\"1\",\"0\"]]")))
-    return ["stokes", "--state", state] + [f for f in ("--json",) if draw(st.booleans())], None
+        argv = ["dump", "gram"] + _options(
+            draw, [("--truncation", sizes), ("--scheme", _either(("1", "2"), ("3", "x")))])
+    else:
+        terms = draw(st.lists(STATE_TERM, min_size=1, max_size=3))
+        state = json.dumps([list(t) for t in terms])
+        state = draw(_either((state,), ("[", "{}", "[]", "[[27,0,\"1\",\"0\"]]")))
+        argv = ["stokes", "--state", state] + [f for f in ("--json",) if draw(st.booleans())]
+    return argv, inject, config
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(cli_argvs())
 def test_any_argv_exits_0_1_or_2_without_a_traceback(case):
-    argv, inject = case
+    argv, inject, config = case
     out, err = io.StringIO(), io.StringIO()
+    tmp = tempfile.TemporaryDirectory()
+    if config is not None:
+        path = Path(tmp.name) / "suite.cfg"
+        path.write_text(config)
+        argv = argv + ["--config", str(path)]
     old = os.environ.pop(report.INJECT_ENV, None)
     if inject:
         os.environ[report.INJECT_ENV] = inject
@@ -500,6 +544,7 @@ def test_any_argv_exits_0_1_or_2_without_a_traceback(case):
             except SystemExit as exc:  # argparse's usage errors and --help
                 code = exc.code
     finally:
+        tmp.cleanup()
         os.environ.pop(report.INJECT_ENV, None)
         if old is not None:
             os.environ[report.INJECT_ENV] = old

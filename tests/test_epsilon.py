@@ -1,8 +1,7 @@
 import pytest
 
 from stueckelberg.epsilon import (DIM4, DIM5, DIM10, DIM11, BasisIndex,
-                                  bivector_component, epsilon, epsilon_delta,
-                                  identity_of)
+                                  bivector_component, epsilon, epsilon_delta)
 from stueckelberg.exact import ExactMatrix, GR_ONE, GR_ZERO
 
 
@@ -75,11 +74,6 @@ def test_unit_commutators():
     e22 = epsilon(BasisIndex.vector(2), BasisIndex.vector(2), DIM4)
     assert mat_commutator(e12, e21) == e11 - e22
     assert mat_commutator(ExactMatrix.identity(4), e12).is_zero()
-
-
-def test_identity_of_every_view():
-    for space in (DIM4, DIM5, DIM10, DIM11):
-        assert identity_of(space) == ExactMatrix.identity(space.dim)
 
 
 def test_trace_is_delta():

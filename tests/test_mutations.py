@@ -55,14 +55,26 @@ MUTATIONS = [
      "w = 1",
      VERIFY_ALL, {"u31/charge-flows", "u31/structure-constants",
                   "fock/charge-matrix-structure"}),
-    ("params_scaled drops S", "modes.py",
-     "a + par.a * c, s + par.s * c",
-     "a + par.a * c, s",
+    ("s and d directions dropped from the sum of f Q", "suites.py",
+     "for n, c in coeffs.items() if c)",
+     "for n, c in coeffs.items() if c and n[0] not in 'sd')",
      VERIFY_ALL, {"u31/structure-constants", "fock/charge-matrix-structure"}),
     ("matrix units transposed", "epsilon.py",
      "space.position(a), space.position(b))",
      "space.position(b), space.position(a))",
      VERIFY_ALL, {"algebra/unit-product-rule"}),
+    ("half dropped from the summed bivector units", "suites.py",
+     "terms.append(((pos(a), pos(a)), half * (sign * sign)))",
+     "terms.append(((pos(a), pos(a)), sign * sign))",
+     VERIFY_ALL, {"algebra/unit-completeness"}),
+    ("minimal-polynomial factor sign flipped", "suites.py",
+     "prod = prod @ (a - ident * r)",
+     "prod = prod @ (a + ident * r)",
+     VERIFY_ALL, {"projectors/spin2-minimal"}),
+    ("layout's scalar-slot sign flipped", "suites.py",
+     "((0, mu), -ip[mu - 1])",
+     "((0, mu), ip[mu - 1])",
+     VERIFY_ALL, {"projectors/component-layout"}),
     ("energy projector sign swapped", "projectors.py",
      "ident * (m * eps))",
      "ident * (m * -eps))",
@@ -130,6 +142,14 @@ MUTATIONS = [
      "nk[i] += 1",
      "nk[(i + 1) % 4] += 1",
      VERIFY_FOCK, {"fock/truncation-exactness"}),
+    ("charge conjugated as U M U+", "em.py",
+     "return self.matrix.dagger() @ m @ self.matrix",
+     "return self.matrix @ m @ self.matrix.dagger()",
+     VERIFY_ALL, {"em/adjoint-homomorphism", "em/dual-stokes-rotation"}),
+    ("rotation charges left unhalved", "em.py",
+     "PAULI[i] * Fraction(1, 2) for i in (1, 2, 3)",
+     "PAULI[i] for i in (1, 2, 3)",
+     VERIFY_ALL, {"em/stokes-one-photon", "em/su2-commutators"}),
 ]
 
 

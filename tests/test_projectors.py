@@ -3,13 +3,14 @@ import random
 import pytest
 
 from stueckelberg.exact import (ExactMatrix, GR_MINUS_ONE, GR_ONE,
-                                GR_ZERO, GaussianRational, mat_commutator,
-                                minimal_poly_check)
+                                GR_ZERO, GaussianRational, mat_commutator)
 from stueckelberg.projectors import (FourMomentum, IrrationalMomentumError,
                                      ProjectorFamily, RestFrameError,
                                      SolutionDyad, dyad_factorize, p_slash,
                                      pure_state_projector, spin_projection_op,
-                                     spin_squared, verify_first_order_solution)
+                                     spin_squared)
+from stueckelberg.report import SuiteConfig
+from stueckelberg.suites import Projectors, _annihilates
 from stueckelberg.wave import wave_matrices
 
 MOMENTA = [(4, (0, 0, 3)), (12, (3, 4, 0)), (24, (2, 3, 6))]
@@ -53,13 +54,13 @@ def test_rest_frame_pslash(w):
 def test_spin_squared_in_rest_frame():
     p = FourMomentum.from_mass_and_momentum(2, (0, 0, 0))
     s2 = spin_squared(p)
-    assert minimal_poly_check(s2, [GR_ZERO, GaussianRational(2)])
+    assert _annihilates(s2, [GR_ZERO, GaussianRational(2)])
 
 
 def test_spin_projection_structure(w, p435):
     sp = spin_projection_op(p435)
     assert sp == w.lorentz[(1, 2)] * GaussianRational(0, -1)
-    assert minimal_poly_check(sp, [GR_ZERO, GR_ONE, GR_MINUS_ONE])
+    assert _annihilates(sp, [GR_ZERO, GR_ONE, GR_MINUS_ONE])
     assert mat_commutator(sp, p_slash(p435)).is_zero()
     s2 = spin_squared(p435)
     assert (s2 / GaussianRational(2)) @ sp == sp
@@ -105,7 +106,6 @@ def test_dyads(w, mass, mom):
         # a rank-one idempotent fixes its own column
         assert delta @ col == col
         assert d.norm_sign == (1 if key[1] == 1 else -1)
-        assert verify_first_order_solution(d, p, key[0])
 
 
 def test_dyad_rejects_higher_rank(p435):
@@ -113,22 +113,30 @@ def test_dyad_rejects_higher_rank(p435):
         dyad_factorize(ProjectorFamily.build(p435).m_plus)
 
 
-def test_random_vector_fails_verification(p435):
+def _layout_check(dyads):
+    """projectors/component-layout at p435 on the given dyads in place of the suite's."""
+    suite = Projectors(SuiteConfig(mass=4, momentum=(0, 0, 3)))
+    suite.dyads = dyads
+    return suite.layout()
+
+
+def test_random_vector_fails_verification():
     rng = random.Random(11)
     psi = tuple(GaussianRational(rng.randint(1, 5), rng.randint(0, 3)) for _ in range(11))
     bad = SolutionDyad(column=ExactMatrix([[x] for x in psi]), row=ExactMatrix([psi]),
                        labels=(1, 1, 1), norm_sign=1)
-    assert not verify_first_order_solution(bad, p435, 1)
+    assert _layout_check({(1, 1, 1): bad}) == (False, "state (1, 1, 1)")
 
 
 def test_layout_half_rejects_a_changed_slot(p435):
     # the layout half of the solution check; its eigen half is the identity
     # projectors/eigen-equation
     d = dyad_factorize(ProjectorFamily.build(p435).deltas[(1, 1, 1)])
-    assert verify_first_order_solution(d, p435, 1)
+    assert _layout_check({(1, 1, 1): d}) is True
     for slot in (0, 6):  # the scalar slot and the [13] slot
         changed = d.column + ExactMatrix.unit(11, 1, slot, 0)
-        assert not verify_first_order_solution(d._replace(column=changed), p435, 1)
+        assert _layout_check({(1, 1, 1): d._replace(column=changed)}) == (
+            False, "state (1, 1, 1)")
 
 
 def test_rest_frame_family_has_no_spin_states():
