@@ -36,6 +36,11 @@ def _monomial(k):
     return k
 
 
+def _without(k, i):
+    """Monomial key k with one factor of symbol i (present in k) removed."""
+    return k[1:] if k[0] == i else k[:1]
+
+
 class QuadraticObservable(_ExactCoefficients):
     """Polynomial of degree <= 2 over the canonical symbols.
 
@@ -81,7 +86,7 @@ class QuadraticObservable(_ExactCoefficients):
             if i in k:
                 # distinct monomials lose i to distinct monomials
                 f = k.count(i)
-                out[k[1:] if k[0] == i else k[:1]] = (a * f, b * f)
+                out[_without(k, i)] = (a * f, b * f)
         return self._with(*_lowest(out, self._den))
 
 
@@ -96,12 +101,27 @@ def pi_sym(mu):
 
 
 def poisson_bracket(f: QuadraticObservable, g: QuadraticObservable) -> QuadraticObservable:
-    """Canonical bracket with {q_mu, pi_nu} = delta."""
-    out = QuadraticObservable()
-    for mu in range(1, 5):
-        iq, ip = mu - 1, 3 + mu
-        out = out + f.derivative(iq) * g.derivative(ip) - f.derivative(ip) * g.derivative(iq)
-    return out
+    """Canonical bracket with {q_mu, pi_nu} = delta, in one pass over the monomial pairs.
+
+    A monomial of f holding q_mu (symbol i < 4) with one of g holding
+    pi_mu (symbol i + 4) gives d/dq_mu of the first times d/dpi_mu of
+    the second; a pi_mu in f with a q_mu in g gives the same with a
+    minus sign.
+    """
+    out = {}
+    for kf, (a, b) in f._c.items():
+        for i in set(kf):
+            j = i + 4 if i < 4 else i - 4
+            n = kf.count(i) if i < 4 else -kf.count(i)
+            rest = _without(kf, i)
+            for kg, (c, d) in g._c.items():
+                if j in kg:
+                    m = n * kg.count(j)
+                    k = _monomial(rest + _without(kg, j))
+                    x, y = m * (a * c - b * d), m * (a * d + b * c)
+                    e = out.get(k)
+                    out[k] = (x, y) if e is None else (e[0] + x, e[1] + y)
+    return f._with(*_lowest(_pruned(out), f._den * g._den))
 
 
 class ModeContext(namedtuple("ModeContext", "k0")):

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from collections import namedtuple
 from fractions import Fraction
 
 from .exact import as_fraction, fraction_str
 from .projectors import FourMomentum, IrrationalMomentumError
-from .suites import ALL_SUITES, SUITE_RUNNERS, IdentityRecord
+from .suites import ALL_SUITES, SUITE_RUNNERS, IdentityRecord, scheduled
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -146,33 +147,134 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _run_one(args):
-    name, cfg = args
-    return SUITE_RUNNERS[name](cfg)
-
-
-def _process_pool(workers):
-    """A pool of `workers` processes.  Its machinery (multiprocessing,
-    logging, socket, subprocess) is imported here, so that no process but
-    a parallel `verify` loads it."""
-    from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor(max_workers=workers)
+def usable_cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def run(cfg: SuiteConfig) -> VerificationReport:
-    """Validate the configuration, run the selected suites, assemble the report."""
+    """Validate the configuration, run the selected suites, assemble the report.
+
+    The identities are spread over up to cfg.workers processes, never
+    more than there are identities or usable CPUs; one process forks none.
+    """
     cfg.validate()
     ordered = [s for s in ALL_SUITES if s in cfg.suites]
-    if cfg.workers > 1 and len(ordered) > 1:
-        with _process_pool(min(cfg.workers, len(ordered))) as pool:
-            chunks = list(pool.map(_run_one, [(s, cfg) for s in ordered]))
+    total = sum(len(scheduled(s, cfg)) for s in ordered)
+    procs = min(cfg.workers, total, usable_cpus()) if hasattr(os, "fork") else 1
+    if procs > 1:
+        records = _forked(cfg, ordered, total, procs)
     else:
-        chunks = [_run_one((s, cfg)) for s in ordered]
-    records = [rec for chunk in chunks for rec in chunk]
+        records = [rec for s in ordered for rec in SUITE_RUNNERS[s](cfg)]
     inject = os.environ.get(INJECT_ENV)
     if inject:
         records = _inject_failure(records, inject)
     return VerificationReport(config=cfg, records=records)
+
+
+# an identity's index in report order, as it travels through the dispatch pipe
+TOKEN_BYTES = 4
+
+
+class _Claims:
+    """take(i) for one process: whether it checks the identity of report index i.
+
+    Every index is in one shared pipe, once and in increasing order, and
+    each process reads the next one only when it is free to check it.  A
+    pipe read of one token is atomic, so every index goes to exactly one
+    process, and a process that finishes early takes more.
+    """
+
+    def __init__(self, fd):
+        self.fd = fd
+        self.next = None  # the index read but not yet reached; -1 after the last
+
+    def __call__(self, i):
+        if self.next is None:
+            token = os.read(self.fd, TOKEN_BYTES)
+            self.next = int.from_bytes(token, "big") if token else -1
+        if self.next != i:
+            return False
+        self.next = None
+        return True
+
+
+def _share(cfg, ordered, take):
+    """(report index, record) of each identity that take claims, suite by suite."""
+    out, base = [], 0
+    for name in ordered:
+        taken = []
+
+        def claim(k, base=base, taken=taken):
+            if take(base + k):
+                taken.append(base + k)
+                return True
+            return False
+        # take by keyword: SUITE_RUNNERS entries may be wrapped by observers of (cfg)
+        records = SUITE_RUNNERS[name](cfg, take=claim)
+        out += zip(taken, records)
+        base += len(scheduled(name, cfg))
+    return out
+
+
+def _read_all(fd):
+    return b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
+
+
+def _forked(cfg, ordered, total, procs):
+    """The records of every identity, checked by this process and procs - 1 forked children.
+
+    Each child pickles its (index, record) pairs into a pipe of its own
+    and leaves through os._exit, whatever happens.  An identity that no
+    child returned, for instance from one that was killed, is checked
+    here.
+    """
+    import pickle  # only a parallel run needs it: imported here, it costs no other command
+    tokens, feed = os.pipe()
+    # 4 bytes per identity (80 today), far under PIPE_BUF: one write holds every token
+    os.write(feed, b"".join(i.to_bytes(TOKEN_BYTES, "big") for i in range(total)))
+    os.close(feed)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    take = _Claims(tokens)
+    children = []
+    try:
+        for _ in range(procs - 1):
+            rd, wr = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes: this one takes the rest
+                os.close(rd)
+                os.close(wr)
+                break
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(rd)
+                    with os.fdopen(wr, "wb") as fh:
+                        pickle.dump(_share(cfg, ordered, take), fh)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(wr)
+            children.append((pid, rd))
+        got = dict(_share(cfg, ordered, take))
+        replies = [_read_all(rd) for _, rd in children]
+    finally:
+        os.close(tokens)
+        for _, rd in children:
+            os.close(rd)
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    for status, reply in zip(statuses, replies):
+        if status == 0 and reply:
+            got.update(pickle.loads(reply))
+    missing = set(range(total)).difference(got)
+    if missing:
+        got.update(_share(cfg, ordered, missing.__contains__))
+    return [got[i] for i in range(total)]
 
 
 def _inject_failure(records, target):

@@ -117,17 +117,29 @@ class Suite:
         return wave_matrices()
 
 
-def run_suite(name, cfg) -> list:
-    """Check, in report order, every identity of one suite that cfg runs."""
-    suite = SUITES[name](cfg)
+def scheduled(name, cfg) -> list:
+    """The identities of one suite that cfg runs, in report order: one record each."""
     left_out = {SCHEME_1, SCHEME_2}.difference(SCHEMES[cfg.scheme])
+    return [d for d in SUITES[name].identities if d.needs not in left_out]
+
+
+def run_suite(name, cfg, take=None) -> list:
+    """Check, in report order, the identities of one suite that cfg runs.
+
+    take(k), asked once per k in increasing order, says whether this
+    process checks the k-th of `scheduled(name, cfg)`; by default it
+    checks every one.  The suite object is built on the first check.
+    """
+    suite = None
     r = Recorder(name)
-    for d in suite.identities:
-        if d.needs in left_out:
+    for k, d in enumerate(scheduled(name, cfg)):
+        if take is not None and not take(k):
             continue
         if d.needs == MOVING_FRAME and not any(cfg.momentum):
             r.skip(d.ident, d.claim, REST_FRAME_REASON)
         else:
+            if suite is None:
+                suite = SUITES[name](cfg)
             r.check(d.ident, d.claim, partial(d.check, suite))
     return r.records
 

@@ -3,9 +3,11 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -26,6 +28,20 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def cli_env():
+    """The environment of a CLI process: this package, and no STUECKELBERG_ setting."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("STUECKELBERG_")}
+    env["PYTHONPATH"] = str(Path(stueckelberg.__file__).resolve().parents[1])
+    return env
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """The default worker count, and the cap on it, of a host with three usable CPUs."""
+    for mod in (cli, report):
+        monkeypatch.setattr(mod, "usable_cpus", lambda: 3)
 
 
 def test_verify_single_suite_json(capsys):
@@ -214,7 +230,9 @@ def test_unknown_suite_in_config_file(capsys, tmp_path):
     # an empty suite list is not a run of nothing with exit 0
     (("verify", "all"), "suites =\n", "no suite to run"),
     (("verify", "em"), b"k0 = \xff\n", None),
-], ids=["unknown-key", "empty-suites", "not-utf8"])
+    # a repeated key is not settled by its last line
+    (("verify", "em"), "k0 = 7\nk0 = 3\n", "config key 'k0' given twice"),
+], ids=["unknown-key", "empty-suites", "not-utf8", "repeated-key"])
 def test_bad_config_file_is_one_line_config_error(capsys, tmp_path, argv, text, message):
     cfg = tmp_path / "suite.cfg"
     (cfg.write_bytes if isinstance(text, bytes) else cfg.write_text)(text)
@@ -243,40 +261,84 @@ def test_output_file(capsys, tmp_path):
 
 
 def test_worker_dispatch_matches_serial(capsys):
-    code, serial, _ = run_cli(capsys, "verify", "em", "--json", "--no-timing")
+    code, serial, _ = run_cli(capsys, "verify", "em", "--json", "--no-timing",
+                              "--workers", "1")
     code2, parallel, _ = run_cli(capsys, "verify", "em", "--json", "--no-timing",
                                  "--workers", "2")
     assert code == code2 == EXIT_PASS
     assert serial == parallel
 
 
-def test_worker_pool_is_capped_at_the_suite_count(monkeypatch):
-    sizes = []
+@pytest.mark.parametrize("truncation", range(2, 13))
+def test_parallel_fock_report_matches_one_process(capsys, three_cpus, truncation):
+    argv = ("verify", "fock", f"--truncation={truncation}", "--json", "--no-timing")
+    assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--workers", "1")
 
-    class SerialPool:
-        """Stands in for the process pool: records its size and maps in-process."""
 
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+@pytest.mark.parametrize("death", ["killed", "exit-0"])
+def test_a_worker_that_dies_before_replying_changes_no_byte(capsys, monkeypatch, three_cpus,
+                                                            death):
+    argv = ("verify", "all", "--json", "--no-timing")
+    want = run_cli(capsys, *argv, "--workers", "1")
+    parent = os.getpid()
+    for name, runner in list(report.SUITE_RUNNERS.items()):
+        def dying(cfg, take=None, runner=runner):
+            records = runner(cfg, take=take)
+            if records and os.getpid() != parent:
+                # a worker dies with checked records it never sends
+                if death == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                os._exit(0)
+            return records
+        monkeypatch.setitem(report.SUITE_RUNNERS, name, dying)
+    assert run_cli(capsys, *argv) == want
+    assert want[0] == EXIT_PASS
 
-        def __enter__(self):
-            return self
 
-        def __exit__(self, *exc):
-            return False
+@pytest.mark.parametrize("cpus", [1, 2, 100000])
+def test_worker_count_is_capped_at_the_identities_and_cpus(capsys, monkeypatch, cpus):
+    forks = []
+    real_fork = os.fork
 
-        def map(self, fn, items):
-            return map(fn, items)
+    def counted_fork():
+        forks.append(None)
+        return real_fork()
+    monkeypatch.setattr(os, "fork", counted_fork)
+    for mod in (cli, report):
+        monkeypatch.setattr(mod, "usable_cpus", lambda: cpus)
+    code, out, _ = run_cli(capsys, "verify", "em", "--json", "--no-timing",
+                           "--workers", "100000")
+    assert code == EXIT_PASS
+    assert len(forks) == min(len(json.loads(out)["identities"]), cpus) - 1
 
-    monkeypatch.setattr(report, "_process_pool", SerialPool)
-    rep = report.run(SuiteConfig(suites=("u31", "em"), workers=100000))
-    assert sizes == [2]
+
+def test_run_leaves_no_child_process(three_cpus):
+    rep = report.run(SuiteConfig(suites=("u31", "em"), workers=3))
     assert rep.exit_code == EXIT_PASS
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
-# Imports a CLI process needs for none of its commands but a parallel
-# `verify`: the process pool pulls in multiprocessing, logging, socket and
-# subprocess, and dataclasses pulls in inspect, ast and dis.
+@pytest.mark.parametrize("argv", [
+    ("verify", "em", "--json", "--no-timing"),  # fails at the last flush
+    ("dump", "gram", "--truncation", "6"),  # fails while it writes
+], ids=["verify", "dump"])
+def test_closed_stdout_is_one_stderr_line(argv):
+    rd, wr = os.pipe()
+    os.close(rd)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "stueckelberg.cli", *argv], stdout=wr,
+                              stderr=subprocess.PIPE, text=True, env=cli_env(), timeout=60)
+    finally:
+        os.close(wr)
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith("stueckelberg: cannot write output: ")
+    assert proc.stderr.count("\n") == 1
+
+
+# Imports a CLI process needs for none of its commands: a process pool
+# would pull in multiprocessing, logging, socket and subprocess (a parallel
+# `verify` forks instead), and dataclasses pulls in inspect, ast and dis.
 COLD_START_UNUSED = ("dataclasses", "inspect", "concurrent.futures", "multiprocessing")
 PACKAGE_MODULES = ("exact", "epsilon", "wave", "projectors", "modes", "fock", "em",
                    "suites", "report", "cli")
@@ -297,12 +359,11 @@ print(json.dumps({"package": package, "loaded": sorted(set(sys.modules) - before
 @pytest.mark.parametrize("argv", [
     ("--help",),
     ("verify", "projectors", "--json", "--no-timing", "--workers", "1"),
-], ids=["help", "verify-projectors"])
+    ("verify", "all", "--json", "--no-timing", "--workers", "2"),
+], ids=["help", "verify-projectors", "verify-all-parallel"])
 def test_cli_process_imports_only_what_it_runs(argv):
-    env = {k: v for k, v in os.environ.items() if not k.startswith("STUECKELBERG_")}
-    env["PYTHONPATH"] = str(Path(stueckelberg.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", COLD_START_PROBE, *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=cli_env())
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stderr.splitlines()[-1])
     # perfbench/tracer.py imports stueckelberg.cli and then reads all ten
@@ -359,10 +420,11 @@ REPORT_DIGESTS = [
 
 @pytest.mark.parametrize("argv,digest", REPORT_DIGESTS,
                          ids=[" ".join(argv) for argv, _ in REPORT_DIGESTS])
-def test_json_report_bytes_are_unchanged(capsys, argv, digest):
-    code, out, _ = run_cli(capsys, *argv, "--json", "--no-timing")
-    assert code == EXIT_PASS
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+def test_json_report_bytes_are_unchanged(capsys, three_cpus, argv, digest):
+    for workers in ((), ("--workers", "1")):  # the default spreads over the CPUs
+        code, out, _ = run_cli(capsys, *argv, "--json", "--no-timing", *workers)
+        assert code == EXIT_PASS
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # The `dump` and `stokes` side of the contract: these digests do not come
@@ -416,7 +478,7 @@ def test_dump_bytes_are_unchanged(capsys, argv, digest):
     ("dump", "gram", "--truncation", str(cli.MAX_GRAM_TRUNCATION + 1)),
 ])
 def test_truncation_above_the_cap_is_config_error(capsys, monkeypatch, argv):
-    def never(*args):
+    def never(*args, **kwargs):
         raise AssertionError("an over-cap truncation started a computation")
     for name in report.SUITE_RUNNERS:
         monkeypatch.setitem(report.SUITE_RUNNERS, name, never)
@@ -481,10 +543,13 @@ FIRST_IDENTITY = {"projectors": "momentum-shell", "em": "su2-commutators",
                   "fock": "ladder-standard", "u31": "canonical-brackets"}
 
 
+FUZZ_KINDS = ("verify", "epsilon", "wave", "solutions", "gram", "stokes")
+
+
 @st.composite
 def cli_argvs(draw):
-    """(argv, failure hook target or None, config-file text or None) for one CLI call."""
-    kind = draw(st.sampled_from(("verify", "epsilon", "wave", "solutions", "gram", "stokes")))
+    """(kind, argv, failure hook target or None, config-file text or None) for one CLI call."""
+    kind = draw(st.sampled_from(FUZZ_KINDS))
     inject = config = None
     if kind == "verify":
         suite = draw(st.sampled_from(tuple(FIRST_IDENTITY) + ("all", "bogus")))
@@ -495,10 +560,14 @@ def cli_argvs(draw):
         argv += _options(draw, [("--k0", RATIONALS), ("--truncation", TRUNCATIONS),
                                 ("--scheme", _either(("1", "2", "both"), ("3",)))])
         argv += [f for f in ("--json", "--no-timing") if draw(st.booleans())]
-        argv += ["--workers", "1"]
+        # one process, or the default: as many as there are usable CPUs
+        argv += draw(st.sampled_from((["--workers", "1"], [])))
         # the failure hook forces one record to fail, or names no record
         inject = draw(st.sampled_from((None, FIRST_IDENTITY.get(suite), "no-such-id")))
-        config = draw(st.none() | st.lists(CONFIG_LINES, max_size=3).map("\n".join))
+        lines = draw(st.none() | st.lists(CONFIG_LINES, max_size=3))
+        if lines and draw(st.booleans()):
+            lines.append(lines[0])  # a repeated key, when the line has one
+        config = None if lines is None else "\n".join(lines)
     elif kind == "epsilon":
         argv = ["dump", "epsilon", "--a", draw(LABELS), "--b", draw(LABELS)] + _options(
             draw, [("--space", st.sampled_from(("dim11", "dim10", "dim5", "dim4", "dim7")))])
@@ -521,13 +590,32 @@ def cli_argvs(draw):
         state = json.dumps([list(t) for t in terms])
         state = draw(_either((state,), ("[", "{}", "[]", "[[27,0,\"1\",\"0\"]]")))
         argv = ["stokes", "--state", state] + [f for f in ("--json",) if draw(st.booleans())]
-    return argv, inject, config
+    return kind, argv, inject, config
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(cli_argvs())
-def test_any_argv_exits_0_1_or_2_without_a_traceback(case):
-    argv, inject, config = case
+# The fewest of the fuzz's 100 examples that each kind of argv may get, so
+# that a change to the strategy cannot starve a command unseen: about half
+# of what each kind gets today (verify 39, stokes 25, epsilon 14, solutions
+# 11, gram 6, wave 5).  Hypothesis draws no argv twice, and `dump
+# wave-matrices` has only five.
+FUZZ_KIND_MINIMUM = {"verify": 20, "stokes": 12, "epsilon": 7, "solutions": 5, "gram": 3,
+                     "wave": 3}
+
+
+def test_any_argv_exits_0_1_or_2_without_a_traceback():
+    kinds = Counter()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(cli_argvs())
+    def exits_0_1_or_2(case):
+        kinds[case[0]] += 1
+        _exits_0_1_or_2(*case[1:])
+
+    exits_0_1_or_2()
+    assert {k: n for k, n in FUZZ_KIND_MINIMUM.items() if kinds[k] < n} == {}, kinds
+
+
+def _exits_0_1_or_2(argv, inject, config):
     out, err = io.StringIO(), io.StringIO()
     tmp = tempfile.TemporaryDirectory()
     if config is not None:
