@@ -20,7 +20,7 @@ from .epsilon import epsilon as eps_unit
 from .fock import normalized_gram
 from .projectors import FourMomentum, dyad_factorize, pure_state_projector
 from .report import (EXIT_CONFIG, MAX_TRUNCATION, WORKERS_ENV, ConfigError, SuiteConfig,
-                     run, usable_cpus)
+                     check_momentum_size, run, usable_cpus)
 from .suites import ALL_SUITES
 from .wave import wave_matrices
 from . import em as em_mod
@@ -194,6 +194,7 @@ def cmd_dump_solutions(args):
     try:
         p = FourMomentum.from_mass_and_momentum(_parse_fraction(args.mass),
                                                 _parse_momentum(args.momentum))
+        check_momentum_size(p)
         # rejects a bad sign or pair, the rest frame and an irrational |p|
         delta = pure_state_projector(p, eps, spin, proj)
     except ValueError as exc:

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 
-from .exact import (ExactMatrix, GR_I, GR_ONE, GR_ZERO, GaussianRational,
-                    as_fraction)
+from .exact import (ExactMatrix, GR_I, GR_ONE, GR_ZERO, GaussianRational, as_fraction,
+                    assemble, mat_columns)
 from .fock import BilinearOperator, FockPolyState, inner_product
 
 PAULI = {
@@ -105,19 +106,20 @@ class U2Element(namedtuple("U2Element", "matrix")):
     def adjoint_rotation(self) -> ExactMatrix:
         """3x3 rotation R with U^+ tau_i U = sum_j R[i][j] tau_j.
 
-        Coefficients are read off with the trace pairing; they are exact
-        and, for genuine group elements, real.
+        R[i][j] is the trace pairing tr(M_i tau_j) / 2 of M_i = U^+ tau_i U:
+        one product of the three M_i, flattened row-major into rows, with
+        `_trace_pairing`.  The coefficients are exact and, for genuine
+        group elements, real.
         """
-        half = GaussianRational(Fraction(1, 2))
-        rows = []
-        for i in (1, 2, 3):
-            conj = self.conjugate_charge(PAULI[i])
-            row = []
-            for j in (1, 2, 3):
-                c = (conj @ PAULI[j]).trace() * half
-                row.append(c)
-            rows.append(row)
-        return ExactMatrix(rows)
+        m = assemble(3, 4, ((self.conjugate_charge(PAULI[i]),
+                             lambda ab, r=i - 1: (r, 2 * ab[0] + ab[1])) for i in (1, 2, 3)))
+        return m @ _trace_pairing()
+
+
+@lru_cache(maxsize=None)
+def _trace_pairing():
+    """Column j holds tau_j^T / 2 row-major: a flattened M times it gives tr(M tau_j) / 2."""
+    return mat_columns([PAULI[j].transpose() * Fraction(1, 2) for j in (1, 2, 3)])
 
 
 def stokes_expectations(s: FockPolyState, tables=STOKES_TABLES):

@@ -540,6 +540,68 @@ def mat_commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return a @ b - b @ a
 
 
+def assemble(rows, cols, parts) -> ExactMatrix:
+    """The rows x cols matrix that sums placed exact stores.
+
+    parts yields (store, place) pairs: the coefficient a store (a matrix,
+    an observable, a bilinear) holds under key k is added at position
+    place(k), which must lie inside the shape.  Blocks, stacks and the
+    columns of a table of stores are all one such sum.
+    """
+    parts = [(s._c, s._den, place) for s, place in parts]
+    den = math.lcm(1, *(d for _, d, _ in parts))
+    out = {}
+    for c, d, place in parts:
+        f = den // d
+        for k, (a, b) in c.items():
+            ij = place(k)
+            e = out.get(ij)
+            out[ij] = (a * f, b * f) if e is None else (e[0] + a * f, e[1] + b * f)
+    return ExactMatrix._of(rows, cols, *_lowest(_pruned(out), den))
+
+
+def block_at(r, c):
+    """place for `assemble`: a matrix entry (i, j) moved to (r + i, c + j)."""
+    return lambda ij: (r + ij[0], c + ij[1])
+
+
+def mat_columns(mats) -> ExactMatrix:
+    """The matrix whose column c holds the entries of the n x n matrix mats[c], row-major."""
+    n = mats[0].cols
+    return assemble(n * n, len(mats), ((m, lambda ij, c=c: (n * ij[0] + ij[1], c))
+                                       for c, m in enumerate(mats)))
+
+
+def mat_commutators(lefts, rights) -> ExactMatrix:
+    """L_i R_j - L_j R_i for every pair i < j of n x n matrices, from one stacked product.
+
+    The lefts one above the other times the rights side by side hold
+    L_i R_j in block (i, j).  Column p of the result is the p-th pair's
+    difference, laid out as by `mat_columns`, the pairs in lexicographic
+    order; with rights = lefts they are the commutators.
+    """
+    k, n = len(lefts), lefts[0].rows
+    if k < 2:
+        raise ValueError("commutators need at least two matrices")
+    prod = (assemble(k * n, n, ((m, block_at(n * i, 0)) for i, m in enumerate(lefts)))
+            @ assemble(n, k * n, ((m, block_at(0, n * j)) for j, m in enumerate(rights))))
+    # pair (i, j), i < j, is column first[i] + j
+    first = [i * (2 * k - i - 3) // 2 - 1 for i in range(k)]
+    out = {}
+    for (r, s), (x, y) in prod._c.items():
+        i, a = divmod(r, n)
+        j, b = divmod(s, n)
+        if i == j:
+            continue
+        if i < j:
+            key = (n * a + b, first[i] + j)
+        else:
+            key, x, y = (n * a + b, first[j] + i), -x, -y
+        e = out.get(key)
+        out[key] = (x, y) if e is None else (e[0] + x, e[1] + y)
+    return ExactMatrix._of(n * n, k * (k - 1) // 2, *_lowest(_pruned(out), prod._den))
+
+
 def _numerator_rows(a: ExactMatrix):
     """Row i of a's numerators as a dict column -> (re, im), for each row i."""
     rows = [{} for _ in range(a.rows)]
@@ -574,7 +636,8 @@ def _fraction_free(rows, cols):
             cur = rows[i]
             yr, yi = cur.get(c, _ZZ)
             new = {}
-            for j in cur.keys() | top.keys():
+            # where y = 0 the pivot row adds nothing: only the row's own entries change
+            for j in cur.keys() | top.keys() if yr or yi else cur.keys():
                 if j == c:
                     continue
                 ar, ai = cur.get(j, _ZZ)

@@ -37,7 +37,8 @@ equation.
 The sign table has one other reader: a bilinear is also its 4x4
 coefficient table (`BilinearOperator.table` and `from_table`), and the
 commutator of two is the table product A S B - B S A, with S the
-diagonal of the scheme's annihilation signs.
+diagonal of the scheme's annihilation signs; `commutator_tables` takes
+every pair of a list in one stacked product.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .exact import (GR_I, GR_ONE, ExactMatrix, GaussianRational, _ExactCoefficients,
-                    _lowest, _pruned, _scalar, as_fraction)
+                    _lowest, _pruned, _scalar, as_fraction, mat_commutators)
 
 METRIC_SIGNATURE = (1, 1, 1, -1)
 
@@ -384,11 +385,28 @@ class BilinearOperator(_SchemeCoefficients):
         s_j d_jk a+_i a_l - s_i d_li a+_k a_j (the Jordan-Schwinger map).
         """
         self._check_compatible(other)
-        a, b, s = self.table(), other.table(), _ANNIHILATION_SIGNS[self.scheme]
-        # S is a diagonal of signs, so S B and S A are B and A with row i times s[i]
-        sb, sa = (t._with({(i, j): (x * s[i], y * s[i]) for (i, j), (x, y) in t._c.items()},
-                          t._den) for t in (b, a))
-        return BilinearOperator.from_table(a @ sb - b @ sa, self.scheme)
+        a, b = self.table(), other.table()
+        return BilinearOperator.from_table(
+            a @ _signed_rows(b, self.scheme) - b @ _signed_rows(a, self.scheme), self.scheme)
+
+
+def _signed_rows(t: ExactMatrix, scheme: int) -> ExactMatrix:
+    """S T for the diagonal S of the scheme's annihilation signs: row i times s[i]."""
+    s = _ANNIHILATION_SIGNS[scheme]
+    return t._with({(i, j): (x * s[i], y * s[i]) for (i, j), (x, y) in t._c.items()}, t._den)
+
+
+def commutator_tables(ops) -> ExactMatrix:
+    """The tables of [A_i, A_j] for every pair i < j of one scheme's bilinears, as columns.
+
+    Column p holds the p-th pair's table as `mat_columns` lays it out,
+    the pairs in lexicographic order: the tables A S B - B S A of
+    `BilinearOperator.commutator`, all from one stacked product.
+    """
+    if len({op.scheme for op in ops}) > 1:
+        raise SchemeMismatchError("operators from different schemes")
+    tables = [op.table() for op in ops]
+    return mat_commutators(tables, [_signed_rows(t, ops[0].scheme) for t in tables])
 
 
 def covariant_ladder_phase(mu: int) -> GaussianRational:

@@ -18,8 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import (ExactMatrix, GR_I, GR_MINUS_ONE, GR_ONE, GR_ZERO, GaussianRational,
-                    _ExactCoefficients, _lowest, _pruned, _scalar, as_fraction, mat_commutator,
-                    mat_inverse)
+                    _ExactCoefficients, _lowest, _pruned, _scalar, as_fraction, assemble,
+                    mat_columns, mat_commutators, mat_inverse)
 
 
 def _exact(x):
@@ -124,6 +124,18 @@ def poisson_bracket(f: QuadraticObservable, g: QuadraticObservable) -> Quadratic
     return f._with(*_lowest(_pruned(out), f._den * g._den))
 
 
+def observable_columns(*groups):
+    """One matrix per group of observables, column c holding the group's c-th coefficients.
+
+    The rows are the 45 monomials of degree at most two in one fixed
+    order, so the matrices of all groups compare and multiply alike.
+    """
+    monomials = [()] + [(i,) for i in range(8)] + [(i, j) for i in range(8) for j in range(i, 8)]
+    row = {k: r for r, k in enumerate(monomials)}.__getitem__
+    return [assemble(len(monomials), len(g), ((o, lambda k, c=c: (row(k), c))
+                                              for c, o in enumerate(g))) for g in groups]
+
+
 class ModeContext(namedtuple("ModeContext", "k0")):
     """A single momentum mode, identified by its (positive) energy."""
 
@@ -206,9 +218,6 @@ class U31Params(namedtuple("U31Params", "omega0 a s")):
         s_table = ExactMatrix.sparse(4, 4, [(ij, v) for (mu, nu), v in s.items()
                                             for ij in {(mu - 1, nu - 1), (nu - 1, mu - 1)}])
         return super().__new__(cls, omega0, a_table, s_table)
-
-    def __reduce__(self):
-        return type(self)._make, (tuple(self),)
 
     def traceless(self):
         """S0 = S - (tr S / 4) I, the part of S that acts."""
@@ -362,36 +371,35 @@ def trace_direction():
 
 
 @lru_cache(maxsize=None)
-def _generator_basis_inverse():
-    """Direction names and the inverse of the flattened generator-basis matrix."""
+def _generator_basis():
+    """Direction names, generator matrices, and the inverse of `mat_columns` of the matrices."""
     dirs = basis_directions()
-    cols = []
-    for _, par in dirs:
-        g = generator_matrix(par)
-        cols.append([g[i, j] for i in range(4) for j in range(4)])
-    a = ExactMatrix([[cols[c][r] for c in range(len(dirs))] for r in range(16)])
-    return tuple(name for name, _ in dirs), mat_inverse(a)
+    mats = tuple(generator_matrix(par) for _, par in dirs)
+    return tuple(name for name, _ in dirs), mats, mat_inverse(mat_columns(mats))
 
 
-def decompose_generator(m: ExactMatrix):
-    """Coefficients of a 4x4 matrix in the sixteen basis generator directions.
+def decompose_generator(columns: ExactMatrix) -> ExactMatrix:
+    """Coefficients in the sixteen basis generator directions, one column per 4x4 matrix.
 
-    Over the complex scalars the sixteen directions span everything, so
-    a decomposition always exists; membership in the real symmetry
-    algebra is equivalent to all coefficients being real, which callers
-    check where it matters.
+    columns holds the matrices as `mat_columns` lays them out; row k of
+    the result holds their coefficients on the k-th of
+    `basis_directions`, all from one product.  Over the complex scalars
+    the sixteen directions span everything, so a decomposition always
+    exists; membership in the real symmetry algebra is equivalent to all
+    coefficients being real, which callers check where it matters.
     """
-    names, inv = _generator_basis_inverse()
-    # m's entries, row-major, as a 16x1 column on m's own store
-    col = ExactMatrix._of(16, 1, {(4 * i + j, 0): e for (i, j), e in m._c.items()}, m._den)
-    x = inv @ col
-    return {name: x[k, 0] for k, name in enumerate(names)}
+    return _generator_basis()[2] @ columns
 
 
 @lru_cache(maxsize=None)
 def structure_constants():
-    """(name_i, name_j, decompose_generator([A_i, A_j])) for the 120 basis pairs i < j."""
-    mats = [(name, generator_matrix(par)) for name, par in basis_directions()]
-    return tuple((ni, nj, decompose_generator(mat_commutator(ai, aj)))
-                 for i, (ni, ai) in enumerate(mats) for nj, aj in mats[i + 1:])
+    """(names, pairs, f) for the sixteen basis directions A_k.
 
+    pairs lists the 120 name pairs (name_i, name_j), i < j, and column p
+    of the 16 x 120 matrix f holds the coefficients f_ij^k of [A_i, A_j]
+    in the directions, for the p-th pair: every commutator comes from
+    one stacked product, and one more product decomposes them all.
+    """
+    names, mats, _ = _generator_basis()
+    pairs = tuple((a, b) for i, a in enumerate(names) for b in names[i + 1:])
+    return names, pairs, decompose_generator(mat_commutators(mats, mats))

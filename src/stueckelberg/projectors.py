@@ -9,10 +9,12 @@ spin projectors are fine there.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import ExactMatrix, GR_I, GaussianRational, as_fraction, mat_rank, rational_sqrt
+from .exact import (ExactMatrix, GR_I, GaussianRational, _lowest, as_fraction, mat_rank,
+                    rational_sqrt)
 from .epsilon import VECTOR_INDICES
 from .wave import wave_matrices
 
@@ -66,6 +68,11 @@ class FourMomentum(namedtuple("FourMomentum", "p1 p2 p3 p0 m")):
             raise IrrationalMomentumError(
                 f"|p| = sqrt({n2}) is irrational; choose a Pythagorean momentum")
         return n
+
+    def bit_length(self) -> int:
+        """The largest numerator or denominator bit length of p0, |p| and m."""
+        return max(max(x.numerator.bit_length(), x.denominator.bit_length())
+                   for x in (self.p0, self.spatial_norm(), self.m))
 
     def is_at_rest(self) -> bool:
         return not (self.p1 or self.p2 or self.p3)
@@ -223,43 +230,99 @@ def _gaussian_gcd(a, b):
 def _sqrt_minus_one_mod(p: int) -> int:
     for a in range(2, p):
         r = pow(a, (p - 1) // 4, p)
-        if (r * r) % p == p - 1:
+        s = r * r % p
+        if s == p - 1:
             return r
+        if s != 1:  # a^((p-1)/2) is +-1 modulo a prime
+            raise ArithmeticError(f"{p} is not a prime")
     raise ArithmeticError(f"no square root of -1 mod {p}")
 
 
+def _is_probable_prime(n: int) -> bool:
+    """Miller-Rabin (J. Number Theory 12, 1980) to the first twelve prime bases, for odd n > 37.
+
+    These bases decide every n below 3.3 * 10^24 exactly; above it a
+    composite taken for a prime makes `_sqrt_minus_one_mod` or the
+    a^2 + b^2 == n check of `_factor_integer_two_squares` raise.
+    """
+    d, s = n - 1, 0
+    while not d % 2:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of the odd composite n by Pollard's rho (BIT 15, 1975), Floyd's cycle."""
+    c = 0
+    while True:
+        c += 1
+        x, y, g = 2, 2, 1
+        while g == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = math.gcd(x - y, n)
+        if g != n:  # else x and y met mod n itself: try the next constant
+            return g
+
+
+def _prime_factors(n: int) -> dict:
+    """{prime: exponent} of n >= 1.
+
+    Trial division takes the primes below 2^10; each cofactor left is a
+    perfect square (split with math.isqrt), a prime (Miller-Rabin) or
+    split by Pollard's rho.
+    """
+    out = {}
+    d = 2
+    while d < 1 << 10 and d * d <= n:
+        while not n % d:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    left = [(n, 1)]
+    while left:
+        m, e = left.pop()
+        if m == 1:
+            continue
+        r = math.isqrt(m)
+        if r * r == m:
+            left.append((r, 2 * e))
+        elif m < 1 << 20 or _is_probable_prime(m):
+            out[m] = out.get(m, 0) + e
+        else:
+            f = _rho_factor(m)
+            left += [(f, e), (m // f, e)]
+    return out
+
+
 def _factor_integer_two_squares(n: int):
-    """x, y with x^2 + y^2 = n, or None.  Trial division is plenty here."""
+    """x, y with x^2 + y^2 = n, or None, from the Gaussian primes over n's prime factors."""
     if n == 0:
         return (0, 0)
     x = (1, 0)
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            if d == 2:
-                for _ in range(e):
-                    x = _gi_mul_pair(x, (1, 1))
-            elif d % 4 == 1:
-                g = _gaussian_gcd((d, 0), (_sqrt_minus_one_mod(d), 1))
-                for _ in range(e):
-                    x = _gi_mul_pair(x, g)
-            else:
-                if e % 2:
-                    return None  # prime 3 mod 4 with odd exponent
-                x = _gi_mul_pair(x, (d ** (e // 2), 0))
-        d += 1
-    if m > 1:
-        if m == 2:
-            x = _gi_mul_pair(x, (1, 1))
-        elif m % 4 == 1:
-            x = _gi_mul_pair(x, _gaussian_gcd((m, 0), (_sqrt_minus_one_mod(m), 1)))
+    for d, e in _prime_factors(n).items():
+        if d == 2:
+            for _ in range(e):
+                x = _gi_mul_pair(x, (1, 1))
+        elif d % 4 == 1:
+            g = _gaussian_gcd((d, 0), (_sqrt_minus_one_mod(d), 1))
+            for _ in range(e):
+                x = _gi_mul_pair(x, g)
+        elif e % 2:
+            return None  # prime 3 mod 4 with odd exponent
         else:
-            return None
+            x = _gi_mul_pair(x, (d ** (e // 2), 0))
     a, b = abs(x[0]), abs(x[1])
     if a * a + b * b != n:
         raise ArithmeticError(f"two-square factorisation of {n} went wrong")
@@ -279,17 +342,32 @@ def _norm_split(q: Fraction) -> GaussianRational | None:
     return GaussianRational(Fraction(x, q.denominator), Fraction(y, q.denominator))
 
 
+def rank_one_factors(delta: ExactMatrix):
+    """(column, row) whose product is the nonzero delta exactly when delta has rank one.
+
+    The column is delta's first column j of largest squared magnitude
+    (the entries share one denominator, so their numerators rank the
+    columns); the row is delta's row through that column's first nonzero
+    entry, divided by the entry.
+    """
+    c, den = delta._c, delta._den
+    norms = [0] * delta.cols
+    for (_, j), (a, b) in c.items():
+        norms[j] += a * a + b * b
+    j = max(range(delta.cols), key=norms.__getitem__)
+    i = min(r for r, k in c if k == j)
+    column = ExactMatrix._of(delta.rows, 1, *_lowest({(r, 0): e for (r, k), e in c.items()
+                                                      if k == j}, den))
+    row = ExactMatrix._of(1, delta.cols, *_lowest({(0, k): e for (r, k), e in c.items()
+                                                   if r == i}, den))
+    return column, row / delta[i, j]
+
+
 def dyad_factorize(delta: ExactMatrix, labels=(0, 0, 0)) -> SolutionDyad:
     """Split a rank-1 idempotent into a normalized 11x1 column and its 1x11 metric row."""
     if mat_rank(delta) != 1:
         raise ValueError("not a pure state: projector rank differs from 1")
-    # the first column of largest squared magnitude; the entries share one
-    # denominator, so their numerators rank the columns
-    norms = [0] * delta.cols
-    for (_, j), (a, b) in delta._c.items():
-        norms[j] += a * a + b * b
-    j = max(range(delta.cols), key=norms.__getitem__)
-    col = delta @ ExactMatrix.unit(delta.cols, 1, j, 0)
+    col = rank_one_factors(delta)[0]
     eta = wave_matrices().eta
     nu = (col.dagger() @ eta @ col)[0, 0]
     if not nu:

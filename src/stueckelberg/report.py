@@ -9,6 +9,7 @@ fails, 2 configuration error.
 from __future__ import annotations
 
 import json
+import marshal
 import os
 import sys
 from collections import namedtuple
@@ -24,9 +25,16 @@ EXIT_CONFIG = 2
 
 # Largest accepted Fock truncation.  The fock suite's cost grows with the
 # basis size C(N+4, 4): `verify fock --scheme both` in a fresh process on
-# a 2-vCPU Xeon host takes 0.2 s at N = 10, 1.0 s (34 MB peak) at N = 20
-# and 2.6 s (70 MB peak) at N = 26; N = 28 took up to 3.8 s.
+# a 2-vCPU Xeon host takes 0.05 s at N = 10, 0.22 s (34 MB peak) at N = 20
+# and 0.53 s (71 MB peak) at N = 26 over both CPUs, 0.96 s at N = 26 on
+# one.
 MAX_TRUNCATION = 26
+
+# Largest accepted `FourMomentum.bit_length` when the projectors suite
+# runs.  Normalising the solution dyads factors integers built from p0,
+# |p| and m; on the same host the worst of 49 generated momenta up to 64
+# bits took 0.5 s, and single momenta of 74-80 bits took 3-5 s.
+MAX_MOMENTUM_BITS = 64
 
 INJECT_ENV = "STUECKELBERG_INJECT_FAIL"
 WORKERS_ENV = "STUECKELBERG_WORKERS"
@@ -69,7 +77,7 @@ class SuiteConfig(namedtuple("SuiteConfig", "suites mass momentum k0 truncation 
             raise ConfigError("worker count must be at least 1")
         if "projectors" in self.suites:
             try:
-                FourMomentum.from_mass_and_momentum(self.mass, self.momentum).spatial_norm()
+                check_momentum_size(FourMomentum.from_mass_and_momentum(self.mass, self.momentum))
             except IrrationalMomentumError as exc:
                 raise ConfigError(str(exc)) from None
 
@@ -82,6 +90,13 @@ class SuiteConfig(namedtuple("SuiteConfig", "suites mass momentum k0 truncation 
             "truncation": self.truncation,
             "scheme": self.scheme,
         }
+
+
+def check_momentum_size(p: FourMomentum):
+    """Raise ConfigError if p0, |p| or m is above MAX_MOMENTUM_BITS; an irrational |p| raises."""
+    if p.bit_length() > MAX_MOMENTUM_BITS:
+        raise ConfigError(f"momentum above the cap: p0, |p| and m may have at most "
+                          f"{MAX_MOMENTUM_BITS}-bit numerators and denominators")
 
 
 class VerificationReport:
@@ -227,12 +242,12 @@ def _read_all(fd):
 def _forked(cfg, ordered, total, procs):
     """The records of every identity, checked by this process and procs - 1 forked children.
 
-    Each child pickles its (index, record) pairs into a pipe of its own
-    and leaves through os._exit, whatever happens.  An identity that no
-    child returned, for instance from one that was killed, is checked
-    here.
+    Each child writes its (index, record fields) pairs into a pipe of
+    its own with marshal, which takes only the str, float and None
+    fields a record holds, and leaves through os._exit, whatever
+    happens.  An identity that no child returned, for instance from one
+    that was killed, is checked here.
     """
-    import pickle  # only a parallel run needs it: imported here, it costs no other command
     tokens, feed = os.pipe()
     # 4 bytes per identity (80 today), far under PIPE_BUF: one write holds every token
     os.write(feed, b"".join(i.to_bytes(TOKEN_BYTES, "big") for i in range(total)))
@@ -254,8 +269,9 @@ def _forked(cfg, ordered, total, procs):
                 code = 1
                 try:
                     os.close(rd)
+                    pairs = [(i, tuple(rec)) for i, rec in _share(cfg, ordered, take)]
                     with os.fdopen(wr, "wb") as fh:
-                        pickle.dump(_share(cfg, ordered, take), fh)
+                        marshal.dump(pairs, fh)
                     code = 0
                 finally:
                     os._exit(code)
@@ -270,7 +286,7 @@ def _forked(cfg, ordered, total, procs):
         statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
     for status, reply in zip(statuses, replies):
         if status == 0 and reply:
-            got.update(pickle.loads(reply))
+            got.update((i, IdentityRecord(*fields)) for i, fields in marshal.loads(reply))
     missing = set(range(total)).difference(got)
     if missing:
         got.update(_share(cfg, ordered, missing.__contains__))

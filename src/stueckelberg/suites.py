@@ -16,24 +16,25 @@ import time
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
-from .exact import (ExactMatrix, GR_I, GR_MINUS_ONE, GR_ONE, GR_ZERO,
-                    GaussianRational, mat_commutator, mat_rank)
+from .exact import (ExactMatrix, GR_I, GR_MINUS_ONE, GR_ONE, GR_ZERO, GaussianRational,
+                    assemble, block_at, mat_columns, mat_commutator, mat_commutators, mat_rank)
 from . import em as em_mod
 from .epsilon import (BIVECTOR_PAIRS, DIM4, DIM5, DIM10, DIM11, BasisIndex,
                       bivector_component, epsilon_delta)
 from .epsilon import epsilon as eps_unit
-from .fock import (BilinearOperator, FockPolyState, LadderOp, apply_ladder,
-                   covariant_ladder_phase, decompose_physical, energy_operator,
-                   inner_product, ladder_matrix, monomial_basis, normalized_gram,
-                   quantize, quantum_charges)
+from .fock import (METRIC_SIGNATURE, BilinearOperator, FockPolyState, LadderOp, apply_ladder,
+                   commutator_tables, covariant_ladder_phase, decompose_physical,
+                   energy_operator, inner_product, ladder_matrix, monomial_basis,
+                   normalized_gram, quantize, quantum_charges)
 from .modes import (ModeContext, QuadraticObservable, amplitude_form_hamiltonian,
                     basis_directions, charge_combination, conserved_charges,
-                    hamiltonian, infinitesimal_transform, pi_sym,
+                    hamiltonian, infinitesimal_transform, observable_columns, pi_sym,
                     poisson_bracket, q_sym, structure_constants, trace_direction,
                     transform_from_generating_function)
-from .projectors import SPIN_STATES, FourMomentum, ProjectorFamily, dyad_factorize
+from .projectors import (SPIN_STATES, FourMomentum, ProjectorFamily, dyad_factorize,
+                         rank_one_factors)
 from .wave import build_alpha, build_beta0, build_beta1, embed_dim5, embed_dim10, wave_matrices
 
 MOVING_FRAME = "moving frame"
@@ -147,15 +148,6 @@ def run_suite(name, cfg, take=None) -> list:
 # ---------------------------------------------------------------------------
 # algebra suite
 
-def _blocks(rows, cols, blocks):
-    """The matrix of rows x cols 11x11 blocks, from ((block row, block column), entries) pairs.
-
-    entries are one block's ((i, j), value) pairs; blocks not named are zero.
-    """
-    return ExactMatrix.sparse(11 * rows, 11 * cols, (
-        ((11 * r + i, 11 * c + j), v) for (r, c), entries in blocks for (i, j), v in entries))
-
-
 # the orderings (a, b, c) of a triple's slots that a cubic relation sums:
 # the Duffin-Kemmer-Petiau trilinear relation of the spin-1 and spin-0
 # blocks sums two, the symmetrised cubic of the 11-dim matrices all six
@@ -167,13 +159,20 @@ def _cubic_failure(ms, orders):
     """The first triple t (mu, nu, alpha) breaking the cubic relation, or None.
 
     The relation is sum over orders of m_t[a] m_t[b] m_t[c] = sum over the
-    orders with t[a] = t[b] of m_t[c]; ms is keyed by vector index.
+    orders with t[a] = t[b] of m_t[c]; ms is keyed by vector index.  Its
+    terms are the index triples (t[a], t[b], t[c]), so triples with the
+    same terms state one equation, decided once, and the 16 pair
+    products m_x m_y are formed once.
     """
     zero = ExactMatrix.zeros(ms[1].rows)
+    pairs = {xy: ms[xy[0]] @ ms[xy[1]] for xy in product(IDX, repeat=2)}
+    broken = {}
     for t in product(IDX, repeat=3):
-        m = [ms[k] for k in t]
-        lhs = sum((m[a] @ m[b] @ m[c] for a, b, c in orders), zero)
-        if lhs != sum((m[c] for a, b, c in orders if t[a] == t[b]), zero):
+        terms = tuple(sorted((t[a], t[b], t[c]) for a, b, c in orders))
+        if terms not in broken:
+            lhs = sum((pairs[x, y] @ ms[z] for x, y, z in terms), zero)
+            broken[terms] = lhs != sum((ms[z] for x, y, z in terms if x == y), zero)
+        if broken[terms]:
             return t
     return None
 
@@ -208,16 +207,16 @@ class Algebra(Suite):
         # side (11x1331) holds E_ab E_cd in block (ab, cd), for ab = 11 a + b
         labels = DIM11.labels
         n = len(labels)
-        units = [tuple(eps_unit(a, b, DIM11).coeffs.items()) for a in labels for b in labels]
-        stacked = _blocks(n * n, 1, (((k, 0), u) for k, u in enumerate(units)))
-        side = _blocks(1, n * n, (((0, k), u) for k, u in enumerate(units)))
+        units = [eps_unit(a, b, DIM11) for a in labels for b in labels]
+        stacked = assemble(n ** 3, n, ((u, block_at(n * k, 0)) for k, u in enumerate(units)))
+        side = assemble(n, n ** 3, ((u, block_at(0, n * k)) for k, u in enumerate(units)))
         # the expected block (ab, cd) is delta_bc E_ad: one term per nonzero delta
         want = ExactMatrix.zeros(n ** 3)
         for b, c in product(range(n), repeat=2):
             delta = epsilon_delta(labels[b], labels[c])
             if delta:
-                want = want + _blocks(n * n, n * n, (
-                    ((n * a + b, n * c + d), units[n * a + d])
+                want = want + assemble(n ** 3, n ** 3, (
+                    (units[n * a + d], block_at(n * (n * a + b), n * (n * c + d)))
                     for a, d in product(range(n), repeat=2))) * delta
         diff = stacked @ side - want
         if diff.is_zero():
@@ -280,11 +279,22 @@ class Algebra(Suite):
     @identity("rotation-closure",
               "rotation generators close with the standard structure constants")
     def rotation_closure(self):
+        # [J_a, J_b] for every generator pair a < b comes from one stacked
+        # product; the pair (b, a) then claims -[J_a, J_b], and (a, a) zero
         j = self.w.lorentz_signed
         pairs = [t for t in product(IDX, repeat=2) if t[0] != t[1]]
-        for rs, mn in product(pairs, repeat=2):
-            if mat_commutator(j(*rs), j(*mn)) != _rotated(j, rs, *mn):
-                return False, f"generator pair {rs}, {mn}"
+        gens = [j(*rs) for rs in pairs]
+        comms = mat_commutators(gens, gens)
+        up = list(combinations(range(len(pairs)), 2))
+        bad = [(a, a) for a in range(len(pairs)) if not _rotated(j, pairs[a], *pairs[a]).is_zero()]
+        for sign, order in ((1, up), (-1, [(b, a) for a, b in up])):
+            got = comms * sign
+            want = mat_columns([_rotated(j, pairs[a], *pairs[b]) for a, b in order])
+            if got != want:
+                bad += [order[c] for _, c in (got - want).coeffs]
+        if bad:
+            a, b = min(bad)
+            return False, f"generator pair {pairs[a]}, {pairs[b]}"
         return True
 
     @identity("alpha-rotation-bracket",
@@ -377,6 +387,28 @@ class Projectors(Suite):
     def dyads(self):
         return {k: dyad_factorize(self.fam.deltas[k], labels=k) for k in STATE_KEYS}
 
+    @cached_property
+    def state_gram(self):
+        """(factored, Gram) over STATE_KEYS, with no metric.
+
+        factored[a] says that Delta_a is psi_a phi_a, its `rank_one_factors`,
+        and Gram[a, b] = phi_a psi_b.  Where Delta_a and Delta_b both
+        factor, Delta_a Delta_b = Gram[a, b] psi_a phi_b with psi_a phi_b
+        not zero, so one 8 x 11 by 11 x 8 product decides every such pair.
+        """
+        factored, parts = [], []
+        for k in STATE_KEYS:
+            d = self.fam.deltas[k]
+            if d.is_zero():
+                psi, phi = ExactMatrix.zeros(11, 1), ExactMatrix.zeros(1, 11)
+            else:
+                psi, phi = rank_one_factors(d)
+            factored.append(not d.is_zero() and psi @ phi == d)
+            parts.append((psi, phi))
+        rows = assemble(8, 11, ((phi, block_at(a, 0)) for a, (_, phi) in enumerate(parts)))
+        cols = assemble(11, 8, ((psi, block_at(0, a)) for a, (psi, _) in enumerate(parts)))
+        return factored, rows @ cols
+
     momentum_shell = identity(
         "momentum-shell", "the four-momentum satisfies the exact mass-shell constraint",
         check=lambda s: s.p.p0 ** 2 == s.p.p1 ** 2 + s.p.p2 ** 2 + s.p.p3 ** 2 + s.p.m ** 2)
@@ -460,19 +492,20 @@ class Projectors(Suite):
 
     @identity("state-idempotent", "every pure-state projector is idempotent", MOVING_FRAME)
     def state_idempotent(self):
-        for k in STATE_KEYS:
+        factored, gram = self.state_gram
+        for a, k in enumerate(STATE_KEYS):
             d = self.fam.deltas[k]
-            if d @ d != d:
+            if gram[a, a] != GR_ONE if factored[a] else d @ d != d:
                 return False, f"state {k}"
         return True
 
     @identity("state-orthogonal", "pure-state projectors are pairwise orthogonal", MOVING_FRAME)
     def state_orthogonal(self):
-        deltas = self.fam.deltas
-        for i, a in enumerate(STATE_KEYS):
-            for b in STATE_KEYS[i + 1:]:
-                if not (deltas[a] @ deltas[b]).is_zero():
-                    return False, f"pair {a}, {b}"
+        deltas, (factored, gram) = self.fam.deltas, self.state_gram
+        for (i, a), (j, b) in combinations(enumerate(STATE_KEYS), 2):
+            both = factored[i] and factored[j]
+            if gram[i, j] if both else not (deltas[a] @ deltas[b]).is_zero():
+                return False, f"pair {a}, {b}"
         return True
 
     @identity("state-rank-one", "every pure-state projector has rank one", MOVING_FRAME)
@@ -578,14 +611,22 @@ class Projectors(Suite):
 # ---------------------------------------------------------------------------
 # u31 suite
 
-def _realises_structure_constants(charges, bracket):
-    """bracket(Q_i, Q_j) == sum over k of f_ij^k Q_k for every pair, over a 17-charge table."""
-    q = {name: charge_combination(par, charges) for name, par in basis_directions()}
-    zero = charges[("unit",)].scale(0)
-    for ni, nj, coeffs in structure_constants():
-        if bracket(q[ni], q[nj]) != sum((q[n].scale(c) for n, c in coeffs.items() if c), zero):
-            return False, f"pair ({ni}, {nj})"
-    return True
+def _realises_structure_constants(brackets, charges):
+    """[Q_i, Q_j] == sum over k of f_ij^k Q_k for every basis pair i < j, as one product.
+
+    charges holds the sixteen direction charges and brackets the 120
+    brackets, in pair order, as matrix columns over the same rows.
+    """
+    _, pairs, f = structure_constants()
+    want = charges @ f
+    if brackets == want:
+        return True
+    return False, "pair ({}, {})".format(*pairs[_first_column(brackets, want)])
+
+
+def _in_column_order(m):
+    """The nonzero entries ((row, column), value) of m, column by column."""
+    return sorted(m.coeffs.items(), key=lambda e: e[0][::-1])
 
 
 class U31(Suite):
@@ -599,6 +640,17 @@ class U31(Suite):
         self.qs = tuple(q_sym(mu) for mu in range(1, 5))
         self.pis = tuple(pi_sym(mu) for mu in range(1, 5))
         self.dirs = basis_directions()
+
+    @cached_property
+    def direction_charges(self):
+        """The charge of each basis direction, in `basis_directions` order."""
+        return [charge_combination(par, self.charges) for _, par in self.dirs]
+
+    @cached_property
+    def flows(self):
+        """Direction name -> its canonical variation (delta q, delta pi), the trace's too."""
+        return {name: infinitesimal_transform(self.qs, self.pis, par, self.ctx)
+                for name, par in self.dirs + [("trace", trace_direction())]}
 
     @identity("canonical-brackets", "the canonical bracket table is exactly the Kronecker pattern")
     def canonical_table(self):
@@ -635,29 +687,29 @@ class U31(Suite):
     def generator_closure(self):
         # real coefficients mean the commutator stays in the real symmetry
         # algebra; complex ones would only land in its complexification
-        for ni, nj, coeffs in structure_constants():
-            for name, c in coeffs.items():
-                if c and not c.is_real():
-                    return False, f"pair ({ni}, {nj}): complex component {name}"
+        names, pairs, f = structure_constants()
+        for (k, p), c in _in_column_order(f):
+            if not c.is_real():
+                return False, "pair ({}, {}): complex component {}".format(*pairs[p], names[k])
         return True
 
     @identity("rotation-subalgebra", "antisymmetric generators close among themselves")
     def rotation_subalgebra(self):
-        for ni, nj, coeffs in structure_constants():
+        names, pairs, f = structure_constants()
+        for (k, p), c in _in_column_order(f):
+            (ni, nj), name = pairs[p], names[k]
             if not (ni.startswith("a") and nj.startswith("a")):
                 continue
-            for name, c in coeffs.items():
-                if c and not name.startswith("a"):
-                    return False, f"({ni}, {nj}) produced component {name}"
-                if c and not c.is_real():
-                    return False, f"({ni}, {nj}): complex coefficient on {name}"
+            if not name.startswith("a"):
+                return False, f"({ni}, {nj}) produced component {name}"
+            if not c.is_real():
+                return False, f"({ni}, {nj}): complex coefficient on {name}"
         return True
 
     @identity("charge-flows", "each charge generates exactly its parameter's canonical variation")
     def charge_flows(self):
-        for name, par in self.dirs:
-            g = charge_combination(par, self.charges)
-            dq, dpi = infinitesimal_transform(self.qs, self.pis, par, self.ctx)
+        for (name, _), g in zip(self.dirs, self.direction_charges):
+            dq, dpi = self.flows[name]
             for mu in range(1, 5):
                 if poisson_bracket(q_sym(mu), g) != dq[mu - 1]:
                     return False, f"direction {name}, coordinate {mu}"
@@ -669,7 +721,7 @@ class U31(Suite):
               "the generating function reproduces the variation in all sixteen directions")
     def genfunc(self):
         for name, par in self.dirs:
-            dq1, dpi1 = infinitesimal_transform(self.qs, self.pis, par, self.ctx)
+            dq1, dpi1 = self.flows[name]
             dq2, dpi2 = transform_from_generating_function(par, self.ctx)
             if any(a != b for a, b in zip(dq1, dq2)) or any(a != b for a, b in zip(dpi1, dpi2)):
                 return False, f"direction {name}"
@@ -677,8 +729,7 @@ class U31(Suite):
 
     @identity("trace-direction-trivial", "the pure-trace symmetric direction acts as the identity")
     def trace_trivial(self):
-        par = trace_direction()
-        dq, dpi = infinitesimal_transform(self.qs, self.pis, par, self.ctx)
+        dq, dpi = self.flows["trace"]
         return all(o.is_zero() for o in dq + dpi)
 
     @identity("hamiltonian-invariance",
@@ -688,8 +739,7 @@ class U31(Suite):
         # (dq, dpi) is linear in the parameters, so the first-order claim
         # is that grad H . (dq, dpi) vanishes
         grad = [self.h.derivative(i) for i in range(8)]
-        for name, par in self.dirs + [("trace", trace_direction())]:
-            dq, dpi = infinitesimal_transform(self.qs, self.pis, par, self.ctx)
+        for name, (dq, dpi) in self.flows.items():
             step = sum((grad[i] * d for i, d in enumerate(dq + dpi)), QuadraticObservable())
             if not step.is_zero():
                 return False, f"direction {name}"
@@ -698,7 +748,9 @@ class U31(Suite):
     @identity("structure-constants",
               "charge brackets realise the matrix structure constants as a homomorphism")
     def structure_homomorphism(self):
-        return _realises_structure_constants(self.charges, poisson_bracket)
+        q = self.direction_charges
+        return _realises_structure_constants(*observable_columns(
+            [poisson_bracket(a, b) for a, b in combinations(q, 2)], q))
 
 
 # ---------------------------------------------------------------------------
@@ -735,6 +787,19 @@ class Fock(Suite):
     @cached_property
     def qc(self):
         return quantum_charges()
+
+    @cached_property
+    def keys(self):
+        """The charge keys in the order the pair witnesses follow."""
+        return sorted(self.qc, key=str)
+
+    @cached_property
+    def charge_brackets(self):
+        """Column p is the table of [Q_a, Q_b] for the p-th key pair a < b: one product."""
+        return commutator_tables([self.qc[k] for k in self.keys])
+
+    def _pair(self, p):
+        return "pair ({}, {})".format(*list(combinations(self.keys, 2))[p])
 
     @cached_property
     def energy(self):
@@ -874,17 +939,27 @@ class Fock(Suite):
     def charge_table(self):
         k0 = self.k0
         cc = conserved_charges(ModeContext(k0))
-        keys = sorted(cc.keys(), key=str)
-        qmap = {key: quantize(cc[key], k0) for key in keys}
-        for key in keys:
-            if qmap[key] != self.qc[key]:
+        for key in self.keys:
+            if quantize(cc[key], k0) != self.qc[key]:
                 return False, f"charge {key}: quantised form differs from direct form"
-        for i, ka in enumerate(keys):
-            for kb in keys[i + 1:]:
-                lhs = qmap[ka].commutator(qmap[kb])
-                rhs = quantize(poisson_bracket(cc[ka], cc[kb]), k0).scale(GR_I)
-                if lhs != rhs:
-                    return False, f"pair ({ka}, {kb})"
+        # the quantised charges are the direct ones, so their commutators are
+        # charge_brackets; equal classical brackets are quantised once
+        tables, want, error = {}, [], None
+        for ka, kb in combinations(self.keys, 2):
+            b = poisson_bracket(cc[ka], cc[kb])
+            if b not in tables:
+                try:
+                    tables[b] = quantize(b, k0).table()
+                except ValueError as exc:  # an earlier pair that differs fails first
+                    error = exc
+                    break
+            want.append(tables[b])
+        got, done = self.charge_brackets, len(want)
+        want = mat_columns(want + [ExactMatrix.zeros(4)] * (got.cols - done)) * GR_I
+        if got != want and (error is None or _first_column(got, want) < done):
+            return False, self._pair(_first_column(got, want))
+        if error is not None:
+            raise error
         return True
 
     @identity("charge-matrix-structure",
@@ -892,8 +967,9 @@ class Fock(Suite):
               SCHEME_2)
     def charge_matrix_structure(self):
         # [Q_i, Q_j] = i Q_[i,j], compared as -i [Q_i, Q_j] = Q_[i,j]
-        return _realises_structure_constants(
-            self.qc, lambda a, b: a.commutator(b).scale(-GR_I))
+        q = [charge_combination(par, self.qc) for _, par in basis_directions()]
+        return _realises_structure_constants(commutator_tables(q) * -GR_I,
+                                             mat_columns([c.table() for c in q]))
 
     @identity("canonical-pair-correspondence",
               "the quantised coordinate-momentum commutator is i times the Kronecker delta",
@@ -957,7 +1033,6 @@ class Fock(Suite):
         # steps, which enforce the cutoff.  Only on top-degree states can
         # the cutoff act, at this truncation and a wider one.
         qc, n = self.qc, self.n
-        keys = sorted(qc.keys(), key=str)
         tops = [b for b in self.basis if sum(b) == n]
         below = [b for b in self.basis if sum(b) == n - 1]
         truncations = (n, n + 2)
@@ -989,16 +1064,15 @@ class Fock(Suite):
                 except ValueError:
                     continue
                 return False, f"creation {i} on the top-degree states, truncation {t}"
-        # a bilinear with table T acts on the degree-1 states as T S, so
-        # that block decides each commutator's table exactly
-        ones = [b for b in self.basis if sum(b) == 1]
-        acts = {key: c.matrix(ones, ones) for key, c in qc.items()}
-        for i, ka in enumerate(keys):
-            for kb in keys[i + 1:]:
-                a, b = acts[ka], acts[kb]
-                if qc[ka].commutator(qc[kb]).matrix(ones, ones) != a @ b - b @ a:
-                    return False, f"pair ({ka}, {kb})"
-        return True
+        # a bilinear with table T acts on the degree-1 states, in mode order,
+        # as T S: so the commutators of the charges' actions there are the
+        # commutator tables times S, which decides each table exactly
+        ones = [tuple(int(m == i) for m in range(4)) for i in range(4)]
+        acts = [qc[key].matrix(ones, ones) for key in self.keys]
+        times_s = ExactMatrix.sparse(16, 16, (((4 * a + b, 4 * a + b), s) for a in range(4)
+                                             for b, s in enumerate(METRIC_SIGNATURE)))
+        got, want = mat_commutators(acts, acts), times_s @ self.charge_brackets
+        return got == want or (False, self._pair(_first_column(got, want)))
 
 
 # ---------------------------------------------------------------------------

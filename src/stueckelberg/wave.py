@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .exact import ExactMatrix, GR_ONE, GaussianRational
+from .exact import ExactMatrix, GR_ONE, GaussianRational, assemble, block_at
 from .epsilon import (BIVECTOR_PAIRS, DIM5, DIM10, DIM11, VECTOR_INDICES,
                       BasisIndex, bivector_component)
 
@@ -54,8 +54,7 @@ def build_alpha(nu: int) -> ExactMatrix:
 
 def _embed(m: ExactMatrix, offset: int) -> ExactMatrix:
     """Inject m into the 11-space with its first slot at position offset."""
-    return ExactMatrix.sparse(11, 11, (((i + offset, j + offset), m[i, j])
-                                       for i in range(m.rows) for j in range(m.cols)))
+    return assemble(11, 11, ((m, block_at(offset, offset)),))
 
 
 def embed_dim10(m: ExactMatrix) -> ExactMatrix:

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -391,6 +392,10 @@ REPORT_DIGESTS = [
      "6af181f7a587aa044663c0abae8c209314f53ee670aba417aab3d68936d52f5f"),
     (("verify", "projectors", "--mass=58125", "--momentum=3640,11648,-3136"),
      "06d145918903c000673ca96255f6facd02a9646fcf96b7004d50c6a8f85a7631"),
+    # a momentum whose dyad norms hold the 23-bit prime p0 = 8410001 squared:
+    # trial division up to its square root took 4-8 s
+    (("verify", "projectors", "--mass=8409999", "--momentum=576,5720,-768"),
+     "a72e372cb1c511608980e08d9cd74a5a027a3ef057d40aab186f4d4adc431055"),
     (("verify", "projectors", "--momentum", "0,0,0"),
      "8faaf51e5aeb3293e42ecec1cb544d21402d42c4956657ad439419ffe25233b3"),
     (("verify", "fock", "--scheme", "1"),
@@ -489,6 +494,37 @@ def test_truncation_above_the_cap_is_config_error(capsys, monkeypatch, argv):
     assert err.count("\n") == 1
 
 
+# (3, 4, 5) times 2^64: p0 = 5 * 2^64 has 67 bits
+OVER_CAP = ("--mass=55340232221128654848", "--momentum=0,0,73786976294838206464")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "projectors", *OVER_CAP),
+    ("verify", "all", *OVER_CAP),
+    ("dump", "solutions", *OVER_CAP, "--spin", "1", "--projection", "1"),
+], ids=["verify-projectors", "verify-all", "dump-solutions"])
+def test_momentum_above_the_cap_is_config_error(capsys, monkeypatch, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("an over-cap momentum started a computation")
+    for name in report.SUITE_RUNNERS:
+        monkeypatch.setitem(report.SUITE_RUNNERS, name, never)
+    monkeypatch.setattr(cli, "pure_state_projector", never)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIG and out == ""
+    assert err.startswith("configuration error: momentum above the cap")
+    assert err.count("\n") == 1
+
+
+def test_large_momentum_below_the_cap_passes_in_bounded_time(capsys):
+    # 36-bit mass; trial division ran for more than 60 s on its dyad norms
+    argv = ("verify", "projectors", "--mass=46226720015", "--momentum=5456,427472,-46312")
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, *argv, "--json", "--no-timing", "--workers", "1")
+    elapsed = time.perf_counter() - t0
+    assert code == EXIT_PASS and json.loads(out)["summary"]["passed"] == 25
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
+
+
 def test_matrix_json_matches_the_json_module():
     p = FourMomentum.from_mass_and_momentum(24, (2, 3, 6))
     projector = ProjectorFamily.build(p).deltas[(1, 1, 1)]
@@ -516,7 +552,8 @@ MASS_MOMENTUM = _either(
     (("4", "0,0,3"), ("12", "3,4,0"), ("24", "2,3,6"), ("125/7", "-180/7,192/7,144/7"),
      ("3", "0,0,0")),
     (("1", "1,1,1"), ("4", "1,2"), ("4", "a,b,c"), ("4", "1/0,0,0"), ("4", "0,0,3,4"),
-     ("4", ""), ("0", "0,0,3"), ("-3", "0,0,3"), ("abc", "0,0,3"), ("1", "0,0,1")))
+     ("4", ""), ("0", "0,0,3"), ("-3", "0,0,3"), ("abc", "0,0,3"), ("1", "0,0,1"),
+     tuple(a.split("=")[1] for a in OVER_CAP)))
 TRUNCATIONS = _either(tuple(str(n) for n in range(2, 9)), ("0", "1", "-4", "x", "2.5", ""))
 LABELS = _either(("0", "1", "2", "3", "4", "[12]", "[34]"), ("5", "[11]", "[1]", "x", ""))
 # config-file lines, one in four with a malformed or unknown key

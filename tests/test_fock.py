@@ -1,15 +1,16 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from stueckelberg.exact import (ExactMatrix, GR_I, GR_MINUS_ONE, GR_ONE, GR_ZERO,
-                                GaussianRational)
+                                GaussianRational, mat_columns)
 from stueckelberg.fock import (BilinearOperator, FockPolyState, LadderOp,
                                SchemeMismatchError, TruncationOverflowError,
-                               apply_ladder, decompose_physical,
+                               apply_ladder, commutator_tables, decompose_physical,
                                energy_operator, inner_product, ladder_matrix,
                                monomial_basis, normalized_gram, quantize, quantum_charges)
 from stueckelberg.modes import QuadraticObservable, pi_sym, q_sym
@@ -417,6 +418,23 @@ def test_coefficient_table_is_the_degree_one_action(data):
     signs = ExactMatrix.sparse(4, 4, (((k, k), -1 if scheme == 2 and k == 3 else 1)
                                       for k in range(4)))
     assert p.matrix(ones, ones) == t @ signs
+
+
+@given(st.data())
+def test_stacked_commutator_tables_match_each_pair(data):
+    scheme = data.draw(st.sampled_from((1, 2)))
+    ops = [BilinearOperator(data.draw(op_dicts), scheme)
+           for _ in range(data.draw(st.integers(2, 8)))]
+    pairs = list(combinations(ops, 2))
+    assert commutator_tables(ops) == mat_columns([a.commutator(b).table() for a, b in pairs])
+
+
+def test_stacked_charge_table_matches_each_pair():
+    charges = list(quantum_charges().values())
+    want = [a.commutator(b).table() for a, b in combinations(charges, 2)]
+    assert commutator_tables(charges) == mat_columns(want)
+    with pytest.raises(SchemeMismatchError):
+        commutator_tables([charges[0], BilinearOperator({(1, 1): GR_ONE}, scheme=1)])
 
 
 # -- integer quantize against the GaussianRational tables ---------------------

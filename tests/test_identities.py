@@ -75,13 +75,18 @@ def test_each_identity_is_declared_once():
 
 
 # builder -> calls while the projectors, u31 and fock suites run once each
-# at the default configuration, the structure-constant table built afresh
+# at the default configuration, the structure-constant table built afresh:
+# one generator matrix per basis direction, one canonical flow per
+# direction and the trace, and one quantisation per charge and per
+# distinct classical bracket (44 of the 136 at k0 = 5)
 BUILDER_CALLS = {
     "p_slash": 1,
     "spin_squared": 1,
     "spin_projection_op": 1,
-    "decompose_generator": 120,
+    "generator_matrix": 16,
+    "infinitesimal_transform": 17,
     "quantum_charges": 1,
+    "quantize": 17 + 44,
     "energy_operator": 2,
 }
 
@@ -99,6 +104,7 @@ def test_each_shared_object_is_built_once(monkeypatch):
             if vars(m).get(name) is real:
                 monkeypatch.setattr(m, name, counted)
     modes.structure_constants.cache_clear()
+    modes._generator_basis.cache_clear()
     for suite in ("projectors", "u31", "fock"):
         assert all(r.status == "pass" for r in run_suite(suite, SuiteConfig()))
     assert dict(calls) == BUILDER_CALLS

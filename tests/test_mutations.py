@@ -55,9 +55,28 @@ MUTATIONS = [
      "w = 1",
      VERIFY_ALL, {"u31/charge-flows", "u31/structure-constants",
                   "fock/charge-matrix-structure"}),
+    ("A made imaginary in the generator", "modes.py",
+     "return (params.a * 2 - ExactMatrix.identity(4)",
+     "return (params.a * (GR_I * 2) - ExactMatrix.identity(4)",
+     VERIFY_ALL, {"u31/generator-closure", "u31/rotation-subalgebra",
+                  "u31/structure-constants", "fock/charge-matrix-structure"}),
+    ("structure-constant coefficients read in reversed direction order", "modes.py",
+     "mat_inverse(mat_columns(mats))",
+     "mat_inverse(mat_columns(mats[::-1]))",
+     VERIFY_ALL, {"u31/rotation-subalgebra", "u31/structure-constants",
+                  "fock/charge-matrix-structure"}),
+    ("signs dropped from the stacked commutator tables", "fock.py",
+     "return t._with({(i, j): (x * s[i], y * s[i])",
+     "return t._with({(i, j): (x, y)",
+     VERIFY_ALL, {"fock/charges-commute-energy", "fock/bracket-commutator-correspondence",
+                  "fock/charge-matrix-structure", "fock/truncation-exactness"}),
+    ("pi.pi quantisation factor sign flipped", "fock.py",
+     "(False, False): (-s * p * p, 0)",
+     "(False, False): (s * p * p, 0)",
+     VERIFY_FOCK, {"fock/bracket-commutator-correspondence"}),
     ("s and d directions dropped from the sum of f Q", "suites.py",
-     "for n, c in coeffs.items() if c)",
-     "for n, c in coeffs.items() if c and n[0] not in 'sd')",
+     "want = charges @ f",
+     "want = charges @ ExactMatrix.sparse(16, 16, (((k, k), 1) for k in range(7))) @ f",
      VERIFY_ALL, {"u31/structure-constants", "fock/charge-matrix-structure"}),
     ("matrix units transposed", "epsilon.py",
      "space.position(a), space.position(b))",
@@ -112,7 +131,7 @@ MUTATIONS = [
      "beta1[nu] @ beta1[mu] - beta1[mu] @ beta1[nu]",
      VERIFY_ALL, {"algebra/alpha-rotation-bracket", "algebra/rotation-closure"}),
     ("cubic rule's delta side zero", "suites.py",
-     "lhs != sum((m[c] for a, b, c in orders if t[a] == t[b]), zero)",
+     "lhs != sum((ms[z] for x, y, z in terms if x == y), zero)",
      "lhs != zero",
      VERIFY_ALL, {"algebra/cubic-alpha", "algebra/trilinear-beta0", "algebra/trilinear-beta1"}),
     ("rotation rule's minus term made plus", "suites.py",

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,7 +7,9 @@ from stueckelberg.exact import (ExactMatrix, GR_MINUS_ONE, GR_ONE,
                                 GR_ZERO, GaussianRational, mat_commutator)
 from stueckelberg.projectors import (FourMomentum, IrrationalMomentumError,
                                      ProjectorFamily, RestFrameError,
-                                     SolutionDyad, dyad_factorize, p_slash,
+                                     SolutionDyad, _factor_integer_two_squares,
+                                     _gaussian_gcd, _gi_mul_pair, _prime_factors,
+                                     _sqrt_minus_one_mod, dyad_factorize, p_slash,
                                      pure_state_projector, spin_projection_op,
                                      spin_squared)
 from stueckelberg.report import SuiteConfig
@@ -144,3 +147,41 @@ def test_rest_frame_family_has_no_spin_states():
     fam = ProjectorFamily.build(p)
     assert fam.sigma_p is None
     assert fam.deltas == {}
+
+
+def _trial_division_two_squares(n):
+    """The reference: the two-square factoriser by plain trial division up to sqrt(n)."""
+    x, m, d = (1, 0), n, 2
+    while d * d <= m:
+        e = 0
+        while m % d == 0:
+            m, e = m // d, e + 1
+        if e and d % 4 == 3 and e % 2:
+            return None
+        for _ in range(e if d % 4 != 3 else 0):
+            x = _gi_mul_pair(x, (1, 1) if d == 2 else
+                             _gaussian_gcd((d, 0), (_sqrt_minus_one_mod(d), 1)))
+        if e and d % 4 == 3:
+            x = _gi_mul_pair(x, (d ** (e // 2), 0))
+        d += 1
+    if m > 1:
+        if m % 4 == 3:
+            return None
+        x = _gi_mul_pair(x, (1, 1) if m == 2 else
+                         _gaussian_gcd((m, 0), (_sqrt_minus_one_mod(m), 1)))
+    return abs(x[0]), abs(x[1])
+
+
+def test_two_square_factoriser_matches_trial_division():
+    rng = random.Random(20261019)
+    # random n below 10^8, sums of two squares, and products of primes just
+    # above the trial bound, which the factoriser splits as squares, by
+    # Miller-Rabin and by rho
+    big = (1031, 1033, 1049, 1061, 1093)
+    ns = [rng.randrange(1, 10 ** 8) for _ in range(1000)] + [
+        rng.randrange(10 ** 4) ** 2 + rng.randrange(10 ** 4) ** 2 for _ in range(500)] + [
+        rng.choice((1, 2, 3, 5, 9, 13)) * math.prod(rng.sample(big, 3)) * rng.choice(big) ** 2
+        for _ in range(100)] + [1031 ** 3, 1033 ** 4, 2 * 1031 * 1033 * 1049]
+    for n in ns:
+        assert _factor_integer_two_squares(n) == _trial_division_two_squares(n), n
+    assert _prime_factors(1031 * 65537 * 999983 ** 2) == {1031: 1, 65537: 1, 999983: 2}
