@@ -199,7 +199,7 @@ def cmd_dump_solutions(args):
         delta = pure_state_projector(p, eps, spin, proj)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    dyad = dyad_factorize(delta, labels=(eps, spin, proj))
+    dyad = dyad_factorize(delta, p, (eps, spin, proj))
     out = {
         "psi": [list(c.as_strings()) for c in dyad.psi],
         "psi_bar": [list(c.as_strings()) for c in dyad.psi_bar],

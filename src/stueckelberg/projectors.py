@@ -9,7 +9,6 @@ spin projectors are fine there.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from fractions import Fraction
 
@@ -196,6 +195,12 @@ class SolutionDyad(namedtuple("SolutionDyad", "column row labels norm_sign")):
     the indefinite sign lives in norm_sign.  labels is (eps, spin,
     projection).  column and row are `ExactMatrix`es; psi and psi_bar
     read them out as tuples of `GaussianRational`.
+
+    psi's phase: psi is the projector's column j divided by a Gaussian
+    rational t of the momentum, so psi_j = Delta_jj / t = +-conj(t).
+    With n = |p|, t is p0 (1 + i) / 2m for spin 0, p0 p_k (1 + i) / 2mn
+    or n (1 + i) / 2m for projection 0, and p0 (p_a + i p_b) / 2mn for
+    projection +-1; `dyad_factorize` says which j goes with each.
     """
 
     __slots__ = ()
@@ -209,141 +214,8 @@ class SolutionDyad(namedtuple("SolutionDyad", "column row labels norm_sign")):
         return self.row.transpose().column(0)
 
 
-def _gi_mul_pair(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _gaussian_gcd(a, b):
-    """Euclidean gcd in Z[i]; arguments and result are exact integer pairs."""
-    ar, ai = a
-    br, bi = b
-    while br or bi:
-        n = br * br + bi * bi
-        qr = round(Fraction(ar * br + ai * bi, n))
-        qi = round(Fraction(ai * br - ar * bi, n))
-        rr = ar - (qr * br - qi * bi)
-        ri = ai - (qr * bi + qi * br)
-        ar, ai, br, bi = br, bi, rr, ri
-    return (ar, ai)
-
-
-def _sqrt_minus_one_mod(p: int) -> int:
-    for a in range(2, p):
-        r = pow(a, (p - 1) // 4, p)
-        s = r * r % p
-        if s == p - 1:
-            return r
-        if s != 1:  # a^((p-1)/2) is +-1 modulo a prime
-            raise ArithmeticError(f"{p} is not a prime")
-    raise ArithmeticError(f"no square root of -1 mod {p}")
-
-
-def _is_probable_prime(n: int) -> bool:
-    """Miller-Rabin (J. Number Theory 12, 1980) to the first twelve prime bases, for odd n > 37.
-
-    These bases decide every n below 3.3 * 10^24 exactly; above it a
-    composite taken for a prime makes `_sqrt_minus_one_mod` or the
-    a^2 + b^2 == n check of `_factor_integer_two_squares` raise.
-    """
-    d, s = n - 1, 0
-    while not d % 2:
-        d, s = d // 2, s + 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _rho_factor(n: int) -> int:
-    """A proper factor of the odd composite n by Pollard's rho (BIT 15, 1975), Floyd's cycle."""
-    c = 0
-    while True:
-        c += 1
-        x, y, g = 2, 2, 1
-        while g == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            g = math.gcd(x - y, n)
-        if g != n:  # else x and y met mod n itself: try the next constant
-            return g
-
-
-def _prime_factors(n: int) -> dict:
-    """{prime: exponent} of n >= 1.
-
-    Trial division takes the primes below 2^10; each cofactor left is a
-    perfect square (split with math.isqrt), a prime (Miller-Rabin) or
-    split by Pollard's rho.
-    """
-    out = {}
-    d = 2
-    while d < 1 << 10 and d * d <= n:
-        while not n % d:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    left = [(n, 1)]
-    while left:
-        m, e = left.pop()
-        if m == 1:
-            continue
-        r = math.isqrt(m)
-        if r * r == m:
-            left.append((r, 2 * e))
-        elif m < 1 << 20 or _is_probable_prime(m):
-            out[m] = out.get(m, 0) + e
-        else:
-            f = _rho_factor(m)
-            left += [(f, e), (m // f, e)]
-    return out
-
-
-def _factor_integer_two_squares(n: int):
-    """x, y with x^2 + y^2 = n, or None, from the Gaussian primes over n's prime factors."""
-    if n == 0:
-        return (0, 0)
-    x = (1, 0)
-    for d, e in _prime_factors(n).items():
-        if d == 2:
-            for _ in range(e):
-                x = _gi_mul_pair(x, (1, 1))
-        elif d % 4 == 1:
-            g = _gaussian_gcd((d, 0), (_sqrt_minus_one_mod(d), 1))
-            for _ in range(e):
-                x = _gi_mul_pair(x, g)
-        elif e % 2:
-            return None  # prime 3 mod 4 with odd exponent
-        else:
-            x = _gi_mul_pair(x, (d ** (e // 2), 0))
-    a, b = abs(x[0]), abs(x[1])
-    if a * a + b * b != n:
-        raise ArithmeticError(f"two-square factorisation of {n} went wrong")
-    return (a, b)
-
-
-def _norm_split(q: Fraction) -> GaussianRational | None:
-    """A Gaussian rational t with t * conj(t) = q, if one exists (q > 0)."""
-    root = rational_sqrt(q)
-    if root is not None:
-        return GaussianRational(root)
-    n = q.numerator * q.denominator
-    pair = _factor_integer_two_squares(n)
-    if pair is None:
-        return None
-    x, y = pair
-    return GaussianRational(Fraction(x, q.denominator), Fraction(y, q.denominator))
-
-
 def rank_one_factors(delta: ExactMatrix):
-    """(column, row) whose product is the nonzero delta exactly when delta has rank one.
+    """(column, row, j): column @ row is the nonzero delta exactly when delta has rank one.
 
     The column is delta's first column j of largest squared magnitude
     (the entries share one denominator, so their numerators rank the
@@ -360,14 +232,30 @@ def rank_one_factors(delta: ExactMatrix):
                                                       if k == j}, den))
     row = ExactMatrix._of(1, delta.cols, *_lowest({(0, k): e for (r, k), e in c.items()
                                                    if r == i}, den))
-    return column, row / delta[i, j]
+    return column, row / delta[i, j], j
 
 
-def dyad_factorize(delta: ExactMatrix, labels=(0, 0, 0)) -> SolutionDyad:
-    """Split a rank-1 idempotent into a normalized 11x1 column and its 1x11 metric row."""
+def dyad_factorize(delta: ExactMatrix, p: FourMomentum, labels) -> SolutionDyad:
+    """Split the pure-state projector of labels at p into a normalized 11x1 column and its row.
+
+    The column j of `rank_one_factors` is psi times psi_bar_j, so its
+    metric norm nu has |nu| = |psi_j|^2 = |Delta_jj|.  It is divided by
+    a Gaussian rational t with |t|^2 = |Delta_jj|, read off the momentum
+    (n = |p|; a < b are the axes other than k).  On the mass shell the
+    largest |Delta_jj|, hence the largest column, is at
+
+    - spin 0: j = 4, |Delta_jj| = p0^2 / 2m^2, t = p0 (1 + i) / 2m;
+    - spin 1, projection 0: j = k, |Delta_jj| = p0^2 p_k^2 / 2m^2 n^2,
+      t = p0 p_k (1 + i) / 2mn, or j = 4, |Delta_jj| = n^2 / 2m^2,
+      t = n (1 + i) / 2m;
+    - spin 1, projection +-1: j = [k4] for the smallest |p_k|,
+      |Delta_jj| = p0^2 (p_a^2 + p_b^2) / 4m^2 n^2, t = p0 (p_a + i p_b) / 2mn.
+
+    The reassembly check rejects a wrong t.
+    """
     if mat_rank(delta) != 1:
         raise ValueError("not a pure state: projector rank differs from 1")
-    col = rank_one_factors(delta)[0]
+    col, _, j = rank_one_factors(delta)
     eta = wave_matrices().eta
     nu = (col.dagger() @ eta @ col)[0, 0]
     if not nu:
@@ -375,13 +263,16 @@ def dyad_factorize(delta: ExactMatrix, labels=(0, 0, 0)) -> SolutionDyad:
     if nu.im:
         raise ArithmeticError("metric norm should be real")
     norm_sign = 1 if nu.re > 0 else -1
-    t = _norm_split(abs(nu.re))
-    if t is None:
-        raise ArithmeticError(
-            f"metric norm {nu.re} is not a two-square rational; cannot normalize exactly")
+    _, spin, proj = labels
+    n, pk = p.spatial_norm(), (p.p1, p.p2, p.p3)
+    if proj:  # j is the slot [k4], at position 7, 9 or 10 for k = 1, 2, 3
+        a, b = (x for k, x in enumerate(pk) if k != (7, 9, 10).index(j))
+        t = GaussianRational(a, b) * (p.p0 / (2 * p.m * n))
+    else:
+        x = p.p0 if spin == 0 else n if j == 4 else p.p0 * pk[j - 1] / n
+        t = GaussianRational(x, x) / (2 * p.m)
     col = col / t
     row = (col.dagger() @ eta) * norm_sign
     if col @ row != delta:
         raise AssertionError("dyad reassembly failed to reproduce the projector")
     return SolutionDyad(column=col, row=row, labels=tuple(labels), norm_sign=norm_sign)
-

@@ -31,10 +31,10 @@ EXIT_CONFIG = 2
 MAX_TRUNCATION = 26
 
 # Largest accepted `FourMomentum.bit_length` when the projectors suite
-# runs.  Normalising the solution dyads factors integers built from p0,
-# |p| and m; on the same host the worst of 49 generated momenta up to 64
-# bits took 0.5 s, and single momenta of 74-80 bits took 3-5 s.
-MAX_MOMENTUM_BITS = 64
+# runs.  Its exact products grow as a power of the bit size: on the same
+# host the worst of 50 generated momenta of 3065-3072 bits took 1.0 s in
+# a fresh `verify all --workers 1`, 0.67 s over both CPUs.
+MAX_MOMENTUM_BITS = 3072
 
 INJECT_ENV = "STUECKELBERG_INJECT_FAIL"
 WORKERS_ENV = "STUECKELBERG_WORKERS"

@@ -35,7 +35,7 @@ from .modes import (ModeContext, QuadraticObservable, amplitude_form_hamiltonian
                     transform_from_generating_function)
 from .projectors import (SPIN_STATES, FourMomentum, ProjectorFamily, dyad_factorize,
                          rank_one_factors)
-from .wave import build_alpha, build_beta0, build_beta1, embed_dim5, embed_dim10, wave_matrices
+from .wave import build_alpha, build_beta0, build_beta1, wave_matrices
 
 MOVING_FRAME = "moving frame"
 SCHEME_1, SCHEME_2 = 1, 2
@@ -255,7 +255,8 @@ class Algebra(Suite):
               "each 11-dim wave matrix is the embedded sum of its 10-dim and 5-dim blocks")
     def alpha_split(self):
         for nu in IDX:
-            if build_alpha(nu) != embed_dim10(build_beta1(nu)) + embed_dim5(build_beta0(nu)):
+            if build_alpha(nu) != assemble(11, 11, ((build_beta1(nu), block_at(1, 1)),
+                                                    (build_beta0(nu), block_at(0, 0)))):
                 return False, f"alpha_{nu}"
         return True
 
@@ -385,7 +386,7 @@ class Projectors(Suite):
 
     @cached_property
     def dyads(self):
-        return {k: dyad_factorize(self.fam.deltas[k], labels=k) for k in STATE_KEYS}
+        return {k: dyad_factorize(self.fam.deltas[k], self.p, k) for k in STATE_KEYS}
 
     @cached_property
     def state_gram(self):
@@ -402,7 +403,7 @@ class Projectors(Suite):
             if d.is_zero():
                 psi, phi = ExactMatrix.zeros(11, 1), ExactMatrix.zeros(1, 11)
             else:
-                psi, phi = rank_one_factors(d)
+                psi, phi, _ = rank_one_factors(d)
             factored.append(not d.is_zero() and psi @ phi == d)
             parts.append((psi, phi))
         rows = assemble(8, 11, ((phi, block_at(a, 0)) for a, (_, phi) in enumerate(parts)))

@@ -52,21 +52,6 @@ def build_alpha(nu: int) -> ExactMatrix:
     return ExactMatrix.sparse(11, 11, terms)
 
 
-def _embed(m: ExactMatrix, offset: int) -> ExactMatrix:
-    """Inject m into the 11-space with its first slot at position offset."""
-    return assemble(11, 11, ((m, block_at(offset, offset)),))
-
-
-def embed_dim10(m: ExactMatrix) -> ExactMatrix:
-    """Inject a (vector, bivector) matrix into the 11-space; scalar slot zero."""
-    return _embed(m, 1)
-
-
-def embed_dim5(m: ExactMatrix) -> ExactMatrix:
-    """Inject a (scalar, vector) matrix into the 11-space; bivector slots zero."""
-    return _embed(m, 0)
-
-
 class WaveMatrices(namedtuple("WaveMatrices", "alpha beta1 beta0 eta eta1 lorentz")):
     """All wave matrices for the 11-component field, built once and shared.
 
@@ -94,11 +79,13 @@ def wave_matrices() -> WaveMatrices:
     alpha = {nu: build_alpha(nu) for nu in VECTOR_INDICES}
     beta1 = {nu: build_beta1(nu) for nu in VECTOR_INDICES}
     beta0 = {nu: build_beta0(nu) for nu in VECTOR_INDICES}
-    lorentz = {(mu, nu): embed_dim10(beta1[mu] @ beta1[nu] - beta1[nu] @ beta1[mu])
+    lorentz = {(mu, nu): assemble(11, 11, ((beta1[mu] @ beta1[nu] - beta1[nu] @ beta1[mu],
+                                            block_at(1, 1)),))
                for (mu, nu) in BIVECTOR_PAIRS}
     b4 = beta1[4]
     eta1 = (b4 @ b4) * GaussianRational(2) - ExactMatrix.identity(10)
-    eta = ExactMatrix.sparse(11, 11, [((0, 0), -GR_ONE)]) + embed_dim10(eta1)
+    eta = (ExactMatrix.sparse(11, 11, [((0, 0), -GR_ONE)])
+           + assemble(11, 11, ((eta1, block_at(1, 1)),)))
     return WaveMatrices(alpha=alpha, beta1=beta1, beta0=beta0, eta=eta, eta1=eta1,
                         lorentz=lorentz)
 

@@ -452,20 +452,20 @@ DUMP_DIGESTS = [
      "8481aabc36a2d4390aca3b5475c080f61823b3899e82d88711bf4b74f3a29c8c"),
     (("dump", "solutions", "--mass", "24", "--momentum", "2,3,6", "--spin", "0",
       "--projection", "0"),
-     "16833a1b0c63dbea3163915f8e307819d4bdab0cf018fba49ec5e554703b19de"),
+     "cda04420824ed636cc96145f84d625e5330703c5a724e79d87298636d97b897c"),
 ] + [
     # all eight (energy sign, spin, projection) states at one fractional momentum
     (("dump", "solutions", "--mass", "125/7", "--momentum=-180/7,192/7,144/7",
       f"--energy-sign={eps}", "--spin", spin, f"--projection={proj}"), digest)
     for eps, spin, proj, digest in (
-        ("+1", "1", "+1", "8dca9609f64e30d37f57865d1aa1ea4293592b3378e69fd2418656e583423ca5"),
-        ("+1", "1", "-1", "4fe635a04d2baec256bc8a09c1ab670a6a7261079154f5e2822a8c30ad88286d"),
-        ("+1", "1", "0", "5c724eb585c7123f44d9c3064da1fa83b915d8934e9470dc4b88323c76c2f392"),
-        ("+1", "0", "0", "31ad7c4fddf77d951cad3aa1f8f7176729fed88dd774ba43f1416376900076a1"),
-        ("-1", "1", "+1", "be323ff8c70d03bc39ea88077c43c342969647e74cf6ded696dbfe2415f86cb0"),
-        ("-1", "1", "-1", "ed934c0de15e6ff3f9c1b0655840689d164eae3936610a9e2a325a446b98c3f8"),
-        ("-1", "1", "0", "16473ff548a23e1c3cdc9d8ef3164a9260db79ec6a3db03b99ddddda3ebd72a0"),
-        ("-1", "0", "0", "e16328dbe376386981825568e640497e00fd32a7ddcb4df5d48622bd74ee4d65"))
+        ("+1", "1", "+1", "e70e7bc5a507853260017e0f260f68d4658ba57aa2bbd22ca6331cdd517846bd"),
+        ("+1", "1", "-1", "d9198d63e775315ea8aa74d48a073052039ad30583788a0fe94e628d8042fa05"),
+        ("+1", "1", "0", "d12a186c7b94079f3c9a25e6d86ca447a20914717899a81f842717f9d4e3e9a8"),
+        ("+1", "0", "0", "fb54407e999c76520942d6f1478bad03139974da6e5edb0d0f2092938c358fbc"),
+        ("-1", "1", "+1", "dc29542bf50482b9ff0eafd17ea33125294d8c02a79481f8107386ed7d9dc46d"),
+        ("-1", "1", "-1", "b2a080d8e3f713de8909077c25aea0afcc76b60dd5940bf32b318350cd533fab"),
+        ("-1", "1", "0", "ff073aa75075f0e2cd5a1e330b9aad5a70fd27a1a21418be6ea3bbaeed51e469"),
+        ("-1", "0", "0", "2d69fe75592c412b372594373d55dba47f1d1d1ff87920b6bf1bc65ac493a57c"))
 ]
 
 
@@ -494,8 +494,9 @@ def test_truncation_above_the_cap_is_config_error(capsys, monkeypatch, argv):
     assert err.count("\n") == 1
 
 
-# (3, 4, 5) times 2^64: p0 = 5 * 2^64 has 67 bits
-OVER_CAP = ("--mass=55340232221128654848", "--momentum=0,0,73786976294838206464")
+# (3, 4, 5) times 2^cap: p0 = 5 * 2^cap is 3 bits over the cap
+OVER_CAP = (f"--mass={3 << report.MAX_MOMENTUM_BITS}",
+            f"--momentum=0,0,{4 << report.MAX_MOMENTUM_BITS}")
 
 
 @pytest.mark.parametrize("argv", [
@@ -515,9 +516,22 @@ def test_momentum_above_the_cap_is_config_error(capsys, monkeypatch, argv):
     assert err.count("\n") == 1
 
 
+def _generic_momentum(a, b, c, d, u, v):
+    """(m, p) = ((u^2 - v^2) D, 2uv (a^2 + b^2 - c^2 - d^2, 2(ad + bc), 2(bd - ac))).
+
+    D = a^2 + b^2 + c^2 + d^2, so |p| = 2uv D and p0 = (u^2 + v^2) D.
+    """
+    big_d, y = a * a + b * b + c * c + d * d, 2 * u * v
+    return (u * u - v * v) * big_d, (y * (a * a + b * b - c * c - d * d),
+                                     y * 2 * (a * d + b * c), y * 2 * (b * d - a * c))
+
+
 def test_large_momentum_below_the_cap_passes_in_bounded_time(capsys):
-    # 36-bit mass; trial division ran for more than 60 s on its dyad norms
-    argv = ("verify", "projectors", "--mass=46226720015", "--momentum=5456,427472,-46312")
+    # a generic momentum within 16 bits of the cap
+    mass, p = _generic_momentum(3 ** 484, 5 ** 330, 7 ** 273, 11 ** 221, 13 ** 207, 17 ** 187)
+    bits = FourMomentum.from_mass_and_momentum(mass, p).bit_length()
+    assert report.MAX_MOMENTUM_BITS - 16 < bits <= report.MAX_MOMENTUM_BITS
+    argv = ("verify", "projectors", f"--mass={mass}", "--momentum=" + ",".join(map(str, p)))
     t0 = time.perf_counter()
     code, out, _ = run_cli(capsys, *argv, "--json", "--no-timing", "--workers", "1")
     elapsed = time.perf_counter() - t0

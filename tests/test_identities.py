@@ -18,13 +18,12 @@ import pytest
 from stueckelberg import fock, modes, suites
 from stueckelberg.epsilon import (BIVECTOR_PAIRS, DIM11, BasisIndex, epsilon as eps_unit,
                                   epsilon_delta)
-from stueckelberg.exact import ExactMatrix, mat_commutator
+from stueckelberg.exact import ExactMatrix, assemble, block_at, mat_commutator
 from stueckelberg.fock import (FockPolyState, LadderOp, apply_ladder, energy_operator,
                                monomial_basis, quantum_charges)
 from stueckelberg.report import SuiteConfig
 from stueckelberg.suites import (IDENTITIES, IDX, MOVING_FRAME, REST_FRAME_REASON,
                                  SCHEME_1, SCHEME_2, run_suite)
-from stueckelberg.wave import embed_dim10
 
 # The default configuration is also the first acceptance momentum, m = 4
 # and p = (0, 0, 3); the other two acceptance momenta follow it.
@@ -274,7 +273,7 @@ WAVE_FAULTS = {
     "beta0-entry": _with_entry("beta0", 2, 0, 0),
     "alpha-entry": _with_entry("alpha", 4, 5, 9),
     # the 11-dim matrices without their spin-0 block obey the trilinear relation
-    "alpha-spin1-only": lambda w: w._replace(alpha={nu: embed_dim10(b)
+    "alpha-spin1-only": lambda w: w._replace(alpha={nu: assemble(11, 11, ((b, block_at(1, 1)),))
                                                     for nu, b in w.beta1.items()}),
     "generator-flipped": lambda w: w._replace(lorentz={**w.lorentz,
                                                        (2, 4): -w.lorentz[(2, 4)]}),

@@ -118,6 +118,13 @@ MUTATIONS = [
      "sigma_p + ident * q",
      "sigma_p - ident * q",
      VERIFY_ALL, {"projectors/spinproj-spectrum"}),
+    # at the default p = (0, 0, 3) the kept real part p_2 is 0, so t = 0 there
+    ("imaginary part of the projection +-1 dyad norm root dropped", "projectors.py",
+     "t = GaussianRational(a, b) * (p.p0 / (2 * p.m * n))",
+     "t = GaussianRational(a) * (p.p0 / (2 * p.m * n))",
+     ("verify", "projectors", "--mass", "24", "--momentum", "2,3,6"),
+     {f"projectors/{i}" for i in ("dyad-reassembly", "dyad-metric-row", "dyad-norm-signs",
+                                  "eigen-equation", "component-layout", "spin0-no-bivector")}),
     ("eta1 without its factor 2", "wave.py",
      "(b4 @ b4) * GaussianRational(2) - ExactMatrix.identity(10)",
      "(b4 @ b4) - ExactMatrix.identity(10)",

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -7,16 +6,22 @@ from stueckelberg.exact import (ExactMatrix, GR_MINUS_ONE, GR_ONE,
                                 GR_ZERO, GaussianRational, mat_commutator)
 from stueckelberg.projectors import (FourMomentum, IrrationalMomentumError,
                                      ProjectorFamily, RestFrameError,
-                                     SolutionDyad, _factor_integer_two_squares,
-                                     _gaussian_gcd, _gi_mul_pair, _prime_factors,
-                                     _sqrt_minus_one_mod, dyad_factorize, p_slash,
+                                     SolutionDyad, dyad_factorize, p_slash,
                                      pure_state_projector, spin_projection_op,
                                      spin_squared)
 from stueckelberg.report import SuiteConfig
 from stueckelberg.suites import Projectors, _annihilates
 from stueckelberg.wave import wave_matrices
 
-MOMENTA = [(4, (0, 0, 3)), (12, (3, 4, 0)), (24, (2, 3, 6))]
+# Between them these reach every column the dyad normalisation reads:
+# slot 4 for spin 0, slots 1-4 for projection 0, [14], [24] and [34]
+# for projection +-1.  The last momentum has 76 bits.
+MOMENTA = [(4, (0, 0, 3)), (12, (3, 4, 0)), (24, (2, 3, 6)),
+           (4, (3, 0, 0)), (4, (0, 3, 0)), (4, (0, 0, -3)), (12, (0, -3, 4)),
+           ("125/7", ("-180/7", "192/7", "144/7")),
+           ("58212522009862560453100/12867729", ("-7113344092608446038281/4289243",
+                                                 "909261429518884537986/612749",
+                                                 "-944665712159658561506/612749"))]
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +102,7 @@ def test_dyads(w, mass, mom):
     p = FourMomentum.from_mass_and_momentum(mass, mom)
     fam = ProjectorFamily.build(p)
     for key, delta in sorted(fam.deltas.items()):
-        d = dyad_factorize(delta, labels=key)
+        d = dyad_factorize(delta, p, key)
         col, row, one = d.column, d.row, ExactMatrix.identity(1)
         assert (col.shape, row.shape) == ((11, 1), (1, 11))
         assert d.psi == tuple(col[i, 0] for i in range(11))
@@ -113,7 +118,7 @@ def test_dyads(w, mass, mom):
 
 def test_dyad_rejects_higher_rank(p435):
     with pytest.raises(ValueError, match="pure state"):
-        dyad_factorize(ProjectorFamily.build(p435).m_plus)
+        dyad_factorize(ProjectorFamily.build(p435).m_plus, p435, (1, 1, 1))
 
 
 def _layout_check(dyads):
@@ -134,7 +139,7 @@ def test_random_vector_fails_verification():
 def test_layout_half_rejects_a_changed_slot(p435):
     # the layout half of the solution check; its eigen half is the identity
     # projectors/eigen-equation
-    d = dyad_factorize(ProjectorFamily.build(p435).deltas[(1, 1, 1)])
+    d = dyad_factorize(ProjectorFamily.build(p435).deltas[(1, 1, 1)], p435, (1, 1, 1))
     assert _layout_check({(1, 1, 1): d}) is True
     for slot in (0, 6):  # the scalar slot and the [13] slot
         changed = d.column + ExactMatrix.unit(11, 1, slot, 0)
@@ -148,40 +153,3 @@ def test_rest_frame_family_has_no_spin_states():
     assert fam.sigma_p is None
     assert fam.deltas == {}
 
-
-def _trial_division_two_squares(n):
-    """The reference: the two-square factoriser by plain trial division up to sqrt(n)."""
-    x, m, d = (1, 0), n, 2
-    while d * d <= m:
-        e = 0
-        while m % d == 0:
-            m, e = m // d, e + 1
-        if e and d % 4 == 3 and e % 2:
-            return None
-        for _ in range(e if d % 4 != 3 else 0):
-            x = _gi_mul_pair(x, (1, 1) if d == 2 else
-                             _gaussian_gcd((d, 0), (_sqrt_minus_one_mod(d), 1)))
-        if e and d % 4 == 3:
-            x = _gi_mul_pair(x, (d ** (e // 2), 0))
-        d += 1
-    if m > 1:
-        if m % 4 == 3:
-            return None
-        x = _gi_mul_pair(x, (1, 1) if m == 2 else
-                         _gaussian_gcd((m, 0), (_sqrt_minus_one_mod(m), 1)))
-    return abs(x[0]), abs(x[1])
-
-
-def test_two_square_factoriser_matches_trial_division():
-    rng = random.Random(20261019)
-    # random n below 10^8, sums of two squares, and products of primes just
-    # above the trial bound, which the factoriser splits as squares, by
-    # Miller-Rabin and by rho
-    big = (1031, 1033, 1049, 1061, 1093)
-    ns = [rng.randrange(1, 10 ** 8) for _ in range(1000)] + [
-        rng.randrange(10 ** 4) ** 2 + rng.randrange(10 ** 4) ** 2 for _ in range(500)] + [
-        rng.choice((1, 2, 3, 5, 9, 13)) * math.prod(rng.sample(big, 3)) * rng.choice(big) ** 2
-        for _ in range(100)] + [1031 ** 3, 1033 ** 4, 2 * 1031 * 1033 * 1049]
-    for n in ns:
-        assert _factor_integer_two_squares(n) == _trial_division_two_squares(n), n
-    assert _prime_factors(1031 * 65537 * 999983 ** 2) == {1031: 1, 65537: 1, 999983: 2}
