@@ -1,6 +1,7 @@
 """Command-line interface: verify suites, dump exact objects.
 
-Flags override values from an optional key=value config file.  All
+Each `verify` setting is read from its flag, else from an optional
+key=value config file, else it keeps its `SuiteConfig` default.  All
 output is exact: matrices and vectors are emitted as num/den string
 pairs, never floats.
 """
@@ -19,8 +20,8 @@ from .epsilon import SPACES, BasisIndex
 from .epsilon import epsilon as eps_unit
 from .fock import normalized_gram
 from .projectors import FourMomentum, dyad_factorize, pure_state_projector
-from .report import (EXIT_CONFIG, MAX_TRUNCATION, WORKERS_ENV, ConfigError, SuiteConfig,
-                     check_momentum_size, run, usable_cpus)
+from .report import (EXIT_CONFIG, MAX_TRUNCATION, ConfigError, SuiteConfig, check_momentum_size,
+                     run)
 from .suites import ALL_SUITES
 from .wave import wave_matrices
 from . import em as em_mod
@@ -31,8 +32,6 @@ from . import em as em_mod
 # N = 10 in 0.14 s with a 16 MB peak on a 2-vCPU Xeon host, but the
 # output grows as B*B, to about 125 MB at N = 12.
 MAX_GRAM_TRUNCATION = 10
-
-CONFIG_KEYS = ("mass", "momentum", "k0", "truncation", "scheme", "suites", "workers")
 
 
 def _parse_fraction(text):
@@ -54,6 +53,19 @@ def _parse_momentum(text):
     if len(parts) != 3:
         raise ConfigError("momentum needs three comma-separated rationals")
     return tuple(_parse_fraction(p) for p in parts)
+
+
+# how each `verify` setting is read from the text of its flag or config-file line
+PARSERS = {
+    "mass": _parse_fraction,
+    "momentum": _parse_momentum,
+    "k0": _parse_fraction,
+    "truncation": lambda text: _parse_int(text, "truncation"),
+    "scheme": str,
+    "suites": lambda text: tuple(s.strip() for s in text.split(",") if s.strip()),
+    "workers": lambda text: _parse_int(text, "workers"),
+}
+CONFIG_KEYS = tuple(PARSERS)
 
 
 def _load_config_file(path):
@@ -79,34 +91,12 @@ def _load_config_file(path):
 
 
 def _build_suite_config(args):
-    file_vals = _load_config_file(args.config) if args.config else {}
-
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        if key in file_vals:
-            return file_vals[key]
-        return default
-
-    suites = ALL_SUITES if args.suite == "all" else (args.suite,)
-    if args.suite == "all" and "suites" in file_vals and args.config:
-        suites = tuple(s.strip() for s in file_vals["suites"].split(",") if s.strip())
-    workers = pick(args.workers, "workers", os.environ.get(WORKERS_ENV, usable_cpus()))
-    try:
-        workers = int(workers)
-        truncation = int(pick(args.truncation, "truncation", 6))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return SuiteConfig(
-        suites=suites,
-        mass=_parse_fraction(str(pick(args.mass, "mass", "4"))),
-        momentum=_parse_momentum(str(pick(args.momentum, "momentum", "0,0,3"))),
-        k0=_parse_fraction(str(pick(args.k0, "k0", "5"))),
-        truncation=truncation,
-        scheme=str(pick(args.scheme, "scheme", "both")),
-        timing=not args.no_timing,
-        workers=workers,
-    )
+    """The flags' settings over the config file's; SuiteConfig fills in the rest."""
+    texts = _load_config_file(args.config) if args.config else {}
+    flags = vars(args) | {"suites": None if args.suite == "all" else args.suite}
+    texts.update((key, flags[key]) for key in PARSERS if flags[key] is not None)
+    return SuiteConfig(timing=not args.no_timing,
+                       **{key: PARSERS[key](text) for key, text in texts.items()})
 
 
 def _emit(text, args):
@@ -273,8 +263,8 @@ def build_parser():
     v.add_argument("--json", action="store_true", help="machine-readable report")
     v.add_argument("--no-timing", action="store_true", help="suppress elapsed fields")
     v.add_argument("--config", help="key=value config file; flags take precedence")
-    v.add_argument("--workers", help=f"processes that share the identities (or ${WORKERS_ENV}; "
-                                     "default: the usable CPUs)")
+    v.add_argument("--workers", help="processes that share the identities (default: the "
+                                     "usable CPUs, at most one per identity)")
     v.set_defaults(func=cmd_verify)
 
     d = sub.add_parser("dump", help="emit exact objects as JSON")

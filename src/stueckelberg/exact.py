@@ -134,9 +134,6 @@ class GaussianRational:
     def __pos__(self):
         return self
 
-    def conjugate(self):
-        return GaussianRational._raw(self.re, -self.im)
-
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 

@@ -55,10 +55,6 @@ class QuadraticObservable(_ExactCoefficients):
         self._store((coeffs or {}).items(), _monomial)
 
     @staticmethod
-    def zero():
-        return QuadraticObservable()
-
-    @staticmethod
     def constant(v):
         return QuadraticObservable({(): v})
 

@@ -37,7 +37,6 @@ MAX_TRUNCATION = 26
 MAX_MOMENTUM_BITS = 3072
 
 INJECT_ENV = "STUECKELBERG_INJECT_FAIL"
-WORKERS_ENV = "STUECKELBERG_WORKERS"
 
 
 class ConfigError(ValueError):
@@ -46,13 +45,16 @@ class ConfigError(ValueError):
 
 class SuiteConfig(namedtuple("SuiteConfig", "suites mass momentum k0 truncation scheme "
                               "timing workers")):
-    """One verification run's settings; `validate` checks them."""
+    """One verification run's settings, each with its one default; `validate` checks them.
+
+    workers None means one process per usable CPU, at most one per identity.
+    """
 
     __slots__ = ()
 
     def __new__(cls, suites=ALL_SUITES, mass=Fraction(4),
                 momentum=(Fraction(0), Fraction(0), Fraction(3)), k0=Fraction(5),
-                truncation=6, scheme="both", timing=True, workers=1):
+                truncation=6, scheme="both", timing=True, workers=None):
         return super().__new__(cls, tuple(suites), as_fraction(mass),
                                tuple(as_fraction(c) for c in momentum), as_fraction(k0),
                                truncation, scheme, timing, workers)
@@ -73,7 +75,7 @@ class SuiteConfig(namedtuple("SuiteConfig", "suites mass momentum k0 truncation 
             raise ConfigError("truncation below the operator degree 2 is unusable")
         if self.truncation > MAX_TRUNCATION:
             raise ConfigError(f"truncation above the cap {MAX_TRUNCATION}")
-        if self.workers < 1:
+        if self.workers is not None and self.workers < 1:
             raise ConfigError("worker count must be at least 1")
         if "projectors" in self.suites:
             try:
@@ -173,17 +175,15 @@ def usable_cpus():
 def run(cfg: SuiteConfig) -> VerificationReport:
     """Validate the configuration, run the selected suites, assemble the report.
 
-    The identities are spread over up to cfg.workers processes, never
-    more than there are identities or usable CPUs; one process forks none.
+    The identities are spread over up to cfg.workers processes (by
+    default one per usable CPU), never more than there are identities
+    or usable CPUs; one process forks none.
     """
     cfg.validate()
     ordered = [s for s in ALL_SUITES if s in cfg.suites]
     total = sum(len(scheduled(s, cfg)) for s in ordered)
-    procs = min(cfg.workers, total, usable_cpus()) if hasattr(os, "fork") else 1
-    if procs > 1:
-        records = _forked(cfg, ordered, total, procs)
-    else:
-        records = [rec for s in ordered for rec in SUITE_RUNNERS[s](cfg)]
+    procs = min(cfg.workers or total, total, usable_cpus()) if hasattr(os, "fork") else 1
+    records = _dispatch(cfg, ordered, total, procs)
     inject = os.environ.get(INJECT_ENV)
     if inject:
         records = _inject_failure(records, inject)
@@ -239,7 +239,7 @@ def _read_all(fd):
     return b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
 
 
-def _forked(cfg, ordered, total, procs):
+def _dispatch(cfg, ordered, total, procs):
     """The records of every identity, checked by this process and procs - 1 forked children.
 
     Each child writes its (index, record fields) pairs into a pipe of
@@ -295,16 +295,9 @@ def _forked(cfg, ordered, total, procs):
 
 def _inject_failure(records, target):
     """Self-test hook: force one identity to fail to exercise the exit contract."""
-    hit = False
-    out = []
-    for rec in records:
-        full = f"{rec.suite}/{rec.ident}"
-        if target in (rec.ident, full):
-            rec = IdentityRecord(suite=rec.suite, ident=rec.ident, claim=rec.claim,
-                                 status="fail", witness="injected failure (self-test hook)",
-                                 elapsed_ms=rec.elapsed_ms)
-            hit = True
-        out.append(rec)
+    hit = {k for k, rec in enumerate(records) if target in (rec.ident, f"{rec.suite}/{rec.ident}")}
+    out = [rec._replace(status="fail", witness="injected failure (self-test hook)", reason=None)
+           if k in hit else rec for k, rec in enumerate(records)]
     if not hit:
         out.append(IdentityRecord(
             suite="selftest", ident="injected-target-missing",

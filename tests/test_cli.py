@@ -41,8 +41,7 @@ def cli_env():
 @pytest.fixture
 def three_cpus(monkeypatch):
     """The default worker count, and the cap on it, of a host with three usable CPUs."""
-    for mod in (cli, report):
-        monkeypatch.setattr(mod, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(report, "usable_cpus", lambda: 3)
 
 
 def test_verify_single_suite_json(capsys):
@@ -52,7 +51,8 @@ def test_verify_single_suite_json(capsys):
     assert doc["summary"]["failed"] == 0
     assert doc["summary"]["total"] == doc["summary"]["passed"]
     assert all("elapsed_ms" not in rec for rec in doc["identities"])
-    assert doc["config"]["scheme"] == "both"
+    # with no flag and no file, every setting is SuiteConfig's own default
+    assert doc["config"] == SuiteConfig(suites=("em",)).describe()
 
 
 def test_verify_text_format(capsys):
@@ -233,7 +233,14 @@ def test_unknown_suite_in_config_file(capsys, tmp_path):
     (("verify", "em"), b"k0 = \xff\n", None),
     # a repeated key is not settled by its last line
     (("verify", "em"), "k0 = 7\nk0 = 3\n", "config key 'k0' given twice"),
-], ids=["unknown-key", "empty-suites", "not-utf8", "repeated-key"])
+    # a setting that is not an integer is named, as a flag or in the file
+    (("verify", "fock", "--truncation", "x"), "", "truncation must be an integer, got 'x'"),
+    (("verify", "fock"), "truncation = 6.5\n", "truncation must be an integer, got '6.5'"),
+    (("verify", "em", "--workers", "two"), "", "workers must be an integer, got 'two'"),
+    (("verify", "em"), "workers = x\n", "workers must be an integer, got 'x'"),
+    (("verify", "em"), "workers = 0\n", "worker count must be at least 1"),
+], ids=["unknown-key", "empty-suites", "not-utf8", "repeated-key", "truncation-flag",
+        "truncation-file", "workers-flag", "workers-file", "zero-workers"])
 def test_bad_config_file_is_one_line_config_error(capsys, tmp_path, argv, text, message):
     cfg = tmp_path / "suite.cfg"
     (cfg.write_bytes if isinstance(text, bytes) else cfg.write_text)(text)
@@ -305,8 +312,7 @@ def test_worker_count_is_capped_at_the_identities_and_cpus(capsys, monkeypatch, 
         forks.append(None)
         return real_fork()
     monkeypatch.setattr(os, "fork", counted_fork)
-    for mod in (cli, report):
-        monkeypatch.setattr(mod, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(report, "usable_cpus", lambda: cpus)
     code, out, _ = run_cli(capsys, "verify", "em", "--json", "--no-timing",
                            "--workers", "100000")
     assert code == EXIT_PASS

@@ -3,22 +3,13 @@ from fractions import Fraction
 import pytest
 
 from exact_helpers import gr
-from stueckelberg.em import (PAULI, U2Element, angle_sum, em_hamiltonian,
-                             polarization_state, stokes_expectations,
-                             su2_charges)
+from stueckelberg.em import (PAULI, U2Element, em_hamiltonian, polarization_state,
+                             stokes_expectations)
 from stueckelberg.exact import ExactMatrix, GR_ONE, GR_ZERO, GaussianRational
 
 F = Fraction
 CS_A = (F(3, 5), F(4, 5))
 CS_B = (F(5, 13), F(12, 13))
-
-
-def test_charges_conserved():
-    ch = su2_charges()
-    h = em_hamiltonian(F(7))
-    for i in (0, 1, 2, 3):
-        assert ch[i].commutator(h).is_zero()
-    assert h == ch[0].scale(gr(14))
 
 
 def test_photon_eigenvalues():
@@ -54,13 +45,6 @@ def test_exponential_expansion_matches_rotation():
     assert u.matrix == ExactMatrix([[c, s], [-s, c]])
 
 
-def test_dual_rotation_group_law():
-    d1 = U2Element.dual_rotation(CS_A)
-    d2 = U2Element.dual_rotation(CS_B)
-    assert d1.compose(d2).matrix == U2Element.dual_rotation(angle_sum(CS_A, CS_B)).matrix
-    assert d2.compose(d1).matrix == d1.compose(d2).matrix
-
-
 def test_adjoint_rotation_is_homomorphism():
     u1 = U2Element.from_params((1, 0), (0, 0, 1), CS_B)
     u2 = U2Element.dual_rotation(CS_A)
@@ -70,10 +54,3 @@ def test_adjoint_rotation_is_homomorphism():
     for r in (r1, r2):
         assert all(r[i, j].is_real() for i in range(3) for j in range(3))
         assert r.transpose() @ r == ExactMatrix.identity(3)
-
-
-def test_dual_rotations_stay_in_group():
-    for cs in (CS_A, CS_B, angle_sum(CS_A, CS_A)):
-        u = U2Element.dual_rotation(cs)
-        assert u.matrix.dagger() @ u.matrix == ExactMatrix.identity(2)
-        assert all(u.matrix[i, j].is_real() for i in range(2) for j in range(2))

@@ -2,7 +2,7 @@ import pytest
 
 from stueckelberg.epsilon import (DIM4, DIM5, DIM10, DIM11, BasisIndex,
                                   bivector_component, epsilon, epsilon_delta)
-from stueckelberg.exact import ExactMatrix, GR_ONE, GR_ZERO
+from stueckelberg.exact import ExactMatrix, GR_ONE
 
 
 def test_label_inventory():
@@ -74,13 +74,6 @@ def test_unit_commutators():
     e22 = epsilon(BasisIndex.vector(2), BasisIndex.vector(2), DIM4)
     assert mat_commutator(e12, e21) == e11 - e22
     assert mat_commutator(ExactMatrix.identity(4), e12).is_zero()
-
-
-def test_trace_is_delta():
-    for a in DIM11.labels:
-        for b in DIM11.labels:
-            t = epsilon(a, b, DIM11).trace()
-            assert t == (GR_ONE if a == b else GR_ZERO)
 
 
 def test_out_of_view_errors():

@@ -32,12 +32,6 @@ def test_multiplicative_inverse(a):
         assert a * (GR_ONE / a) == GR_ONE
 
 
-@given(scalars)
-def test_conjugation_and_norm(a):
-    assert a.conjugate().conjugate() == a
-    assert not (a * a.conjugate()).im
-
-
 def test_scalar_basics():
     assert GR_I * GR_I == -GR_ONE
     assert gr("3/2", "-1/3") == GaussianRational(Fraction(3, 2), Fraction(-1, 3))
@@ -204,7 +198,8 @@ def test_kernel_matches_dense_reference(data):
     if s:
         assert _dense(a / s) == _ref_map(lambda x: x / s, ga)
         assert (a * s) / s == a and hash((a * s) / s) == hash(a)
-    assert _dense(a.dagger()) == [[ga[i][j].conjugate() for i in range(n)] for j in range(k)]
+    assert _dense(a.dagger()) == [[GaussianRational(ga[i][j].re, -ga[i][j].im)
+                                   for i in range(n)] for j in range(k)]
     assert _dense(a.transpose()) == [[ga[i][j] for i in range(n)] for j in range(k)]
     if n == k:
         assert a.trace() == _ref_sum(ga[i][i] for i in range(n))
@@ -364,7 +359,7 @@ def test_observable_store_matches_dict_reference(data):
     # cancellation to zero, and equal observables reached by different routes
     for zero in (a - a, a.scale(GR_ZERO), (a + b) - b - a, poisson_bracket(a, a)):
         _same_obs(zero, {})
-        assert zero.is_zero() and zero == QuadraticObservable.zero()
+        assert zero.is_zero() and zero == QuadraticObservable()
     _same_obs((a + b) - b, ra)
     for x, y, rx, ry in ((a, b, ra, rb), (a, a.scale(s), ra, _ref_obs((s, ra))),
                          (p, q, rp, rq)):

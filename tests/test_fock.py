@@ -253,7 +253,7 @@ def _ref_inner(a, b, scheme):
                 w *= math.factorial(n)
             if scheme == 2 and k[3] % 2:
                 w = -w
-            total = total + v.conjugate() * b[k] * GaussianRational(w)
+            total = total + GaussianRational(v.re, -v.im) * b[k] * GaussianRational(w)
     return total
 
 

@@ -128,12 +128,9 @@ def test_generator_matrix_is_the_amplitude_flow(k0):
             assert dq[mu] + dpi[mu].scale(i_k0) == want, (name, mu)
 
 
-def test_charges_commute_with_energy(ctx):
-    h = hamiltonian(ctx)
-    charges = conserved_charges(ctx)
-    assert len(charges) == 17
-    for key, j in charges.items():
-        assert poisson_bracket(j, h).is_zero(), key
+def test_seventeen_conserved_charges(ctx):
+    # u31/charges-conserved checks that each one commutes with the energy
+    assert len(conserved_charges(ctx)) == 17
 
 
 def test_mode_context_validation():

@@ -33,6 +33,11 @@ MUTATIONS = [
      "return self.s - ExactMatrix.identity(4) * (self.s.trace() * Fraction(1, 4))",
      "return self.s",
      VERIFY_ALL, {"u31/trace-direction-trivial"}),
+    ("antisymmetric charges made symmetric", "modes.py",
+     'charges[("antisym", mu, nu)] = pi_sym(mu) * q_sym(nu) - pi_sym(nu) * q_sym(mu)',
+     'charges[("antisym", mu, nu)] = pi_sym(mu) * q_sym(nu) + pi_sym(nu) * q_sym(mu)',
+     VERIFY_ALL, {"u31/charges-conserved", "u31/charge-flows", "u31/structure-constants",
+                  "fock/bracket-commutator-correspondence"}),
     ("A once in the generator", "modes.py",
      "return (params.a * 2 - ExactMatrix.identity(4)",
      "return (params.a - ExactMatrix.identity(4)",
@@ -78,6 +83,11 @@ MUTATIONS = [
      "want = charges @ f",
      "want = charges @ ExactMatrix.sparse(16, 16, (((k, k), 1) for k in range(7))) @ f",
      VERIFY_ALL, {"u31/structure-constants", "fock/charge-matrix-structure"}),
+    ("trace misses the first diagonal entry", "exact.py",
+     "for i in range(self.rows):\n            e = self._c.get((i, i))",
+     "for i in range(1, self.rows):\n            e = self._c.get((i, i))",
+     VERIFY_ALL, {"algebra/unit-trace", "u31/trace-direction-trivial", "u31/charge-flows",
+                  "u31/structure-constants", "fock/charge-matrix-structure"}),
     ("matrix units transposed", "epsilon.py",
      "space.position(a), space.position(b))",
      "space.position(b), space.position(a))",
@@ -100,7 +110,7 @@ MUTATIONS = [
      VERIFY_ALL, {"projectors/eigen-equation", "projectors/component-layout"}),
     ("momentum contraction conjugated", "projectors.py",
      "out = out + w.alpha[mu] * c\n",
-     "out = out + w.alpha[mu] * c.conjugate()\n",
+     "out = out + w.alpha[mu] * GaussianRational(c.re, -c.im)\n",
      VERIFY_ALL, {"projectors/projector-commutators", "projectors/state-idempotent",
                   "projectors/state-orthogonal", "projectors/state-rank-one",
                   "projectors/dyad-reassembly", "projectors/dyad-metric-row",
@@ -176,6 +186,18 @@ MUTATIONS = [
      "PAULI[i] * Fraction(1, 2) for i in (1, 2, 3)",
      "PAULI[i] for i in (1, 2, 3)",
      VERIFY_ALL, {"em/stokes-one-photon", "em/su2-commutators"}),
+    ("second transverse mode's energy doubled", "em.py",
+     "return BilinearOperator({(1, 1): k0, (2, 2): k0}, scheme=2)",
+     "return BilinearOperator({(1, 1): k0, (2, 2): k0 * 2}, scheme=2)",
+     VERIFY_ALL, {"em/charges-conserved", "em/hamiltonian-is-number"}),
+    ("angle sum made the angle difference", "em.py",
+     "return (c1 * c2 - s1 * s2, s1 * c2 + c1 * s2)",
+     "return (c1 * c2 + s1 * s2, s1 * c2 - c1 * s2)",
+     VERIFY_ALL, {"em/dual-group-law"}),
+    ("dual rotation about the first axis", "em.py",
+     "return U2Element.from_params((1, 0), (0, 1, 0), theta_cs)",
+     "return U2Element.from_params((1, 0), (1, 0, 0), theta_cs)",
+     VERIFY_ALL, {"em/dual-rotation-matrix", "em/dual-subgroup", "em/dual-stokes-rotation"}),
 ]
 
 
