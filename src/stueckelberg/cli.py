@@ -170,8 +170,6 @@ def cmd_dump_wave(args):
         "lorentz": {f"{mu}{nu}": j.to_json_dict() for (mu, nu), j in sorted(w.lorentz.items())},
     }
     if args.which:
-        if args.which not in blocks:
-            raise ConfigError(f"unknown matrix family {args.which!r}")
         blocks = {args.which: blocks[args.which]}
     _emit(_json_dump(blocks), args)
     return 0

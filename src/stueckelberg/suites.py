@@ -857,26 +857,21 @@ class Fock(Suite):
     @identity("gram-indefinite",
               "normalised norms alternate with the scalar-sector occupation", SCHEME_2)
     def gram2(self):
-        return self._gram_is_diagonal(2, lambda b: -1 if b[3] % 2 else 1)
+        c = self._off_spectrum(normalized_gram(self.n, 2)[1].transpose(),
+                               [-1 if b[3] % 2 else 1 for b in self.basis])
+        return c is None or (False, f"state {self.basis[c]}")
 
     @identity("gram-positive-scheme1",
               "the swapped-role scheme has an entirely positive Gram diagonal", SCHEME_1)
     def gram1(self):
-        return self._gram_is_diagonal(1, lambda b: 1)
-
-    def _gram_is_diagonal(self, scheme, sign):
-        """Gram matrix == diag(sign(b)); the witness is the first state whose row differs."""
-        bas, g = normalized_gram(self.n, scheme)
-        want = ExactMatrix.sparse(len(bas), len(bas),
-                                  (((i, i), sign(b)) for i, b in enumerate(bas)))
-        if g == want:
-            return True
-        return False, f"state {bas[_first_column(g.transpose(), want.transpose())]}"
+        c = self._off_spectrum(normalized_gram(self.n, 1)[1].transpose(), [1] * len(self.basis))
+        return c is None or (False, f"state {self.basis[c]}")
 
     def _off_spectrum(self, matrix, counts, unit=1):
         """The first basis state matrix does not scale by unit times its count, or None.
 
-        Returns the state's index in the basis.
+        Returns the state's index in the basis.  A diagonal is its own
+        transpose, so on a transposed matrix this is the first differing row.
         """
         want = ExactMatrix.sparse(len(self.basis), len(self.basis),
                                   (((c, c), n) for c, n in enumerate(counts))) * unit
@@ -931,9 +926,7 @@ class Fock(Suite):
     def number_charge(self):
         c = self._off_spectrum(self.qc[("unit",)].matrix(self.basis, self.basis),
                                [sum(b) for b in self.basis])
-        if c is not None:
-            return False, f"state {self.basis[c]}"
-        return True
+        return c is None or (False, f"state {self.basis[c]}")
 
     @identity("bracket-commutator-correspondence",
               "charge commutators equal i times the quantised classical brackets", SCHEME_2)

@@ -1,7 +1,7 @@
 import pytest
 
 from stueckelberg.epsilon import (DIM4, DIM5, DIM10, DIM11, BasisIndex,
-                                  bivector_component, epsilon, epsilon_delta)
+                                  bivector_component, epsilon)
 from stueckelberg.exact import ExactMatrix, GR_ONE
 
 
@@ -46,24 +46,6 @@ def test_unit_matrix_placement():
     m = epsilon(BasisIndex.vector(1), BasisIndex.vector(2), DIM4)
     assert m[0, 1] == GR_ONE
     assert sum(1 for i in range(4) for j in range(4) if m[i, j]) == 1
-
-
-def test_unit_product_rule_dim4():
-    labels = DIM4.labels
-    units = {(a, b): epsilon(a, b, DIM4) for a in labels for b in labels}
-    zero = ExactMatrix.zeros(4)
-    for (a, b), mab in units.items():
-        for (c, d), mcd in units.items():
-            want = units[(a, d)] if epsilon_delta(b, c) else zero
-            assert mab @ mcd == want
-
-
-def test_unit_products_spot():
-    e12 = epsilon(BasisIndex.vector(1), BasisIndex.vector(2), DIM4)
-    e23 = epsilon(BasisIndex.vector(2), BasisIndex.vector(3), DIM4)
-    e34 = epsilon(BasisIndex.vector(3), BasisIndex.vector(4), DIM4)
-    assert e12 @ e23 == epsilon(BasisIndex.vector(1), BasisIndex.vector(3), DIM4)
-    assert (e12 @ e34).is_zero()
 
 
 def test_unit_commutators():

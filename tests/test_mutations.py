@@ -3,9 +3,16 @@
 Each row plants one fault in a copy of the package, runs one `verify`
 process on it, and asserts exit 1 and the exact set of failing
 identities, so an identity that stops catching a fault shows up as a
-changed set.  The score printed at the end counts the faults caught out
-of those tried (mutation testing after DeMillo, Lipton and Sayward,
-"Hints on test data selection", IEEE Computer 11(4), 1978).
+changed set.  The gate prints, overall and for each suite, the faults
+caught out of those tried and the identities reached out of those
+declared (mutation testing after DeMillo, Lipton and Sayward, "Hints on
+test data selection", IEEE Computer 11(4), 1978).
+
+An identity is reached when it is in some row's expected set.  The
+identities no row reaches are exactly `UNREACHED`, checked without a
+subprocess: a new identity needs a row that fails it, and a row that
+reaches a listed identity takes it off the list.  A row's set is
+recorded on the code before the change that adds the row.
 """
 
 import json
@@ -17,8 +24,10 @@ from pathlib import Path
 
 import stueckelberg
 from stueckelberg.report import EXIT_FAIL, EXIT_PASS
+from stueckelberg.suites import IDENTITIES, SUITES
 
 PACKAGE = Path(stueckelberg.__file__).resolve().parent
+DECLARED = {f"{d.suite}/{d.ident}" for d in IDENTITIES}
 VERIFY_ALL = ("verify", "all", "--k0", "37/11")
 VERIFY_FOCK = ("verify", "fock", "--k0", "37/11")
 # the pure-state identities a wrong spin-sector or projection projector fails
@@ -73,8 +82,8 @@ MUTATIONS = [
     ("signs dropped from the stacked commutator tables", "fock.py",
      "return t._with({(i, j): (x * s[i], y * s[i])",
      "return t._with({(i, j): (x, y)",
-     VERIFY_ALL, {"fock/charges-commute-energy", "fock/bracket-commutator-correspondence",
-                  "fock/charge-matrix-structure", "fock/truncation-exactness"}),
+     VERIFY_FOCK, {"fock/charges-commute-energy", "fock/bracket-commutator-correspondence",
+                   "fock/charge-matrix-structure", "fock/truncation-exactness"}),
     ("pi.pi quantisation factor sign flipped", "fock.py",
      "(False, False): (-s * p * p, 0)",
      "(False, False): (s * p * p, 0)",
@@ -143,6 +152,14 @@ MUTATIONS = [
                   "projectors/dyad-metric-row", "projectors/dyad-norm-signs",
                   "projectors/dyad-reassembly", "projectors/eigen-equation",
                   "projectors/spin0-no-bivector"}),
+    ("rotation generators placed one slot up, on the scalar slot", "wave.py",
+     "block_at(1, 1)),))\n               for (mu, nu)",
+     "block_at(0, 0)),))\n               for (mu, nu)",
+     VERIFY_ALL, {"algebra/alpha-rotation-bracket", "algebra/rotation-scalar-slot"} | {
+         f"projectors/{i}" for i in (
+             "component-layout", "dyad-metric-row", "dyad-norm-signs", "dyad-reassembly",
+             "eigen-equation", "projector-commutators", "spin0-no-bivector", "spinproj-commutes",
+             "spinproj-spectrum", "state-idempotent", "state-orthogonal", "state-rank-one")}),
     ("generator commutator order swapped", "wave.py",
      "beta1[mu] @ beta1[nu] - beta1[nu] @ beta1[mu]",
      "beta1[nu] @ beta1[mu] - beta1[mu] @ beta1[nu]",
@@ -170,6 +187,37 @@ MUTATIONS = [
                   "projectors/eigen-equation", "projectors/energy-rank",
                   "projectors/spin0-no-bivector", "projectors/spinproj-spectrum",
                   "projectors/state-rank-one"}),
+    ("vacuum made a scalar quantum", "fock.py",
+     "return FockPolyState({(0, 0, 0, 0): GR_ONE}, truncation, scheme)",
+     "return FockPolyState({(0, 0, 0, 1): GR_ONE}, truncation, scheme)",
+     VERIFY_FOCK, {"fock/vacuum-annihilated", "fock/vacuum-energy-zero"}),
+    ("overlap sign read at even scalar occupation", "fock.py",
+     "if signed and k[3] % 2:",
+     "if signed and not k[3] % 2:",
+     VERIFY_FOCK, {"fock/gram-indefinite"}),
+    ("Gram normalisation dropped", "fock.py",
+     "d *= _factorial_weight(a)",
+     "d *= 1",
+     VERIFY_FOCK, {"fock/gram-indefinite", "fock/gram-positive-scheme1"}),
+    ("scalar energy term sign flipped", "fock.py",
+     "terms[(4, 4)] = GaussianRational(-k0)",
+     "terms[(4, 4)] = GaussianRational(k0)",
+     VERIFY_FOCK, {"fock/charges-commute-energy", "fock/energy-indefinite-scheme1",
+                   "fock/energy-nonnegative"}),
+    ("physical part read at the first mode", "fock.py",
+     "phys = {k: v for k, v in s._c.items() if k[3] == 0}",
+     "phys = {k: v for k, v in s._c.items() if k[0] == 0}",
+     VERIFY_FOCK, {"fock/physical-decomposition"}),
+    ("covariant phase of the fourth mode dropped", "fock.py",
+     "return GR_I if mu == 4 else GR_ONE",
+     "return GR_ONE",
+     VERIFY_FOCK, {"fock/bracket-commutator-correspondence", "fock/canonical-pair-correspondence",
+                   "fock/charge-matrix-structure", "fock/unit-charge-number"}),
+    ("annihilation factor n + 1", "fock.py",
+     "nk[m] -= 1\n                yield tuple(nk), sign * n, p",
+     "nk[m] -= 1\n                yield tuple(nk), sign * (n + 1), p",
+     VERIFY_FOCK, {"fock/canonical-pair-correspondence", "fock/ladder-incorrect-sign",
+                   "fock/ladder-standard", "fock/truncation-exactness"}),
     ("bilinear sign read at the creation mode", "fock.py",
      "sign = _ANNIHILATION_SIGNS[scheme][j - 1]",
      "sign = _ANNIHILATION_SIGNS[scheme][i - 1]",
@@ -213,12 +261,29 @@ def _verify(package_root, argv):
                              if r["status"] == "fail"}
 
 
+def _score(outcomes):
+    """Lines of faults caught / tried and identities reached / declared, overall and per suite.
+
+    outcomes holds (expected set, caught) per row; a row counts for each
+    suite its expected set names.
+    """
+    reached = set().union(*(want for want, caught in outcomes if caught))
+    lines = [f"mutation score: {sum(c for _, c in outcomes)}/{len(outcomes)} faults caught, "
+             f"{len(reached)}/{len(DECLARED)} identities reached"]
+    for suite in SUITES:
+        mine = {i for i in DECLARED if i.startswith(f"{suite}/")}
+        tried = [c for want, c in outcomes if want & mine]
+        lines.append(f"  {suite:<10} {sum(tried)}/{len(tried)} faults caught, "
+                     f"{len(reached & mine)}/{len(mine)} identities reached")
+    return lines
+
+
 def test_each_fault_fails_exactly_its_identities(tmp_path):
     clean = tmp_path / "clean"
     shutil.copytree(PACKAGE, clean / "stueckelberg",
                     ignore=shutil.ignore_patterns("__pycache__"))
     assert _verify(clean, VERIFY_ALL) == (EXIT_PASS, set())
-    missed = []
+    missed, outcomes = [], []
     for k, (fault, name, old, new, argv, want) in enumerate(MUTATIONS):
         root = tmp_path / f"m{k}"
         shutil.copytree(clean, root)
@@ -227,7 +292,26 @@ def test_each_fault_fails_exactly_its_identities(tmp_path):
         assert text.count(old) == 1, f"{fault}: the old text must occur once in {name}"
         path.write_text(text.replace(old, new))
         got = _verify(root, argv)
+        outcomes.append((want, got == (EXIT_FAIL, want)))
         if got != (EXIT_FAIL, want):
             missed.append((fault, got))
-    print(f"mutation score: {len(MUTATIONS) - len(missed)}/{len(MUTATIONS)} faults caught")
+    print("\n".join(_score(outcomes)))
     assert missed == []
+
+
+# the identities no row reaches
+UNREACHED = {
+    "algebra/beta4-squared-diagonal", "algebra/eta-commutes-time", "algebra/eta-hermitian",
+    "projectors/energy-completeness", "projectors/energy-idempotent",
+    "projectors/energy-orthogonal", "projectors/momentum-shell", "projectors/pslash-cubic",
+    "projectors/pslash-traceless", "projectors/spin2-both-sectors",
+    "projectors/spinproj-minimal",
+    "u31/canonical-brackets", "u31/hamiltonian-two-forms", "u31/unit-charge-counts-quanta",
+    "em/rotations-commute-number", "em/stokes-vacuum", "em/u2-invariance",
+}
+
+
+def test_the_identities_no_row_reaches_are_exactly_the_unreached():
+    reached = set().union(*(want for *_, want in MUTATIONS))
+    assert reached - DECLARED == set(), "a row expects an identity that is not declared"
+    assert DECLARED - reached == UNREACHED

@@ -30,10 +30,7 @@ def test_alpha_traceless_and_symmetric(w):
 
 def test_lorentz_generator_shape(w):
     for (mu, nu) in BIVECTOR_PAIRS:
-        j = w.lorentz[(mu, nu)]
-        assert j == -(w.lorentz_signed(nu, mu))
-        for a in range(11):
-            assert not j[0, a] and not j[a, 0]
+        assert w.lorentz[(mu, nu)] == -(w.lorentz_signed(nu, mu))
 
 
 def test_eta_scalar_entry(w):
