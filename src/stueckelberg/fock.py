@@ -214,19 +214,23 @@ def _image_matrix(cols, rows, parts, den):
     parts yields (images, (cr, ci)): the (image, factor, column) triples
     of one elementary operator on the monomials cols, and its
     Gaussian-integer coefficient; den is the denominator they share.
-    An image outside rows raises ValueError.
+    An image outside rows that does not cancel raises ValueError.
     """
     index = {k: r for r, k in enumerate(rows)}
-    out = {}
+    out, missed = {}, False
     for images, (cr, ci) in parts:
         for nk, f, c in images:
             r = index.get(nk)
-            if r is None:
-                raise ValueError(f"image {nk} of monomial {cols[c]} is outside the row set")
+            if r is None:  # keyed by the monomial itself: an error unless it cancels
+                r = missed = nk
             rc = (r, c)
             e = out.get(rc)
             out[rc] = (cr * f, ci * f) if e is None else (e[0] + cr * f, e[1] + ci * f)
-    return ExactMatrix._of(len(rows), len(cols), *_lowest(_pruned(out), den))
+    out = _pruned(out)
+    for nk, c in out if missed else ():
+        if type(nk) is tuple:
+            raise ValueError(f"image {nk} of monomial {cols[c]} is outside the row set")
+    return ExactMatrix._of(len(rows), len(cols), *_lowest(out, den))
 
 
 def apply_ladder(op: LadderOp, s: FockPolyState) -> FockPolyState:

@@ -257,26 +257,31 @@ def infinitesimal_transform(qs, pis, params: U31Params, ctx: ModeContext):
     return _table_sum((a2, qs), (w / k0, pis)), _table_sum((a2, pis), (w * -k0, qs))
 
 
-def generating_function(params: U31Params, ctx: ModeContext) -> QuadraticObservable:
+def canonical_products():
+    """What F sums: symbol i at key (i,), symbol i times symbol j at (i, j), and q.pi' at ()."""
+    out = {(i,): QuadraticObservable.symbol(i) for i in range(8)}
+    out.update({(i, j): out[i,] * out[j,] for i in range(8) for j in range(8)})
+    out[()] = sum((out[i, 4 + i] for i in range(4)), QuadraticObservable())
+    return out
+
+
+def generating_function(params: U31Params, ctx: ModeContext, products=None) -> QuadraticObservable:
     """F(q, pi') = q.pi' + pi'.2A.q + (pi'.W.pi' / k0 + k0 q.W.q) / 2.
 
     The momentum symbols stand for the primed momenta here.  The plain
     q.pi' term generates the identity; each parameter adds its bilinear.
     """
     k0 = GaussianRational(ctx.k0)
-    qs = [q_sym(mu) for mu in range(1, 5)]
-    pis = [pi_sym(mu) for mu in range(1, 5)]
-    out = QuadraticObservable()
-    for q, p in zip(qs, pis):
-        out = out + q * p
+    prod = products or canonical_products()
+    out = prod[()]
     for (i, j), a in (params.a * 2).coeffs.items():
-        out = out + (pis[i] * qs[j]).scale(a)
+        out = out + prod[4 + i, j].scale(a)
     for (i, j), w in (_phase_table(params) * Fraction(1, 2)).coeffs.items():
-        out = out + (pis[i] * pis[j]).scale(w / k0) + (qs[i] * qs[j]).scale(w * k0)
+        out = out + prod[4 + i, 4 + j].scale(w / k0) + prod[i, j].scale(w * k0)
     return out
 
 
-def transform_from_generating_function(params: U31Params, ctx: ModeContext):
+def transform_from_generating_function(params: U31Params, ctx: ModeContext, products):
     """Recover (delta q, delta pi) from F to first order in the parameters.
 
     F is q.pi' plus a correction linear in the parameters, so the
@@ -284,15 +289,15 @@ def transform_from_generating_function(params: U31Params, ctx: ModeContext):
     pi' = pi - correction drops only second-order terms, and plain
     parameters give exactly the first-order variation.
     """
-    f = generating_function(params, ctx)
+    f = generating_function(params, ctx, products)
     dq = []
     dpi = []
     for mu in range(1, 5):
         # pi_mu = dF/dq_mu = pi'_mu + correction(q, pi'); inverting and then
         # reading the primed slots as unprimed is exact at first order since
         # the correction is already first order in the parameters.
-        dpi.append(-(f.derivative(mu - 1) - pi_sym(mu)))
-        dq.append(f.derivative(3 + mu) - q_sym(mu))
+        dpi.append(-(f.derivative(mu - 1) - products[3 + mu,]))
+        dq.append(f.derivative(3 + mu) - products[mu - 1,])
     return tuple(dq), tuple(dpi)
 
 

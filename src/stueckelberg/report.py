@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .exact import as_fraction, fraction_str
 from .projectors import FourMomentum, IrrationalMomentumError
-from .suites import ALL_SUITES, SUITE_RUNNERS, IdentityRecord, scheduled
+from .suites import ALL_SUITES, SUITE_RUNNERS, IdentityRecord, prepared, scheduled
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -217,10 +217,10 @@ class _Claims:
         return True
 
 
-def _share(cfg, ordered, take):
-    """(report index, record) of each identity that take claims, suite by suite."""
+def _share(cfg, built, take):
+    """(report index, record) of each identity that take claims, on built's suite objects."""
     out, base = [], 0
-    for name in ordered:
+    for name in built:
         taken = []
 
         def claim(k, base=base, taken=taken):
@@ -228,8 +228,8 @@ def _share(cfg, ordered, take):
                 taken.append(base + k)
                 return True
             return False
-        # take by keyword: SUITE_RUNNERS entries may be wrapped by observers of (cfg)
-        records = SUITE_RUNNERS[name](cfg, take=claim)
+        # by keyword: SUITE_RUNNERS entries may be wrapped by observers of (cfg)
+        records = SUITE_RUNNERS[name](cfg, take=claim, suite=built[name])
         out += zip(taken, records)
         base += len(scheduled(name, cfg))
     return out
@@ -242,12 +242,13 @@ def _read_all(fd):
 def _dispatch(cfg, ordered, total, procs):
     """The records of every identity, checked by this process and procs - 1 forked children.
 
-    Each child writes its (index, record fields) pairs into a pipe of
-    its own with marshal, which takes only the str, float and None
-    fields a record holds, and leaves through os._exit, whatever
-    happens.  An identity that no child returned, for instance from one
-    that was killed, is checked here.
+    Every suite's shared objects are built once, by `prepared`, before any
+    fork.  Each child writes its (index, record fields) pairs into a pipe
+    of its own with marshal, which takes only the str, float and None
+    fields a record holds, and leaves through os._exit, whatever happens.
+    An identity that no child returned, say from a killed one, is checked here.
     """
+    built = {name: prepared(name, cfg) for name in ordered}
     tokens, feed = os.pipe()
     # 4 bytes per identity (80 today), far under PIPE_BUF: one write holds every token
     os.write(feed, b"".join(i.to_bytes(TOKEN_BYTES, "big") for i in range(total)))
@@ -269,7 +270,7 @@ def _dispatch(cfg, ordered, total, procs):
                 code = 1
                 try:
                     os.close(rd)
-                    pairs = [(i, tuple(rec)) for i, rec in _share(cfg, ordered, take)]
+                    pairs = [(i, tuple(rec)) for i, rec in _share(cfg, built, take)]
                     with os.fdopen(wr, "wb") as fh:
                         marshal.dump(pairs, fh)
                     code = 0
@@ -277,7 +278,7 @@ def _dispatch(cfg, ordered, total, procs):
                     os._exit(code)
             os.close(wr)
             children.append((pid, rd))
-        got = dict(_share(cfg, ordered, take))
+        got = dict(_share(cfg, built, take))
         replies = [_read_all(rd) for _, rd in children]
     finally:
         os.close(tokens)
@@ -289,7 +290,7 @@ def _dispatch(cfg, ordered, total, procs):
             got.update((i, IdentityRecord(*fields)) for i, fields in marshal.loads(reply))
     missing = set(range(total)).difference(got)
     if missing:
-        got.update(_share(cfg, ordered, missing.__contains__))
+        got.update(_share(cfg, built, missing.__contains__))
     return [got[i] for i in range(total)]
 
 

@@ -2,18 +2,19 @@
 
 A suite is a class whose `identity`-decorated methods are its checks, in
 report order.  Objects its checks share are built in its constructor or,
-when only some identities need them, on first use, so an identity that is
-skipped or left out builds nothing.  A declaration names at most one
-requirement: MOVING_FRAME (at rest the identity is reported as skipped,
-with REST_FRAME_REASON) or SCHEME_1 / SCHEME_2 (the identity is left out
-unless the configuration runs that vacuum scheme).  A check passes, or
-fails with a witness naming the first counterexample.
+when only some identities need them, on first use; `prepared` builds them
+before any check, but for `built_on_use` ones.  A declaration names at
+most one requirement: MOVING_FRAME (at rest the identity is reported as
+skipped, with REST_FRAME_REASON) or SCHEME_1 / SCHEME_2 (the identity is
+left out unless the configuration runs that vacuum scheme).  A check
+passes, or fails with a witness naming the first counterexample.
 """
 
 from __future__ import annotations
 
 import time
 from collections import namedtuple
+from contextlib import suppress
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations, permutations, product
@@ -29,9 +30,9 @@ from .fock import (METRIC_SIGNATURE, BilinearOperator, FockPolyState, LadderOp, 
                    energy_operator, inner_product, ladder_matrix, monomial_basis,
                    normalized_gram, quantize, quantum_charges)
 from .modes import (ModeContext, QuadraticObservable, amplitude_form_hamiltonian,
-                    basis_directions, charge_combination, conserved_charges,
-                    hamiltonian, infinitesimal_transform, observable_columns, pi_sym,
-                    poisson_bracket, q_sym, structure_constants, trace_direction,
+                    basis_directions, canonical_products, charge_combination,
+                    conserved_charges, hamiltonian, infinitesimal_transform, observable_columns,
+                    pi_sym, poisson_bracket, q_sym, structure_constants, trace_direction,
                     transform_from_generating_function)
 from .projectors import (SPIN_STATES, FourMomentum, ProjectorFamily, dyad_factorize,
                          rank_one_factors)
@@ -113,10 +114,6 @@ class Suite:
     def __init__(self, cfg):
         self.cfg = cfg
 
-    @cached_property
-    def w(self):
-        return wave_matrices()
-
 
 def scheduled(name, cfg) -> list:
     """The identities of one suite that cfg runs, in report order: one record each."""
@@ -124,14 +121,32 @@ def scheduled(name, cfg) -> list:
     return [d for d in SUITES[name].identities if d.needs not in left_out]
 
 
-def run_suite(name, cfg, take=None) -> list:
+class built_on_use(cached_property):
+    """A `cached_property` that `prepared` leaves to the first check that reads it."""
+
+
+def prepared(name, cfg):
+    """SUITES[name](cfg) with each `cached_property` of its class built; None if all skip.
+
+    A build that raises is dropped: the identity that needs it builds it again.
+    """
+    if not any(cfg.momentum) and all(d.needs == MOVING_FRAME for d in scheduled(name, cfg)):
+        return None
+    suite = SUITES[name](cfg)
+    for attr in [a for c in type(suite).__mro__ for a, v in vars(c).items()
+                 if isinstance(v, cached_property) and not isinstance(v, built_on_use)]:
+        with suppress(Exception):
+            getattr(suite, attr)
+    return suite
+
+
+def run_suite(name, cfg, take=None, suite=None) -> list:
     """Check, in report order, the identities of one suite that cfg runs.
 
     take(k), asked once per k in increasing order, says whether this
     process checks the k-th of `scheduled(name, cfg)`; by default it
-    checks every one.  The suite object is built on the first check.
+    checks every one.  suite (from `prepared`) is built on the first check if None.
     """
-    suite = None
     r = Recorder(name)
     for k, d in enumerate(scheduled(name, cfg)):
         if take is not None and not take(k):
@@ -199,6 +214,7 @@ def _rotated(x, t, m, n):
 
 class Algebra(Suite):
     name = "algebra"
+    w = cached_property(lambda s: wave_matrices())
 
     @identity("unit-product-rule",
               "matrix-unit product rule holds for all 14641 ordered basis pairs")
@@ -374,6 +390,7 @@ def _permutation_sign(perm):
 
 class Projectors(Suite):
     name = "projectors"
+    w = cached_property(lambda s: wave_matrices())
 
     def __init__(self, cfg):
         super().__init__(cfg)
@@ -612,13 +629,13 @@ class Projectors(Suite):
 # ---------------------------------------------------------------------------
 # u31 suite
 
-def _realises_structure_constants(brackets, charges):
+def _realises_structure_constants(constants, brackets, charges):
     """[Q_i, Q_j] == sum over k of f_ij^k Q_k for every basis pair i < j, as one product.
 
-    charges holds the sixteen direction charges and brackets the 120
-    brackets, in pair order, as matrix columns over the same rows.
+    constants is `structure_constants()`; charges and brackets hold the sixteen
+    direction charges and the 120 brackets, in pair order, as matrix columns.
     """
-    _, pairs, f = structure_constants()
+    _, pairs, f = constants
     want = charges @ f
     if brackets == want:
         return True
@@ -632,15 +649,16 @@ def _in_column_order(m):
 
 class U31(Suite):
     name = "u31"
+    constants = cached_property(lambda s: structure_constants())
 
     def __init__(self, cfg):
         super().__init__(cfg)
         self.ctx = ModeContext(cfg.k0)
         self.h = hamiltonian(self.ctx)
         self.charges = conserved_charges(self.ctx)
-        self.qs = tuple(q_sym(mu) for mu in range(1, 5))
-        self.pis = tuple(pi_sym(mu) for mu in range(1, 5))
         self.dirs = basis_directions()
+        self.products = canonical_products()
+        self.qs, self.pis = (tuple(self.products[i,] for i in r) for r in (range(4), range(4, 8)))
 
     @cached_property
     def direction_charges(self):
@@ -688,7 +706,7 @@ class U31(Suite):
     def generator_closure(self):
         # real coefficients mean the commutator stays in the real symmetry
         # algebra; complex ones would only land in its complexification
-        names, pairs, f = structure_constants()
+        names, pairs, f = self.constants
         for (k, p), c in _in_column_order(f):
             if not c.is_real():
                 return False, "pair ({}, {}): complex component {}".format(*pairs[p], names[k])
@@ -696,7 +714,7 @@ class U31(Suite):
 
     @identity("rotation-subalgebra", "antisymmetric generators close among themselves")
     def rotation_subalgebra(self):
-        names, pairs, f = structure_constants()
+        names, pairs, f = self.constants
         for (k, p), c in _in_column_order(f):
             (ni, nj), name = pairs[p], names[k]
             if not (ni.startswith("a") and nj.startswith("a")):
@@ -723,7 +741,7 @@ class U31(Suite):
     def genfunc(self):
         for name, par in self.dirs:
             dq1, dpi1 = self.flows[name]
-            dq2, dpi2 = transform_from_generating_function(par, self.ctx)
+            dq2, dpi2 = transform_from_generating_function(par, self.ctx, self.products)
             if any(a != b for a, b in zip(dq1, dq2)) or any(a != b for a, b in zip(dpi1, dpi2)):
                 return False, f"direction {name}"
         return True
@@ -750,7 +768,7 @@ class U31(Suite):
               "charge brackets realise the matrix structure constants as a homomorphism")
     def structure_homomorphism(self):
         q = self.direction_charges
-        return _realises_structure_constants(*observable_columns(
+        return _realises_structure_constants(self.constants, *observable_columns(
             [poisson_bracket(a, b) for a, b in combinations(q, 2)], q))
 
 
@@ -775,6 +793,7 @@ class Fock(Suite):
     """
 
     name = "fock"
+    constants = cached_property(lambda s: structure_constants())
 
     def __init__(self, cfg):
         super().__init__(cfg)
@@ -812,7 +831,8 @@ class Fock(Suite):
     def p0(self):
         return self.energy[2][0]
 
-    @cached_property
+    # grows with the truncation: prebuilt, it delays the fork, yet one process may use it
+    @built_on_use
     def p0_matrix(self):
         return self.p0.matrix(self.basis, self.basis)
 
@@ -962,7 +982,7 @@ class Fock(Suite):
     def charge_matrix_structure(self):
         # [Q_i, Q_j] = i Q_[i,j], compared as -i [Q_i, Q_j] = Q_[i,j]
         q = [charge_combination(par, self.qc) for _, par in basis_directions()]
-        return _realises_structure_constants(commutator_tables(q) * -GR_I,
+        return _realises_structure_constants(self.constants, commutator_tables(q) * -GR_I,
                                              mat_columns([c.table() for c in q]))
 
     @identity("canonical-pair-correspondence",

@@ -2,6 +2,8 @@ import os
 
 import pytest
 
+from stueckelberg import report
+
 
 @pytest.fixture(autouse=True)
 def no_child_process_left():
@@ -17,3 +19,9 @@ def no_child_process_left():
         return
     pytest.fail("the test left a child process "
                 + (f"{pid} unreaped" if pid else "running"))
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """The default worker count, and the cap on it, of a host with three usable CPUs."""
+    monkeypatch.setattr(report, "usable_cpus", lambda: 3)

@@ -38,12 +38,6 @@ def cli_env():
     return env
 
 
-@pytest.fixture
-def three_cpus(monkeypatch):
-    """The default worker count, and the cap on it, of a host with three usable CPUs."""
-    monkeypatch.setattr(report, "usable_cpus", lambda: 3)
-
-
 def test_verify_single_suite_json(capsys):
     code, out, _ = run_cli(capsys, "verify", "em", "--json", "--no-timing")
     assert code == EXIT_PASS
@@ -290,8 +284,8 @@ def test_a_worker_that_dies_before_replying_changes_no_byte(capsys, monkeypatch,
     want = run_cli(capsys, *argv, "--workers", "1")
     parent = os.getpid()
     for name, runner in list(report.SUITE_RUNNERS.items()):
-        def dying(cfg, take=None, runner=runner):
-            records = runner(cfg, take=take)
+        def dying(cfg, take=None, runner=runner, **kwargs):
+            records = runner(cfg, take=take, **kwargs)
             if records and os.getpid() != parent:
                 # a worker dies with checked records it never sends
                 if death == "killed":
@@ -317,6 +311,22 @@ def test_worker_count_is_capped_at_the_identities_and_cpus(capsys, monkeypatch, 
                            "--workers", "100000")
     assert code == EXIT_PASS
     assert len(forks) == min(len(json.loads(out)["identities"]), cpus) - 1
+
+
+def test_a_shared_object_whose_build_raises_fails_each_identity_that_needs_it(
+        capsys, monkeypatch, three_cpus):
+    def refused(p):
+        raise ArithmeticError("family build refused")
+    monkeypatch.setattr(ProjectorFamily, "build", staticmethod(refused))
+    argv = ("verify", "projectors", "--json", "--no-timing")
+    forked = run_cli(capsys, *argv)
+    assert forked == run_cli(capsys, *argv, "--workers", "1")
+    code, out, err = forked
+    assert code == EXIT_FAIL and err == ""
+    witnesses = {r["id"]: r.get("witness") for r in json.loads(out)["identities"]}
+    # every projectors identity but the mass shell reads the family
+    assert witnesses.pop("momentum-shell") is None
+    assert set(witnesses.values()) == {"ArithmeticError: family build refused"}
 
 
 def test_run_leaves_no_child_process(three_cpus):
@@ -493,6 +503,7 @@ def test_truncation_above_the_cap_is_config_error(capsys, monkeypatch, argv):
         raise AssertionError("an over-cap truncation started a computation")
     for name in report.SUITE_RUNNERS:
         monkeypatch.setitem(report.SUITE_RUNNERS, name, never)
+    monkeypatch.setattr(report, "prepared", never)
     monkeypatch.setattr(cli, "normalized_gram", never)
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_CONFIG and out == ""
@@ -515,6 +526,7 @@ def test_momentum_above_the_cap_is_config_error(capsys, monkeypatch, argv):
         raise AssertionError("an over-cap momentum started a computation")
     for name in report.SUITE_RUNNERS:
         monkeypatch.setitem(report.SUITE_RUNNERS, name, never)
+    monkeypatch.setattr(report, "prepared", never)
     monkeypatch.setattr(cli, "pure_state_projector", never)
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_CONFIG and out == ""

@@ -304,6 +304,13 @@ def test_operator_matrices_match_the_per_state_action(data):
         p.apply(FockPolyState.basis_state(cols[0], truncation, 3 - scheme))
 
 
+def test_an_image_that_cancels_outside_the_rows_is_no_error():
+    # in scheme 2, a+_2 a_2 + a+_4 a_4 sends |0,1,1,1> to 1 - 1 = 0 times itself
+    op = BilinearOperator({(2, 2): GR_ONE, (4, 4): GR_ONE})
+    assert op.apply(FockPolyState.basis_state((0, 1, 1, 1), 3, 2)).is_zero()
+    assert op.matrix([(0, 1, 1, 1)], [(0, 0, 0, 0)]) == ExactMatrix.zeros(1, 1)
+
+
 def test_matrix_builders_raise_at_the_cutoff_and_outside_the_rows():
     basis = monomial_basis(N)
     top = [(N, 0, 0, 0)]

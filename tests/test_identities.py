@@ -9,13 +9,14 @@ and a failing Gram identity, or a failing claim about every Fock basis
 state, names the state it fails on.
 """
 
+import os
 import sys
 from collections import Counter
 from itertools import product
 
 import pytest
 
-from stueckelberg import fock, modes, suites
+from stueckelberg import fock, modes, report, suites
 from stueckelberg.epsilon import (BIVECTOR_PAIRS, DIM11, BasisIndex, epsilon as eps_unit,
                                   epsilon_delta)
 from stueckelberg.exact import ExactMatrix, assemble, block_at, mat_commutator
@@ -90,22 +91,42 @@ BUILDER_CALLS = {
 }
 
 
-def test_each_shared_object_is_built_once(monkeypatch):
-    calls = Counter()
+def _count_builders(monkeypatch, count):
+    """Call count(name) on every call of each BUILDER_CALLS builder; structure constants afresh."""
     package = [m for name, m in sys.modules.items() if name.split(".")[0] == "stueckelberg"]
     for name in BUILDER_CALLS:
         real = next(vars(m)[name] for m in package if name in vars(m))
 
         def counted(*args, _real=real, _name=name, **kwargs):
-            calls[_name] += 1
+            count(_name)
             return _real(*args, **kwargs)
         for m in package:
             if vars(m).get(name) is real:
                 monkeypatch.setattr(m, name, counted)
     modes.structure_constants.cache_clear()
     modes._generator_basis.cache_clear()
+
+
+def test_each_shared_object_is_built_once(monkeypatch):
+    calls = Counter()
+    _count_builders(monkeypatch, lambda name: calls.update((name,)))
     for suite in ("projectors", "u31", "fock"):
         assert all(r.status == "pass" for r in run_suite(suite, SuiteConfig()))
+    assert dict(calls) == BUILDER_CALLS
+
+
+def test_each_shared_object_is_built_once_across_processes(monkeypatch, three_cpus):
+    # every process writes one byte per builder call into one inherited pipe
+    names = list(BUILDER_CALLS)
+    rd, wr = os.pipe()
+    try:
+        _count_builders(monkeypatch, lambda name: os.write(wr, bytes([names.index(name)])))
+        rep = report.run(SuiteConfig(suites=("projectors", "u31", "fock")))
+    finally:
+        os.close(wr)
+    with os.fdopen(rd, "rb") as fh:
+        calls = Counter(names[b] for b in fh.read())
+    assert rep.exit_code == report.EXIT_PASS
     assert dict(calls) == BUILDER_CALLS
 
 
