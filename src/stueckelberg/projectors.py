@@ -12,8 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import (ExactMatrix, GR_I, GaussianRational, _lowest, as_fraction, mat_rank,
-                    rational_sqrt)
+from .exact import ExactMatrix, GR_I, GaussianRational, _lowest, as_fraction, rational_sqrt
 from .epsilon import VECTOR_INDICES
 from .wave import wave_matrices
 
@@ -253,9 +252,11 @@ def dyad_factorize(delta: ExactMatrix, p: FourMomentum, labels) -> SolutionDyad:
 
     The reassembly check rejects a wrong t.
     """
-    if mat_rank(delta) != 1:
+    factors = None if delta.is_zero() else rank_one_factors(delta)
+    # a nonzero delta has rank one exactly when its factors reassemble it
+    if factors is None or factors[0] @ factors[1] != delta:
         raise ValueError("not a pure state: projector rank differs from 1")
-    col, _, j = rank_one_factors(delta)
+    col, _, j = factors
     eta = wave_matrices().eta
     nu = (col.dagger() @ eta @ col)[0, 0]
     if not nu:

@@ -1,9 +1,9 @@
 """Identity suites: every verifiable claim declared once, as a named, timed check.
 
 A suite is a class whose `identity`-decorated methods are its checks, in
-report order.  Objects its checks share are built in its constructor or,
-when only some identities need them, on first use; `prepared` builds them
-before any check, but for `built_on_use` ones.  A declaration names at
+report order.  Objects its checks share are cached properties, which
+`prepared` builds before any check, but for `built_on_use` ones; a build
+that raises fails each identity that reads it.  A declaration names at
 most one requirement: MOVING_FRAME (at rest the identity is reported as
 skipped, with REST_FRAME_REASON) or SCHEME_1 / SCHEME_2 (the identity is
 left out unless the configuration runs that vacuum scheme).  A check
@@ -102,7 +102,12 @@ def identity(ident, claim, needs=None, check=None):
 
 
 class Suite:
-    """One run of a suite under a configuration, with the objects its checks share."""
+    """One run of a suite under a configuration, with the objects its checks share.
+
+    The constructor keeps only the configuration.  Each shared object is
+    a `cached_property`, so a build that raises is not a crash: every
+    check that reads the object fails with the exception as its witness.
+    """
 
     name = ""
     identities = ()
@@ -126,12 +131,10 @@ class built_on_use(cached_property):
 
 
 def prepared(name, cfg):
-    """SUITES[name](cfg) with each `cached_property` of its class built; None if all skip.
+    """SUITES[name](cfg) with each `cached_property` of its class built.
 
     A build that raises is dropped: the identity that needs it builds it again.
     """
-    if not any(cfg.momentum) and all(d.needs == MOVING_FRAME for d in scheduled(name, cfg)):
-        return None
     suite = SUITES[name](cfg)
     for attr in [a for c in type(suite).__mro__ for a, v in vars(c).items()
                  if isinstance(v, cached_property) and not isinstance(v, built_on_use)]:
@@ -145,8 +148,11 @@ def run_suite(name, cfg, take=None, suite=None) -> list:
 
     take(k), asked once per k in increasing order, says whether this
     process checks the k-th of `scheduled(name, cfg)`; by default it
-    checks every one.  suite (from `prepared`) is built on the first check if None.
+    checks every one.  suite (from `prepared`) is built here if None, and
+    its shared objects then as the checks read them.
     """
+    if suite is None:
+        suite = SUITES[name](cfg)
     r = Recorder(name)
     for k, d in enumerate(scheduled(name, cfg)):
         if take is not None and not take(k):
@@ -154,8 +160,6 @@ def run_suite(name, cfg, take=None, suite=None) -> list:
         if d.needs == MOVING_FRAME and not any(cfg.momentum):
             r.skip(d.ident, d.claim, REST_FRAME_REASON)
         else:
-            if suite is None:
-                suite = SUITES[name](cfg)
             r.check(d.ident, d.claim, partial(d.check, suite))
     return r.records
 
@@ -390,12 +394,10 @@ def _permutation_sign(perm):
 
 class Projectors(Suite):
     name = "projectors"
+    p = cached_property(lambda s: FourMomentum.from_mass_and_momentum(s.cfg.mass,
+                                                                      s.cfg.momentum))
+    m = cached_property(lambda s: GaussianRational(s.p.m))
     w = cached_property(lambda s: wave_matrices())
-
-    def __init__(self, cfg):
-        super().__init__(cfg)
-        self.p = FourMomentum.from_mass_and_momentum(cfg.mass, cfg.momentum)
-        self.m = GaussianRational(self.p.m)
 
     @cached_property
     def fam(self):
@@ -649,16 +651,14 @@ def _in_column_order(m):
 
 class U31(Suite):
     name = "u31"
+    ctx = cached_property(lambda s: ModeContext(s.cfg.k0))
+    h = cached_property(lambda s: hamiltonian(s.ctx))
+    charges = cached_property(lambda s: conserved_charges(s.ctx))
+    dirs = cached_property(lambda s: basis_directions())
+    products = cached_property(lambda s: canonical_products())
+    qs = cached_property(lambda s: tuple(s.products[i,] for i in range(4)))
+    pis = cached_property(lambda s: tuple(s.products[i,] for i in range(4, 8)))
     constants = cached_property(lambda s: structure_constants())
-
-    def __init__(self, cfg):
-        super().__init__(cfg)
-        self.ctx = ModeContext(cfg.k0)
-        self.h = hamiltonian(self.ctx)
-        self.charges = conserved_charges(self.ctx)
-        self.dirs = basis_directions()
-        self.products = canonical_products()
-        self.qs, self.pis = (tuple(self.products[i,] for i in r) for r in (range(4), range(4, 8)))
 
     @cached_property
     def direction_charges(self):
@@ -793,16 +793,13 @@ class Fock(Suite):
     """
 
     name = "fock"
+    n = property(lambda s: s.cfg.truncation)
+    k0 = property(lambda s: s.cfg.k0)
+    schemes = property(lambda s: SCHEMES[s.cfg.scheme])
+    basis = cached_property(lambda s: monomial_basis(s.n))
+    # the states below top degree, the first len(inner) basis states
+    inner = cached_property(lambda s: [b for b in s.basis if sum(b) <= s.n - 1])
     constants = cached_property(lambda s: structure_constants())
-
-    def __init__(self, cfg):
-        super().__init__(cfg)
-        self.n = cfg.truncation
-        self.k0 = cfg.k0
-        self.schemes = SCHEMES[cfg.scheme]
-        self.basis = monomial_basis(self.n)
-        # the states below top degree, the first len(inner) basis states
-        self.inner = [b for b in self.basis if sum(b) <= self.n - 1]
 
     @cached_property
     def qc(self):
@@ -1098,13 +1095,10 @@ CS_B = (Fraction(5, 13), Fraction(12, 13))
 
 class Em(Suite):
     name = "em"
-
-    def __init__(self, cfg):
-        super().__init__(cfg)
-        self.trunc = min(cfg.truncation, 4)
-        self.charges = em_mod.su2_charges()
-        self.h = em_mod.em_hamiltonian(cfg.k0)
-        self.elements = _sample_u2_elements()
+    trunc = property(lambda s: min(s.cfg.truncation, 4))
+    charges = cached_property(lambda s: em_mod.su2_charges())
+    h = cached_property(lambda s: em_mod.em_hamiltonian(s.cfg.k0))
+    elements = cached_property(lambda s: _sample_u2_elements())
 
     @identity("su2-commutators", "the rotation charges close with the structure constant i")
     def su2(self):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import stueckelberg
 from exact_helpers import matrix_from_json
-from stueckelberg import cli, report
+from stueckelberg import cli, modes, report, suites
 from stueckelberg.cli import main
 from stueckelberg.epsilon import SPACES, BasisIndex, epsilon
 from stueckelberg.fock import normalized_gram
@@ -313,20 +313,40 @@ def test_worker_count_is_capped_at_the_identities_and_cpus(capsys, monkeypatch, 
     assert len(forks) == min(len(json.loads(out)["identities"]), cpus) - 1
 
 
+# (suite, owner and name of a builder, the suite's identities that read no object it builds)
+REFUSED_BUILDS = [
+    ("projectors", ProjectorFamily, "build", {"momentum-shell"}),
+    ("u31", modes, "basis_directions", {"canonical-brackets", "hamiltonian-two-forms",
+                                        "charges-conserved", "unit-charge-counts-quanta"}),
+    ("em", suites, "_sample_u2_elements", {
+        "su2-commutators", "rotations-commute-number", "charges-conserved",
+        "hamiltonian-is-number", "stokes-one-photon", "stokes-vacuum", "dual-rotation-matrix",
+        "dual-group-law", "dual-stokes-rotation", "dual-subgroup"}),
+]
+
+
+@pytest.mark.parametrize("suite, owner, builder, unread", REFUSED_BUILDS,
+                         ids=[row[0] for row in REFUSED_BUILDS])
 def test_a_shared_object_whose_build_raises_fails_each_identity_that_needs_it(
-        capsys, monkeypatch, three_cpus):
-    def refused(p):
-        raise ArithmeticError("family build refused")
-    monkeypatch.setattr(ProjectorFamily, "build", staticmethod(refused))
-    argv = ("verify", "projectors", "--json", "--no-timing")
+        capsys, monkeypatch, three_cpus, suite, owner, builder, unread):
+    def refused(*args):
+        raise ArithmeticError("build refused")
+    built = getattr(owner, builder)
+    for module in (owner, suites):  # the builder under each name the suites call it by
+        if getattr(module, builder, None) is built:
+            monkeypatch.setattr(module, builder, refused)
+    # the structure constants are built once per process, from the directions
+    modes.structure_constants.cache_clear()
+    modes._generator_basis.cache_clear()
+    argv = ("verify", suite, "--json", "--no-timing")
     forked = run_cli(capsys, *argv)
     assert forked == run_cli(capsys, *argv, "--workers", "1")
     code, out, err = forked
     assert code == EXIT_FAIL and err == ""
     witnesses = {r["id"]: r.get("witness") for r in json.loads(out)["identities"]}
-    # every projectors identity but the mass shell reads the family
-    assert witnesses.pop("momentum-shell") is None
-    assert set(witnesses.values()) == {"ArithmeticError: family build refused"}
+    assert {i for i, w in witnesses.items() if w is None} == unread
+    assert {w for i, w in witnesses.items() if i not in unread} == {
+        "ArithmeticError: build refused"}
 
 
 def test_run_leaves_no_child_process(three_cpus):
