@@ -18,32 +18,38 @@ from .exact import (ExactMatrix, GR_I, GR_ONE, GR_ZERO, GaussianRational, as_fra
                     assemble, mat_columns)
 from .fock import BilinearOperator, FockPolyState, inner_product
 
-PAULI = {
-    1: ExactMatrix([[GR_ZERO, GR_ONE], [GR_ONE, GR_ZERO]]),
-    2: ExactMatrix([[GR_ZERO, -GR_I], [GR_I, GR_ZERO]]),
-    3: ExactMatrix([[GR_ONE, GR_ZERO], [GR_ZERO, -GR_ONE]]),
-}
+
+@lru_cache(maxsize=None)
+def pauli():
+    """The Pauli matrices tau_1, tau_2, tau_3, keyed 1 to 3, built on first use."""
+    return {1: ExactMatrix([[GR_ZERO, GR_ONE], [GR_ONE, GR_ZERO]]),
+            2: ExactMatrix([[GR_ZERO, -GR_I], [GR_I, GR_ZERO]]),
+            3: ExactMatrix([[GR_ONE, GR_ZERO], [GR_ZERO, -GR_ONE]])}
 
 
-def polarization_state(coeffs, truncation=4) -> FockPolyState:
+def polarization_state(coeffs, truncation) -> FockPolyState:
     """Two-mode state: {(n1, n2): coefficient} with modes 3, 4 empty."""
     full = {(n1, n2, 0, 0): v for (n1, n2), v in coeffs.items()}
     return FockPolyState(full, truncation, scheme=2)
 
 
-def one_photon(mode: int, truncation=4) -> FockPolyState:
+def one_photon(mode: int, truncation) -> FockPolyState:
     return polarization_state({(1, 0) if mode == 1 else (0, 1): GR_ONE}, truncation)
 
 
-# the coefficient tables M of the four charges b^+ M b on the two modes:
-# the photon-number half I/2 and the rotation triplet tau_i/2
-STOKES_TABLES = (ExactMatrix.identity(2) * Fraction(1, 2),) + tuple(
-    PAULI[i] * Fraction(1, 2) for i in (1, 2, 3))
+@lru_cache(maxsize=None)
+def stokes_tables():
+    """The coefficient tables M of the four charges b^+ M b on the two modes.
+
+    They are the photon-number half I/2 and the rotation triplet tau_i/2.
+    """
+    return (ExactMatrix.identity(2) * Fraction(1, 2),) + tuple(
+        pauli()[i] * Fraction(1, 2) for i in (1, 2, 3))
 
 
 def su2_charges() -> dict:
     """The four conserved bilinears: rotation triplet and the photon number half."""
-    return {i: BilinearOperator.from_table(t) for i, t in enumerate(STOKES_TABLES)}
+    return {i: BilinearOperator.from_table(t) for i, t in enumerate(stokes_tables())}
 
 
 def em_hamiltonian(k0) -> BilinearOperator:
@@ -86,7 +92,7 @@ class U2Element(namedtuple("U2Element", "matrix")):
         ntau = ExactMatrix.zeros(2)
         for i in (1, 2, 3):
             if n[i - 1]:
-                ntau = ntau + PAULI[i] * GaussianRational(n[i - 1])
+                ntau = ntau + pauli()[i] * GaussianRational(n[i - 1])
         rot = ExactMatrix.identity(2) * GaussianRational(ct) + ntau * GaussianRational(0, st)
         phase = GaussianRational(ca, sa)
         return U2Element(rot * phase)
@@ -111,7 +117,7 @@ class U2Element(namedtuple("U2Element", "matrix")):
         `_trace_pairing`.  The coefficients are exact and, for genuine
         group elements, real.
         """
-        m = assemble(3, 4, ((self.conjugate_charge(PAULI[i]),
+        m = assemble(3, 4, ((self.conjugate_charge(pauli()[i]),
                              lambda ab, r=i - 1: (r, 2 * ab[0] + ab[1])) for i in (1, 2, 3)))
         return m @ _trace_pairing()
 
@@ -119,10 +125,10 @@ class U2Element(namedtuple("U2Element", "matrix")):
 @lru_cache(maxsize=None)
 def _trace_pairing():
     """Column j holds tau_j^T / 2 row-major: a flattened M times it gives tr(M tau_j) / 2."""
-    return mat_columns([PAULI[j].transpose() * Fraction(1, 2) for j in (1, 2, 3)])
+    return mat_columns([pauli()[j].transpose() * Fraction(1, 2) for j in (1, 2, 3)])
 
 
-def stokes_expectations(s: FockPolyState, tables=STOKES_TABLES):
+def stokes_expectations(s: FockPolyState, tables=None):
     """<s|Q s>/<s|s> for the charge Q of each table: (J0, J1, J2, J3) by default."""
     if any(k[2] or k[3] for k in s.coeffs):
         raise ValueError("state occupies non-transverse modes")
@@ -130,7 +136,7 @@ def stokes_expectations(s: FockPolyState, tables=STOKES_TABLES):
     if not norm:
         raise ValueError("zero-norm state")
     out = []
-    for t in tables:
+    for t in stokes_tables() if tables is None else tables:
         val = inner_product(s, BilinearOperator.from_table(t).apply(s)) / norm
         if val.im:
             raise AssertionError("charge expectation should be real")

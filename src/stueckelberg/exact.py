@@ -60,7 +60,7 @@ class GaussianRational:
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
+    def __init__(self, re, im=0):
         self.re = as_fraction(re)
         self.im = as_fraction(im)
 
@@ -95,12 +95,6 @@ class GaussianRational:
             return NotImplemented
         return GaussianRational._raw(self.re - o.re, self.im - o.im)
 
-    def __rsub__(self, other):
-        o = GaussianRational._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational._raw(o.re - self.re, o.im - self.im)
-
     def __mul__(self, other):
         o = GaussianRational._coerce(other)
         if o is None:
@@ -121,12 +115,6 @@ class GaussianRational:
             raise ZeroDivisionError("division by zero Gaussian rational")
         a, b, c, d = self.re, self.im, o.re, o.im
         return GaussianRational._raw((a * c + b * d) / n, (b * c - a * d) / n)
-
-    def __rtruediv__(self, other):
-        o = GaussianRational._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
 
     def __neg__(self):
         return GaussianRational._raw(-self.re, -self.im)
@@ -538,23 +526,23 @@ def mat_commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 
 
 def assemble(rows, cols, parts) -> ExactMatrix:
-    """The rows x cols matrix that sums placed exact stores.
+    """The rows x cols matrix of placed exact stores.
 
     parts yields (store, place) pairs: the coefficient a store (a matrix,
-    an observable, a bilinear) holds under key k is added at position
-    place(k), which must lie inside the shape.  Blocks, stacks and the
-    columns of a table of stores are all one such sum.
+    an observable, a bilinear) holds under key k is put at position
+    place(k), which must lie inside the shape; no two coefficients may
+    share a position.  Blocks, stacks and the columns of a table of
+    stores are all one such placement.
     """
     parts = [(s._c, s._den, place) for s, place in parts]
-    den = math.lcm(1, *(d for _, d, _ in parts))
+    den = math.lcm(*(d for _, d, _ in parts))
     out = {}
     for c, d, place in parts:
         f = den // d
-        for k, (a, b) in c.items():
-            ij = place(k)
-            e = out.get(ij)
-            out[ij] = (a * f, b * f) if e is None else (e[0] + a * f, e[1] + b * f)
-    return ExactMatrix._of(rows, cols, *_lowest(_pruned(out), den))
+        out.update((place(k), (a * f, b * f)) for k, (a, b) in c.items())
+    if len(out) != sum(len(c) for c, _, _ in parts):
+        raise ValueError("two coefficients placed at one position")
+    return ExactMatrix._of(rows, cols, *_lowest(out, den))
 
 
 def block_at(r, c):

@@ -52,8 +52,6 @@ from .exact import (GR_I, GR_ONE, ExactMatrix, GaussianRational, _ExactCoefficie
 
 METRIC_SIGNATURE = (1, 1, 1, -1)
 
-DEFAULT_TRUNCATION = 6
-
 # annihilation sign of modes 1..4 per scheme: scheme 1 swaps the mode-4
 # pair, which restores the standard sign
 _ANNIHILATION_SIGNS = {1: (1, 1, 1, 1), 2: METRIC_SIGNATURE}
@@ -115,9 +113,9 @@ class FockPolyState(_SchemeCoefficients):
 
     __slots__ = ("truncation",)
 
-    def __init__(self, coeffs=None, truncation=DEFAULT_TRUNCATION, scheme=2):
+    def __init__(self, coeffs, truncation, scheme):
         self._frame(truncation, scheme)
-        self._store((coeffs or {}).items(), self._occupation)
+        self._store(coeffs.items(), self._occupation)
 
     def _frame(self, truncation, scheme):
         if scheme not in (1, 2):
@@ -135,11 +133,11 @@ class FockPolyState(_SchemeCoefficients):
         return k
 
     @staticmethod
-    def vacuum(truncation=DEFAULT_TRUNCATION, scheme=2):
+    def vacuum(truncation, scheme):
         return FockPolyState({(0, 0, 0, 0): GR_ONE}, truncation, scheme)
 
     @staticmethod
-    def basis_state(n, truncation=DEFAULT_TRUNCATION, scheme=2):
+    def basis_state(n, truncation, scheme):
         """The monomial n with coefficient 1."""
         s = object.__new__(FockPolyState)
         s._frame(truncation, scheme)
@@ -289,7 +287,7 @@ def inner_product(a: FockPolyState, b: FockPolyState) -> GaussianRational:
     return _scalar(*_overlap(a, b))
 
 
-def normalized_gram(truncation: int, scheme: int = 2) -> tuple:
+def normalized_gram(truncation: int, scheme: int) -> tuple:
     """(basis, ExactMatrix): Gram matrix of the normalised monomial basis.
 
     Normalisation by the square roots of factorials happens only as the
@@ -422,7 +420,7 @@ def covariant_ladder_phase(mu: int) -> GaussianRational:
     return GR_I if mu == 4 else GR_ONE
 
 
-def energy_operator(k0, scheme: int = 2) -> BilinearOperator:
+def energy_operator(k0, scheme: int) -> BilinearOperator:
     """P0 = k0 (sum_a b_a^+ b_a - b_0^+ b_0), normal-ordered for the scheme.
 
     In scheme 2 the expression is already normal ordered.  In scheme 1
@@ -489,13 +487,13 @@ def quantize(obs, k0) -> BilinearOperator:
         raise ZeroDivisionError("quantisation needs a nonzero k0")
     # q_mu = (b + b+)/sqrt(2 k0): ladder sign +1; pi_mu = -i sqrt(k0/2)(b - b+):
     # ladder sign -1.  The radical prefactors only ever meet in pairs:
-    #   q.q -> 1/(2 k0),  pi.pi -> -k0/2,  q.pi -> -i/2,
+    #   q.q -> 1/(2 k0),  pi.pi -> -k0/2,  q.pi -> -i/2 (a monomial's q comes first),
     # that is q^2, -p^2 and -i pq over 2pq for k0 = p/q (signs flipped
     # with p, so that the denominator stays positive).
     p, q = k0.numerator, k0.denominator
     s = 1 if p > 0 else -1
     pair_factor = {(True, True): (s * q * q, 0), (False, False): (-s * p * p, 0),
-                   (True, False): (0, -s * p * q), (False, True): (0, -s * p * q)}
+                   (True, False): (0, -s * p * q)}
     den = obs._den * 2 * abs(p) * q
     create_create, annih_annih, bilinear = {}, {}, {}
 

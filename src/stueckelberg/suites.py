@@ -25,10 +25,10 @@ from . import em as em_mod
 from .epsilon import (BIVECTOR_PAIRS, DIM4, DIM5, DIM10, DIM11, BasisIndex,
                       bivector_component, epsilon_delta)
 from .epsilon import epsilon as eps_unit
-from .fock import (METRIC_SIGNATURE, BilinearOperator, FockPolyState, LadderOp, apply_ladder,
-                   commutator_tables, covariant_ladder_phase, decompose_physical,
-                   energy_operator, inner_product, ladder_matrix, monomial_basis,
-                   normalized_gram, quantize, quantum_charges)
+from .fock import (METRIC_SIGNATURE, BilinearOperator, FockPolyState, LadderOp,
+                   TruncationOverflowError, apply_ladder, commutator_tables,
+                   covariant_ladder_phase, decompose_physical, energy_operator, inner_product,
+                   ladder_matrix, monomial_basis, normalized_gram, quantize, quantum_charges)
 from .modes import (ModeContext, QuadraticObservable, amplitude_form_hamiltonian,
                     basis_directions, canonical_products, charge_combination,
                     conserved_charges, hamiltonian, infinitesimal_transform, observable_columns,
@@ -1066,13 +1066,14 @@ class Fock(Suite):
                 c, t, i = min(bad)
                 return False, f"bilinear ({i}, {j}), state {tops[c]}, truncation {truncations[t]}"
         # the matrices are exact only if no image is dropped: creation on a
-        # top-degree state leaves the basis, by the cutoff at n and by the
-        # row set at n + 2
-        for t in truncations:
+        # top-degree state must raise, at n by the cutoff (the rows there
+        # hold its images) and at n + 2 by the row set
+        for t, rows, error in ((n, monomial_basis(n + 1), TruncationOverflowError),
+                               (n + 2, self.basis, ValueError)):
             for i in IDX:
                 try:
-                    ladder_matrix(LadderOp(i, "create"), tops, self.basis, t)
-                except ValueError:
+                    ladder_matrix(LadderOp(i, "create"), tops, rows, t)
+                except error:
                     continue
                 return False, f"creation {i} on the top-degree states, truncation {t}"
         # a bilinear with table T acts on the degree-1 states, in mode order,
@@ -1185,7 +1186,7 @@ class Em(Suite):
         states = [em_mod.one_photon(1, trunc), em_mod.one_photon(2, trunc),
                   em_mod.polarization_state({(1, 0): GR_ONE, (0, 1): GaussianRational(1, 1)}, trunc),
                   em_mod.polarization_state({(2, 0): GR_ONE, (0, 2): GaussianRational(2)}, trunc)]
-        turned = [du.conjugate_charge(t) for t in em_mod.STOKES_TABLES]
+        turned = [du.conjugate_charge(t) for t in em_mod.stokes_tables()]
         for st in states:
             j0, j1, j2, j3 = em_mod.stokes_expectations(st)
             got = em_mod.stokes_expectations(st, turned)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from exact_helpers import gr
-from stueckelberg.em import (PAULI, U2Element, em_hamiltonian, polarization_state,
+from stueckelberg.em import (U2Element, em_hamiltonian, pauli, polarization_state,
                              stokes_expectations)
 from stueckelberg.exact import ExactMatrix, GR_ONE, GR_ZERO, GaussianRational
 
@@ -14,7 +14,7 @@ CS_B = (F(5, 13), F(12, 13))
 
 def test_photon_eigenvalues():
     h = em_hamiltonian(F(5))
-    s = polarization_state({(2, 1): GR_ONE})
+    s = polarization_state({(2, 1): GR_ONE}, 4)
     assert h.apply(s) == s.scale(gr(15))
 
 
@@ -23,7 +23,7 @@ def test_stokes_rejects_bad_states():
     with pytest.raises(ValueError):
         stokes_expectations(FockPolyState({(0, 0, 1, 0): GR_ONE}, 4, 2))
     with pytest.raises(ValueError):
-        stokes_expectations(polarization_state({(1, 0): GR_ZERO}))
+        stokes_expectations(polarization_state({(1, 0): GR_ZERO}, 4))
 
 
 def test_u2_element_validation():
@@ -40,7 +40,7 @@ def test_exponential_expansion_matches_rotation():
     # cos I + i sin tau2 must come out as the real rotation block
     c, s = CS_A
     u = U2Element.from_params((1, 0), (0, 1, 0), CS_A)
-    manual = ExactMatrix.identity(2) * gr(c) + PAULI[2] * GaussianRational(0, s)
+    manual = ExactMatrix.identity(2) * gr(c) + pauli()[2] * GaussianRational(0, s)
     assert u.matrix == manual
     assert u.matrix == ExactMatrix([[c, s], [-s, c]])
 

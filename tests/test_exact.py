@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from exact_helpers import gr, matrix_from_json, row
 from stueckelberg.exact import (ExactMatrix, GR_I, GR_MINUS_ONE, GR_ONE, GR_ZERO,
-                                GaussianRational, fraction_str,
-                                mat_commutator, mat_inverse, mat_rank, rational_sqrt)
+                                GaussianRational, assemble, block_at, fraction_str,
+                                mat_columns, mat_commutator, mat_commutators, mat_inverse,
+                                mat_rank, rational_sqrt)
 from stueckelberg.modes import QuadraticObservable, poisson_bracket
 from stueckelberg.suites import _annihilates
 from stueckelberg.wave import wave_matrices
@@ -24,6 +25,9 @@ def test_field_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert a + b == b + a
     assert a * b == b * a
+    assert (a - b) + b == a
+    if b:
+        assert (a / b) * b == a
 
 
 @given(scalars)
@@ -37,6 +41,7 @@ def test_scalar_basics():
     assert gr("3/2", "-1/3") == GaussianRational(Fraction(3, 2), Fraction(-1, 3))
     assert gr(2) + Fraction(1, 2) == gr("5/2")
     assert hash(gr(3)) == hash(Fraction(3))
+    assert (str(gr("1/2", "1/3")), str(gr(2, -1)), str(gr(0, 1))) == ("1/2+1/3i", "2-1i", "1i")
     with pytest.raises(ZeroDivisionError):
         GR_ONE / GR_ZERO
 
@@ -48,6 +53,8 @@ def test_string_round_trip():
 
 def test_rational_sqrt():
     assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
+    assert rational_sqrt(Fraction(1, 4)) == Fraction(1, 2)
+    assert rational_sqrt(Fraction(0)) == 0
     assert rational_sqrt(Fraction(2)) is None
     assert rational_sqrt(Fraction(-1)) is None
 
@@ -119,8 +126,19 @@ def test_commutator_and_trace():
     c = mat_commutator(a, b)
     assert c == ExactMatrix([[1, 0], [0, -1]])
     assert not c.trace()
+    assert ExactMatrix([[GR_I, 1], [0, gr(1, 2)]]).trace() == gr(1, 3)
     with pytest.raises(ValueError):
         mat_commutator(a, ExactMatrix.identity(3))
+
+
+def test_placed_stores():
+    m = ExactMatrix([[1, 2], [3, GR_I]])
+    assert mat_columns([m]) == ExactMatrix([[1], [2], [3], [GR_I]])
+    n = ExactMatrix([[0, 1], [GR_I, 2]])
+    assert mat_commutators([m, n], [m, n]) == mat_columns([mat_commutator(m, n)])
+    assert assemble(2, 3, ((m, block_at(0, 1)),)) == ExactMatrix([[0, 1, 2], [0, 3, GR_I]])
+    with pytest.raises(ValueError):
+        assemble(2, 3, ((m, block_at(0, 0)), (m, block_at(0, 1))))
 
 
 def test_minimal_poly_check():

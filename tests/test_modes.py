@@ -7,7 +7,7 @@ from stueckelberg.exact import GR_I, GR_ONE
 from stueckelberg.modes import (ModeContext, QuadraticObservable, U31Params,
                                 basis_directions, conserved_charges, generating_function,
                                 generator_matrix, hamiltonian,
-                                infinitesimal_transform, pi_sym, poisson_bracket, q_sym,
+                                infinitesimal_transform, pi_sym, q_sym,
                                 trace_direction)
 
 
@@ -16,18 +16,15 @@ def ctx():
     return ModeContext(Fraction(5))
 
 
-def test_canonical_brackets():
-    one = QuadraticObservable.constant(GR_ONE)
-    assert poisson_bracket(q_sym(1), pi_sym(1)) == one
-    assert poisson_bracket(q_sym(1), q_sym(2)).is_zero()
-    assert poisson_bracket(pi_sym(3), pi_sym(4)).is_zero()
-    assert poisson_bracket(pi_sym(2), q_sym(2)) == QuadraticObservable.constant(-GR_ONE)
-
-
 def test_observable_algebra_guard():
     q = q_sym(1)
     with pytest.raises(ValueError):
         (q * q) * q  # degree 3 is out of scope
+
+
+def test_product_adds_equal_monomials():
+    s = q_sym(1) + q_sym(2)
+    assert s * s == q_sym(1) * q_sym(1) + (q_sym(1) * q_sym(2)).scale(gr(2)) + q_sym(2) * q_sym(2)
 
 
 def test_hamiltonian_single_excitation(ctx):
@@ -55,8 +52,11 @@ def test_reality_pattern_enforced():
         U31Params(sym={(1, 4): GR_ONE})
     with pytest.raises(ValueError):
         U31Params(sym={(4, 4): GR_I})
+    for bad in ({(2, 1): GR_ONE}, {(2, 2): GR_ONE}, {(1, 5): GR_ONE}):  # unordered or no mode
+        with pytest.raises(ValueError):
+            U31Params(antisym=bad)
     with pytest.raises(ValueError):
-        U31Params(antisym={(2, 1): GR_ONE})  # unordered label
+        U31Params(sym={(1, 5): GR_ONE})
 
 
 def test_phase_only_variation(ctx):

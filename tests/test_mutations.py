@@ -13,9 +13,16 @@ identities no row reaches are exactly `UNREACHED`, checked without a
 subprocess: a new identity needs a row that fails it, and a row that
 reaches a listed identity takes it off the list.  A row's set is
 recorded on the code before the change that adds the row, or on the
-change itself where the fault crashed `verify` before it.
+change itself where the fault crashed or passed `verify` before it.
+
+The rows are picked by hand; `mutsweep.py` tries every one-site fault
+of the library modules and keeps its ledger in `mutsweep.json`.  The
+last test here checks that ledger without a subprocess: each mutant
+that survives `verify` has one class, and one that a tier-1 test kills
+instead names a test that exists.
 """
 
+import ast
 import json
 import os
 import shutil
@@ -232,8 +239,8 @@ MUTATIONS = [
      "return self.matrix @ m @ self.matrix.dagger()",
      VERIFY_ALL, {"em/adjoint-homomorphism", "em/dual-stokes-rotation"}),
     ("rotation charges left unhalved", "em.py",
-     "PAULI[i] * Fraction(1, 2) for i in (1, 2, 3)",
-     "PAULI[i] for i in (1, 2, 3)",
+     "pauli()[i] * Fraction(1, 2) for i in (1, 2, 3)",
+     "pauli()[i] for i in (1, 2, 3)",
      VERIFY_ALL, {"em/stokes-one-photon", "em/su2-commutators"}),
     ("second transverse mode's energy doubled", "em.py",
      "return BilinearOperator({(1, 1): k0, (2, 2): k0}, scheme=2)",
@@ -247,6 +254,83 @@ MUTATIONS = [
      "return U2Element.from_params((1, 0), (0, 1, 0), theta_cs)",
      "return U2Element.from_params((1, 0), (1, 0, 0), theta_cs)",
      VERIFY_ALL, {"em/dual-rotation-matrix", "em/dual-subgroup", "em/dual-stokes-rotation"}),
+    ("spin-1 block's bivector-to-vector entries negated", "wave.py",
+     "terms += [((v, b), sign), ((b, v), sign)]\n    return ExactMatrix.sparse(10, 10, terms)",
+     "terms += [((v, b), sign), ((b, v), -sign)]\n    return ExactMatrix.sparse(10, 10, terms)",
+     VERIFY_ALL, {"algebra/alpha-block-split", "algebra/alpha-rotation-bracket",
+                  "algebra/beta4-squared-diagonal", "algebra/eta-anticommutes-spatial",
+                  "algebra/eta-involution", "algebra/eta-spin1-block", "algebra/rotation-closure",
+                  "algebra/trilinear-beta1", "projectors/component-layout",
+                  "projectors/dyad-metric-row", "projectors/dyad-norm-signs",
+                  "projectors/dyad-reassembly", "projectors/eigen-equation",
+                  "projectors/spin0-no-bivector"}),
+    ("metric's scalar entry placed off the diagonal", "wave.py",
+     "[((0, 0), -GR_ONE)]",
+     "[((0, 1), -GR_ONE)]",
+     VERIFY_ALL, {"algebra/eta-anticommutes-spatial", "algebra/eta-commutes-time",
+                  "algebra/eta-hermitian", "algebra/eta-involution", "projectors/component-layout",
+                  "projectors/dyad-metric-row", "projectors/dyad-norm-signs",
+                  "projectors/dyad-reassembly", "projectors/eigen-equation",
+                  "projectors/spin0-no-bivector"}),
+    ("minus one made plus one", "exact.py",
+     "GR_MINUS_ONE = GaussianRational._raw(-_F1, _F0)",
+     "GR_MINUS_ONE = GaussianRational._raw(_F1, _F0)",
+     VERIFY_ALL, {"projectors/energy-completeness", "projectors/spinproj-minimal"}),
+    ("both energy projectors built with the positive sign", "projectors.py",
+     "for eps in (1, -1))",
+     "for eps in (1, 1))",
+     VERIFY_ALL, {"projectors/component-layout", "projectors/eigen-equation",
+                  "projectors/energy-completeness", "projectors/energy-orthogonal",
+                  "projectors/state-orthogonal"}),
+    ("energy projectors normalised by 3 m^2", "projectors.py",
+     "/ (m * m * 2) for eps",
+     "/ (m * m * 3) for eps",
+     VERIFY_ALL, {"projectors/component-layout", "projectors/dyad-metric-row",
+                  "projectors/dyad-norm-signs", "projectors/dyad-reassembly",
+                  "projectors/eigen-equation", "projectors/energy-completeness",
+                  "projectors/energy-idempotent", "projectors/spin0-no-bivector",
+                  "projectors/state-idempotent"}),
+    ("invariant square read as -m^3", "projectors.py",
+     "return -self.m ** 2",
+     "return -self.m ** 3",
+     VERIFY_ALL, STATE_IDS | {f"projectors/{i}" for i in (
+         "projector-commutators", "pslash-cubic", "spin2-absorbs-projection", "spin2-dual-route",
+         "spin2-minimal")}),
+    ("trace starts from one", "exact.py",
+     "a = b = 0\n        for i in range(self.rows):",
+     "a = b = 1\n        for i in range(self.rows):",
+     VERIFY_ALL, {"algebra/unit-trace", "fock/charge-matrix-structure",
+                  "projectors/pslash-traceless", "u31/charge-flows", "u31/generator-closure",
+                  "u31/rotation-subalgebra", "u31/structure-constants",
+                  "u31/trace-direction-trivial"}),
+    ("coordinate's conjugate momentum looked up below it", "modes.py",
+     "j = i + 4 if i < 4 else i - 4",
+     "j = i - 4 if i < 4 else i - 4",
+     VERIFY_ALL, {"fock/bracket-commutator-correspondence", "u31/canonical-brackets",
+                  "u31/charge-flows", "u31/charges-conserved", "u31/structure-constants"}),
+    ("conjugate amplitude left unconjugated", "modes.py",
+     "b_plus = (q_sym(mu) - pi_sym(mu)",
+     "b_plus = (q_sym(mu) + pi_sym(mu)",
+     VERIFY_ALL, {"u31/hamiltonian-two-forms"}),
+    ("mode energy without its half", "modes.py",
+     "    half = GaussianRational(Fraction(1, 2))\n    k2 = ",
+     "    half = GaussianRational(Fraction(1, 1))\n    k2 = ",
+     VERIFY_ALL, {"u31/hamiltonian-two-forms", "u31/unit-charge-counts-quanta"}),
+    ("bilinear commutator made an anticommutator", "fock.py",
+     "a @ _signed_rows(b, self.scheme) - b @ _signed_rows(a, self.scheme)",
+     "a @ _signed_rows(b, self.scheme) + b @ _signed_rows(a, self.scheme)",
+     VERIFY_ALL, {"em/charges-conserved", "em/rotations-commute-number", "em/su2-commutators",
+                  "fock/charges-commute-energy"}),
+    ("polarization states put into the third mode", "em.py",
+     "full = {(n1, n2, 0, 0): v",
+     "full = {(n1, n2, 1, 0): v",
+     VERIFY_ALL, {"em/dual-stokes-rotation", "em/stokes-one-photon", "em/stokes-vacuum"}),
+    # passed every identity before truncation-exactness read the creation
+    # images through rows of degree N + 1, so its set is the change's
+    ("creation cutoff one degree late", "fock.py",
+     "if sum(k) + 1 > truncation:",
+     "if sum(k) - 1 > truncation:",
+     VERIFY_FOCK, {"fock/truncation-exactness"}),
     # faults under a shared object's build: each identity that reads the
     # object fails with the build's exception, and the rest still run
     ("negation made conjugation", "exact.py",
@@ -268,6 +352,11 @@ MUTATIONS = [
                   "u31/generator-closure", "u31/hamiltonian-invariance",
                   "u31/rotation-subalgebra", "u31/structure-constants",
                   "u31/trace-direction-trivial"}),
+    ("squared-spin sums of the wrong size", "projectors.py",
+     "zero = ExactMatrix.zeros(11)\n    jj",
+     "zero = ExactMatrix.zeros(12)\n    jj",
+     VERIFY_ALL, {f"projectors/{d.ident}" for d in SUITES["projectors"].identities}
+     - {"projectors/momentum-shell"}),
 ]
 
 
@@ -326,19 +415,30 @@ def test_each_fault_fails_exactly_its_identities(tmp_path):
     assert missed == []
 
 
-# the identities no row reaches
-UNREACHED = {
-    "algebra/beta4-squared-diagonal", "algebra/eta-hermitian",
-    "projectors/energy-completeness", "projectors/energy-idempotent",
-    "projectors/energy-orthogonal", "projectors/momentum-shell", "projectors/pslash-cubic",
-    "projectors/pslash-traceless", "projectors/spin2-both-sectors",
-    "projectors/spinproj-minimal",
-    "u31/canonical-brackets", "u31/hamiltonian-two-forms", "u31/unit-charge-counts-quanta",
-    "em/rotations-commute-number", "em/stokes-vacuum",
-}
+# the identities no row reaches: every fault in the mass-shell test stops
+# `verify` in `validate`, before any suite runs
+UNREACHED = {"projectors/momentum-shell"}
 
 
 def test_the_identities_no_row_reaches_are_exactly_the_unreached():
     reached = set().union(*(want for *_, want in MUTATIONS))
     assert reached - DECLARED == set(), "a row expects an identity that is not declared"
     assert DECLARED - reached == UNREACHED
+
+
+SWEEP_CLASSES = ("equivalent", "outside verify", "deleted", "undecided")
+
+
+def test_each_survivor_in_the_sweep_ledger_has_a_class():
+    tests = Path(__file__).resolve().parent
+    ledger = json.loads((tests / "mutsweep.json").read_text())
+    defined = {}
+    for label, entry in ledger.items():
+        for survivor in entry["survivors"]:
+            assert survivor["class"] in SWEEP_CLASSES, (label, survivor)
+            if survivor["class"] == "outside verify":
+                path, _, name = survivor["evidence"].partition("::")
+                if path not in defined:
+                    tree = ast.parse((tests.parent / path).read_text())
+                    defined[path] = {f.name for f in tree.body if isinstance(f, ast.FunctionDef)}
+                assert name in defined[path], (label, survivor)

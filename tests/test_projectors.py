@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -44,6 +45,9 @@ def test_momentum_validation():
         FourMomentum(0, 0, 3, 5, 4 + 1)  # off shell
     with pytest.raises(ValueError):
         FourMomentum(0, 0, 0, 2, -2)
+    with pytest.raises(ValueError):
+        FourMomentum(0, 0, 3, 3, 0)  # massless
+    assert FourMomentum.from_mass_and_momentum("1/2", (0, 0, 0)).p0 == Fraction(1, 2)
 
 
 def test_spatial_norm_rationality():
