@@ -11,7 +11,7 @@ acceptance test suite run the full inventory.
 """
 
 from .exact import ExactMatrix, GaussianRational, mat_commutator, mat_inverse, mat_rank
-from .epsilon import DIM4, DIM5, DIM10, DIM11, SPACES, BasisIndex, SpaceView, epsilon
+from .epsilon import DIM4, DIM5, DIM10, DIM11, SPACES, SpaceView, epsilon
 from .wave import WaveMatrices, wave_matrices
 from .projectors import (FourMomentum, IrrationalMomentumError, ProjectorFamily,
                          RestFrameError, SolutionDyad, dyad_factorize,

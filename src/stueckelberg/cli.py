@@ -16,12 +16,11 @@ import os
 import sys
 
 from .exact import GaussianRational, as_fraction
-from .epsilon import SPACES, BasisIndex
+from .epsilon import SPACES, parse_label
 from .epsilon import epsilon as eps_unit
 from .fock import normalized_gram
 from .projectors import FourMomentum, dyad_factorize, pure_state_projector
-from .report import (EXIT_CONFIG, MAX_TRUNCATION, ConfigError, SuiteConfig, check_momentum_size,
-                     run)
+from .report import EXIT_CONFIG, MAX_TRUNCATION, ConfigError, SuiteConfig, check_momentum, run
 from .suites import ALL_SUITES
 from .wave import wave_matrices
 from . import em as em_mod
@@ -150,9 +149,7 @@ def cmd_dump_epsilon(args):
     if space is None:
         raise ConfigError(f"unknown space {args.space!r}; choose from {', '.join(SPACES)}")
     try:
-        a = BasisIndex.parse(args.a)
-        b = BasisIndex.parse(args.b)
-        m = eps_unit(a, b, space)
+        m = eps_unit(parse_label(args.a), parse_label(args.b), space)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     _emit(_matrix_json(m), args)
@@ -179,10 +176,10 @@ def cmd_dump_solutions(args):
     eps = {"+1": 1, "1": 1, "-1": -1}.get(args.energy_sign)
     spin = _parse_int(args.spin, "spin")
     proj = _parse_int(args.projection, "projection")
+    mass, momentum = _parse_fraction(args.mass), _parse_momentum(args.momentum)
     try:
-        p = FourMomentum.from_mass_and_momentum(_parse_fraction(args.mass),
-                                                _parse_momentum(args.momentum))
-        check_momentum_size(p)
+        p = FourMomentum.from_mass_and_momentum(mass, momentum)
+        check_momentum(mass, momentum)
         # rejects a bad sign or pair, the rest frame and an irrational |p|
         delta = pure_state_projector(p, eps, spin, proj)
     except ValueError as exc:

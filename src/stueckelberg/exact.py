@@ -393,9 +393,9 @@ class ExactMatrix(_ExactCoefficients):
         return ExactMatrix.sparse(n, n, (((i, i), GR_ONE) for i in range(n)))
 
     @staticmethod
-    def unit(rows, cols, i, j, scale=GR_ONE):
-        """Matrix with a single entry `scale` at (i, j)."""
-        return ExactMatrix.sparse(rows, cols, (((i, j), scale),))
+    def unit(rows, cols, i, j):
+        """Matrix with a single entry 1 at (i, j)."""
+        return ExactMatrix.sparse(rows, cols, (((i, j), GR_ONE),))
 
     def _position(self, ij):
         i, j = ij

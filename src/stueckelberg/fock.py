@@ -238,15 +238,15 @@ def apply_ladder(op: LadderOp, s: FockPolyState) -> FockPolyState:
     return s._with(*_lowest(out, s._den))
 
 
-def ladder_matrix(op: LadderOp, cols, rows, truncation: int, scheme: int = 2) -> ExactMatrix:
+def ladder_matrix(op: LadderOp, cols, rows, truncation: int) -> ExactMatrix:
     """`apply_ladder` as a matrix from the span of the monomials cols into that of rows.
 
-    Column c is the image of cols[c] at this truncation and scheme, read
+    Column c is the image of cols[c] at this truncation in scheme 2, read
     in the order of rows.  Creation past the cutoff raises
     TruncationOverflowError and an image outside rows ValueError.
     """
     columns = list(zip(cols, range(len(cols))))
-    images = _ladder_images(op, scheme, truncation, columns)
+    images = _ladder_images(op, 2, truncation, columns)
     return _image_matrix(cols, rows, [(images, (1, 0))], 1)
 
 

@@ -265,19 +265,19 @@ def canonical_products():
     return out
 
 
-def generating_function(params: U31Params, ctx: ModeContext, products=None) -> QuadraticObservable:
+def generating_function(params: U31Params, ctx: ModeContext, products) -> QuadraticObservable:
     """F(q, pi') = q.pi' + pi'.2A.q + (pi'.W.pi' / k0 + k0 q.W.q) / 2.
 
     The momentum symbols stand for the primed momenta here.  The plain
     q.pi' term generates the identity; each parameter adds its bilinear.
+    products is `canonical_products()`, which the caller builds once.
     """
     k0 = GaussianRational(ctx.k0)
-    prod = products or canonical_products()
-    out = prod[()]
+    out = products[()]
     for (i, j), a in (params.a * 2).coeffs.items():
-        out = out + prod[4 + i, j].scale(a)
+        out = out + products[4 + i, j].scale(a)
     for (i, j), w in (_phase_table(params) * Fraction(1, 2)).coeffs.items():
-        out = out + prod[4 + i, 4 + j].scale(w / k0) + prod[i, j].scale(w * k0)
+        out = out + products[4 + i, 4 + j].scale(w / k0) + products[i, j].scale(w * k0)
     return out
 
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import permutations
 
 from .exact import ExactMatrix, GR_I, GaussianRational, _lowest, as_fraction, rational_sqrt
-from .epsilon import VECTOR_INDICES
+from .epsilon import VECTOR_INDICES, levi_civita
 from .wave import wave_matrices
 
 SPIN_STATES = ((1, 1), (1, -1), (1, 0), (0, 0))  # (spin, projection)
@@ -67,11 +68,6 @@ class FourMomentum(namedtuple("FourMomentum", "p1 p2 p3 p0 m")):
                 f"|p| = sqrt({n2}) is irrational; choose a Pythagorean momentum")
         return n
 
-    def bit_length(self) -> int:
-        """The largest numerator or denominator bit length of p0, |p| and m."""
-        return max(max(x.numerator.bit_length(), x.denominator.bit_length())
-                   for x in (self.p0, self.spatial_norm(), self.m))
-
     def is_at_rest(self) -> bool:
         return not (self.p1 or self.p2 or self.p3)
 
@@ -114,10 +110,6 @@ def spin_squared(p: FourMomentum) -> ExactMatrix:
     return (jj * GaussianRational(p.p_squared) - cross) / GaussianRational(p.m * p.m)
 
 
-_EPS3 = {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
-         (1, 3, 2): -1, (3, 2, 1): -1, (2, 1, 3): -1}
-
-
 def spin_projection_op(p: FourMomentum) -> ExactMatrix:
     """Spin projection on the momentum direction; needs |p| rational and nonzero."""
     w = wave_matrices()
@@ -126,10 +118,11 @@ def spin_projection_op(p: FourMomentum) -> ExactMatrix:
     norm = p.spatial_norm()
     comps = (p.p1, p.p2, p.p3)
     out = ExactMatrix.zeros(11)
-    for (a, b, c), sign in _EPS3.items():
+    for a, b, c in permutations((1, 2, 3)):
         pa = comps[a - 1]
         if not pa:
             continue
+        sign = levi_civita((a, b, c))
         coeff = GaussianRational(0, Fraction(-sign) * pa / (2 * norm))
         out = out + w.lorentz_signed(b, c) * coeff
     return out

@@ -15,8 +15,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import as_fraction, fraction_str
-from .projectors import FourMomentum, IrrationalMomentumError
+from .exact import as_fraction, fraction_str, rational_sqrt
 from .suites import ALL_SUITES, SUITE_RUNNERS, IdentityRecord, prepared, scheduled
 
 EXIT_PASS = 0
@@ -30,10 +29,11 @@ EXIT_CONFIG = 2
 # one.
 MAX_TRUNCATION = 26
 
-# Largest accepted `FourMomentum.bit_length` when the projectors suite
-# runs.  Its exact products grow as a power of the bit size: on the same
-# host the worst of 50 generated momenta of 3065-3072 bits took 1.0 s in
-# a fresh `verify all --workers 1`, 0.67 s over both CPUs.
+# Largest numerator or denominator bit length of p0, |p| and m accepted
+# when the projectors suite runs.  Its exact products grow as a power of
+# the bit size: on the same host the worst of 50 generated momenta of
+# 3065-3072 bits took 1.0 s in a fresh `verify all --workers 1`, 0.67 s
+# over both CPUs.
 MAX_MOMENTUM_BITS = 3072
 
 INJECT_ENV = "STUECKELBERG_INJECT_FAIL"
@@ -78,10 +78,7 @@ class SuiteConfig(namedtuple("SuiteConfig", "suites mass momentum k0 truncation 
         if self.workers is not None and self.workers < 1:
             raise ConfigError("worker count must be at least 1")
         if "projectors" in self.suites:
-            try:
-                check_momentum_size(FourMomentum.from_mass_and_momentum(self.mass, self.momentum))
-            except IrrationalMomentumError as exc:
-                raise ConfigError(str(exc)) from None
+            check_momentum(self.mass, self.momentum)
 
     def describe(self):
         return {
@@ -94,9 +91,22 @@ class SuiteConfig(namedtuple("SuiteConfig", "suites mass momentum k0 truncation 
         }
 
 
-def check_momentum_size(p: FourMomentum):
-    """Raise ConfigError if p0, |p| or m is above MAX_MOMENTUM_BITS; an irrational |p| raises."""
-    if p.bit_length() > MAX_MOMENTUM_BITS:
+def check_momentum(mass, momentum):
+    """Raise ConfigError unless p0 and |p| are rational and p0, |p| and m fit MAX_MOMENTUM_BITS.
+
+    It reads the given numbers alone and builds no `FourMomentum`, so a
+    fault there fails the identities that read it, not the configuration.
+    """
+    n2 = sum(c * c for c in momentum)
+    sizes = [mass]
+    for what, square in (("p0", n2 + mass * mass), ("|p|", n2)):
+        root = rational_sqrt(square)
+        if root is None:
+            raise ConfigError(f"{what} = sqrt({square}) is irrational; "
+                              "choose a Pythagorean momentum")
+        sizes.append(root)
+    bits = max(max(x.numerator.bit_length(), x.denominator.bit_length()) for x in sizes)
+    if bits > MAX_MOMENTUM_BITS:
         raise ConfigError(f"momentum above the cap: p0, |p| and m may have at most "
                           f"{MAX_MOMENTUM_BITS}-bit numerators and denominators")
 

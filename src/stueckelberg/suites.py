@@ -22,8 +22,8 @@ from itertools import combinations, permutations, product
 from .exact import (ExactMatrix, GR_I, GR_MINUS_ONE, GR_ONE, GR_ZERO, GaussianRational,
                     assemble, block_at, mat_columns, mat_commutator, mat_commutators, mat_rank)
 from . import em as em_mod
-from .epsilon import (BIVECTOR_PAIRS, DIM4, DIM5, DIM10, DIM11, BasisIndex,
-                      bivector_component, epsilon_delta)
+from .epsilon import (BIVECTOR_PAIRS, DIM4, DIM5, DIM10, DIM11, bivector_component,
+                      epsilon_delta, levi_civita)
 from .epsilon import epsilon as eps_unit
 from .fock import (METRIC_SIGNATURE, BilinearOperator, FockPolyState, LadderOp,
                    TruncationOverflowError, apply_ladder, commutator_tables,
@@ -262,7 +262,7 @@ class Algebra(Suite):
         half = Fraction(1, 2)
         for space in (DIM4, DIM5, DIM10, DIM11):
             pos = space.position
-            terms = [((pos(a), pos(a)), 1) for a in space.labels if a.kind != "bivector"]
+            terms = [((pos(a), pos(a)), 1) for a in space.labels if len(a) == 1]
             for mu, nu in product(IDX, IDX):
                 a, sign = bivector_component(mu, nu)
                 if a in space:
@@ -386,12 +386,6 @@ def _annihilates(a, roots):
     return prod.is_zero()
 
 
-def _permutation_sign(perm):
-    """Levi-Civita symbol of a permutation of (1, 2, 3, 4): -1 to its inversion count."""
-    inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
-    return -1 if inversions % 2 else 1
-
-
 class Projectors(Suite):
     name = "projectors"
     p = cached_property(lambda s: FourMomentum.from_mass_and_momentum(s.cfg.mass,
@@ -471,7 +465,7 @@ class Projectors(Suite):
                 if not pn or nu == mu:
                     continue
                 for a, b in permutations([x for x in IDX if x not in (mu, nu)]):
-                    sgn = GaussianRational(_permutation_sign((mu, nu, a, b)))
+                    sgn = GaussianRational(levi_civita((mu, nu, a, b)))
                     acc = acc + self.w.lorentz_signed(a, b) * (pn * sgn)
             wvec[mu] = acc / (self.m * GaussianRational(2))
         total = ExactMatrix.zeros(11)
@@ -530,8 +524,10 @@ class Projectors(Suite):
 
     @identity("state-rank-one", "every pure-state projector has rank one", MOVING_FRAME)
     def state_rank_one(self):
-        for k in STATE_KEYS:
-            if mat_rank(self.fam.deltas[k]) != 1:
+        # a nonzero matrix has rank one exactly when its rank-one factors reassemble it
+        factored, _ = self.state_gram
+        for a, k in enumerate(STATE_KEYS):
+            if not factored[a]:
                 return False, f"state {k}"
         return True
 
@@ -610,7 +606,7 @@ class Projectors(Suite):
             ip = [c * GaussianRational(0, Fraction(eps) / self.p.m) for c in self.p.components()]
             terms = [((mu, mu), 1) for mu in IDX] + [((0, mu), -ip[mu - 1]) for mu in IDX]
             for mu, nu in BIVECTOR_PAIRS:
-                pos = DIM11.position(BasisIndex.bivector(mu, nu))
+                pos = DIM11.position(f"[{mu}{nu}]")
                 terms += [((pos, nu), ip[mu - 1]), ((pos, mu), -ip[nu - 1])]
             fixed[eps] = ExactMatrix.sparse(11, 11, terms)
         for k, d in self.dyads.items():

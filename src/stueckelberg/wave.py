@@ -12,8 +12,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .exact import ExactMatrix, GR_ONE, GaussianRational, assemble, block_at
-from .epsilon import (BIVECTOR_PAIRS, DIM5, DIM10, DIM11, VECTOR_INDICES,
-                      BasisIndex, bivector_component)
+from .epsilon import BIVECTOR_PAIRS, DIM5, DIM10, DIM11, VECTOR_INDICES, bivector_component
 
 
 def build_beta1(nu: int) -> ExactMatrix:
@@ -23,7 +22,7 @@ def build_beta1(nu: int) -> ExactMatrix:
         lbl, sign = bivector_component(mu, nu)
         if lbl is None:
             continue
-        v = DIM10.position(BasisIndex.vector(mu))
+        v = DIM10.position(str(mu))
         b = DIM10.position(lbl)
         terms += [((v, b), sign), ((b, v), sign)]
     return ExactMatrix.sparse(10, 10, terms)
@@ -31,8 +30,8 @@ def build_beta1(nu: int) -> ExactMatrix:
 
 def build_beta0(nu: int) -> ExactMatrix:
     """5x5 spin-0 block on the (scalar, vector) view."""
-    s = DIM5.position(BasisIndex.scalar())
-    v = DIM5.position(BasisIndex.vector(nu))
+    s = DIM5.position("0")
+    v = DIM5.position(str(nu))
     return ExactMatrix.sparse(5, 5, [((v, s), GR_ONE), ((s, v), GR_ONE)])
 
 
@@ -43,11 +42,11 @@ def build_alpha(nu: int) -> ExactMatrix:
         lbl, sign = bivector_component(mu, nu)
         if lbl is None:
             continue
-        v = DIM11.position(BasisIndex.vector(mu))
+        v = DIM11.position(str(mu))
         b = DIM11.position(lbl)
         terms += [((v, b), sign), ((b, v), sign)]
-    sc = DIM11.position(BasisIndex.scalar())
-    v = DIM11.position(BasisIndex.vector(nu))
+    sc = DIM11.position("0")
+    v = DIM11.position(str(nu))
     terms += [((v, sc), GR_ONE), ((sc, v), GR_ONE)]
     return ExactMatrix.sparse(11, 11, terms)
 

@@ -113,13 +113,11 @@ CLASSES = {
         ("exact", "Add -> Sub",
          "return adj.scale(_scalar(a._den * dr, -a._den * di, «dr * dr + di * di»))")],
     ("outside verify", "tests/test_epsilon.py::test_label_parsing"): [
-        ("epsilon", "1 -> 2", "if len(t) == «1» and t in \"1234\":"),
-        ("epsilon", "2 -> 3", "if len(t) == «2» and all(c in \"1234\" for c in t):"),
-        ("epsilon", "0 -> 1", "mu, nu = int(t[«0»]), int(t[1])"),
-        ("epsilon", "1 -> 2", "mu, nu = int(t[0]), int(t[«1»])")],
-    ("equivalent", "with a label, sign is +1 or -1, so sign < 0, sign <= 0 and sign < 1 agree"): [
-        ("epsilon", "0 -> 1", "if label is None or sign < «0»:"),
-        ("epsilon", "Lt -> LtE", "if label is None or «sign < 0»:")],
+        ("epsilon", "1 -> 2", "label = t if len(t) == «1» else f\"[{t}]\""),
+        ("epsilon", "2 -> 3", "if len(t) == «2» and all(c in \"1234\" for c in t):")],
+    ("equivalent", "a permutation's entries are distinct, so a > b and a >= b agree"): [
+        ("epsilon", "Gt -> GtE",
+         "inversions = sum(«a > b» for i, a in enumerate(perm) for b in perm[i + 1:])")],
     ("outside verify", "tests/test_epsilon.py::test_bivector_sign_convention"): [
         ("epsilon", "0 -> 1", "return (None, «0»)")],
     ("equivalent", "mu == nu returns just above"): [
@@ -191,7 +189,7 @@ CLASSES = {
     ("equivalent",
      "-E44 for E33 - E44 still spans the algebra, and no identity depends on the basis"): [
         ("modes", "3 -> 4", "for a in (1, 2, «3»):")],
-    ("outside verify", "tests/test_fock.py::test_operator_matrices_match_the_per_state_action"): [
+    ("outside verify", "tests/test_fock.py::test_images_at_one_position_add_up"): [
         ("fock", "Add -> Sub",
          "out[rc] = (cr * f, ci * f) if e is None else (e[0] + cr * f, «e[1] + ci * f»)")],
     ("outside verify", "tests/test_fock.py::test_fock_kernel_matches_dict_reference"): [

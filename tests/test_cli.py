@@ -19,7 +19,7 @@ import stueckelberg
 from exact_helpers import matrix_from_json
 from stueckelberg import cli, modes, report, suites
 from stueckelberg.cli import main
-from stueckelberg.epsilon import SPACES, BasisIndex, epsilon
+from stueckelberg.epsilon import SPACES, epsilon
 from stueckelberg.fock import normalized_gram
 from stueckelberg.projectors import FourMomentum, ProjectorFamily
 from stueckelberg.report import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, SuiteConfig
@@ -567,7 +567,8 @@ def _generic_momentum(a, b, c, d, u, v):
 def test_large_momentum_below_the_cap_passes_in_bounded_time(capsys):
     # a generic momentum within 16 bits of the cap
     mass, p = _generic_momentum(3 ** 484, 5 ** 330, 7 ** 273, 11 ** 221, 13 ** 207, 17 ** 187)
-    bits = FourMomentum.from_mass_and_momentum(mass, p).bit_length()
+    fm = FourMomentum.from_mass_and_momentum(mass, p)
+    bits = max(x.numerator.bit_length() for x in (fm.p0, fm.spatial_norm(), fm.m))  # integers
     assert report.MAX_MOMENTUM_BITS - 16 < bits <= report.MAX_MOMENTUM_BITS
     argv = ("verify", "projectors", f"--mass={mass}", "--momentum=" + ",".join(map(str, p)))
     t0 = time.perf_counter()
@@ -583,7 +584,7 @@ def test_matrix_json_matches_the_json_module():
     entries = [projector[i, j] for i in range(11) for j in range(11)]
     assert any(e.re.denominator > 1 for e in entries) and any(e.im for e in entries)
     mats = [normalized_gram(n, scheme)[1] for n in range(5) for scheme in (1, 2)]
-    mats += [epsilon(BasisIndex.parse("[12]"), BasisIndex.parse("3"), SPACES["dim11"]),
+    mats += [epsilon("[12]", "3", SPACES["dim11"]),
              projector]
     for m in mats:
         assert "".join(cli._matrix_json(m)) == json.dumps(m.to_json_dict(), indent=2) + "\n"

@@ -104,6 +104,13 @@ def test_rank_against_independent_elimination():
         n, m = rng.randint(1, 6), rng.randint(1, 6)
         a = _random_matrix(rng, n, m)
         assert mat_rank(a) == _naive_rank(_dense(a))
+    # rank-deficient ones, through k < min(n, m) inner columns: here the row
+    # updates must cancel exactly, which a full-rank matrix never asks of them
+    for _ in range(40):
+        n, m = rng.randint(2, 6), rng.randint(2, 6)
+        k = rng.randint(1, min(n, m) - 1)
+        a = _random_matrix(rng, n, k) @ _random_matrix(rng, k, m)
+        assert mat_rank(a) == _naive_rank(_dense(a)) <= k
 
 
 def test_rank_extremes():
@@ -261,7 +268,7 @@ def test_sparse_constructor_adds_repeated_positions():
 
 
 def test_absent_entry_is_the_shared_zero():
-    m = ExactMatrix.unit(3, 4, 1, 2, gr("1/3", -2))
+    m = ExactMatrix.unit(3, 4, 1, 2) * gr("1/3", -2)
     assert m[0, 0] is GR_ZERO and m[2, 3] is GR_ZERO
     assert m[1, 2] == gr("1/3", -2)
     assert row(m, 0) == (GR_ZERO,) * 4 and m.column(2) == (GR_ZERO, gr("1/3", -2), GR_ZERO)

@@ -298,8 +298,8 @@ def test_operator_matrices_match_the_per_state_action(data):
     p = BilinearOperator(data.draw(op_dicts), scheme)
     _check_matrix(p.matrix, p.apply, cols, rows, truncation, scheme)
     for op in LADDER_OPS:
-        _check_matrix(lambda cs, rs, op=op: ladder_matrix(op, cs, rs, truncation, scheme),
-                      lambda s, op=op: apply_ladder(op, s), cols, rows, truncation, scheme)
+        _check_matrix(lambda cs, rs, op=op: ladder_matrix(op, cs, rs, truncation),
+                      lambda s, op=op: apply_ladder(op, s), cols, rows, truncation, 2)
     with pytest.raises(SchemeMismatchError):
         p.apply(FockPolyState.basis_state(cols[0], truncation, 3 - scheme))
 
@@ -309,6 +309,12 @@ def test_an_image_that_cancels_outside_the_rows_is_no_error():
     op = BilinearOperator({(2, 2): GR_ONE, (4, 4): GR_ONE})
     assert op.apply(FockPolyState.basis_state((0, 1, 1, 1), 3, 2)).is_zero()
     assert op.matrix([(0, 1, 1, 1)], [(0, 0, 0, 0)]) == ExactMatrix.zeros(1, 1)
+
+
+def test_images_at_one_position_add_up():
+    # a+_2 a_2 and a+_3 a_3 each send |0,1,1,0> to i times itself
+    op = BilinearOperator({(2, 2): GR_I, (3, 3): GR_I})
+    assert op.matrix([(0, 1, 1, 0)], [(0, 1, 1, 0)]) == ExactMatrix([[GR_I * 2]])
 
 
 def test_matrix_builders_raise_at_the_cutoff_and_outside_the_rows():

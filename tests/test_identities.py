@@ -17,8 +17,7 @@ from itertools import product
 import pytest
 
 from stueckelberg import fock, modes, report, suites
-from stueckelberg.epsilon import (BIVECTOR_PAIRS, DIM11, BasisIndex, epsilon as eps_unit,
-                                  epsilon_delta)
+from stueckelberg.epsilon import BIVECTOR_PAIRS, DIM11, epsilon as eps_unit, epsilon_delta
 from stueckelberg.exact import ExactMatrix, assemble, block_at, mat_commutator
 from stueckelberg.fock import (FockPolyState, LadderOp, apply_ladder, energy_operator,
                                monomial_basis, quantum_charges)
@@ -180,7 +179,7 @@ def _delta_also(b0, c0, value=1):
     return delta
 
 
-V2, V3, B13, B34 = (BasisIndex.parse(t) for t in ("2", "3", "[13]", "[34]"))
+V2, V3, B13, B34 = "2", "3", "[13]", "[34]"
 
 UNIT_FAULTS = {
     "unit-transposed": (_transposed_at(V2, B13), epsilon_delta),

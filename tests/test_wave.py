@@ -1,6 +1,6 @@
 import pytest
 
-from stueckelberg.epsilon import BIVECTOR_PAIRS, DIM11, BasisIndex
+from stueckelberg.epsilon import BIVECTOR_PAIRS, DIM11
 from stueckelberg.exact import GR_ONE
 from stueckelberg.wave import wave_matrices
 
@@ -15,8 +15,8 @@ def w():
 def test_alpha_scalar_vector_entries(w):
     for nu in IDX:
         a = w.alpha[nu]
-        scalar = DIM11.position(BasisIndex.scalar())
-        vec = DIM11.position(BasisIndex.vector(nu))
+        scalar = DIM11.position("0")
+        vec = DIM11.position(str(nu))
         assert a[scalar, vec] == GR_ONE
         assert a[vec, scalar] == GR_ONE
 
