@@ -157,11 +157,12 @@ class ProjectorFamily(namedtuple("ProjectorFamily", "momentum p_slash m_plus m_m
         sigma_p, sp, deltas = None, {}, {}
         if not p.is_at_rest():
             sigma_p = spin_projection_op(p)
-            sp = {q: (sigma_p @ (sigma_p + ident * q)) / GaussianRational(2) if q
-                  else ident - sigma_p @ sigma_p for q in (-1, 0, 1)}
+            square = sigma_p @ sigma_p
+            sp = {q: (square + sigma_p * q) / GaussianRational(2) if q
+                  else ident - square for q in (-1, 0, 1)}
             for eps, m_eps in ((1, m_plus), (-1, m_minus)):
-                for spin, proj in SPIN_STATES:
-                    deltas[(eps, spin, proj)] = m_eps @ s2[spin] @ sp[proj]
+                m_s2 = {spin: m_eps @ s2[spin] for spin in s2}
+                deltas.update(((eps, spin, q), m_s2[spin] @ sp[q]) for spin, q in SPIN_STATES)
         return ProjectorFamily(p, ps, m_plus, m_minus, sigma2, sigma_p, s2, sp, deltas)
 
 

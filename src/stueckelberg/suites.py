@@ -2,11 +2,11 @@
 
 A suite is a class whose `identity`-decorated methods are its checks, in
 report order.  Objects its checks share are cached properties, which
-`prepared` builds before any check, but for `built_on_use` ones; a build
-that raises fails each identity that reads it.  A declaration names at
-most one requirement: MOVING_FRAME (at rest the identity is reported as
-skipped, with REST_FRAME_REASON) or SCHEME_1 / SCHEME_2 (the identity is
-left out unless the configuration runs that vacuum scheme).  A check
+`prepared` builds before any check; a build that raises fails each
+identity that reads it.  A declaration names at most one requirement:
+MOVING_FRAME (at rest the identity is reported as skipped, with
+REST_FRAME_REASON) or SCHEME_1 / SCHEME_2 (the identity is left out
+unless the configuration runs that vacuum scheme).  A check
 passes, or fails with a witness naming the first counterexample.
 """
 
@@ -18,6 +18,7 @@ from contextlib import suppress
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations, permutations, product
+from math import comb
 
 from .exact import (ExactMatrix, GR_I, GR_MINUS_ONE, GR_ONE, GR_ZERO, GaussianRational,
                     assemble, block_at, mat_columns, mat_commutator, mat_commutators, mat_rank)
@@ -126,10 +127,6 @@ def scheduled(name, cfg) -> list:
     return [d for d in SUITES[name].identities if d.needs not in left_out]
 
 
-class built_on_use(cached_property):
-    """A `cached_property` that `prepared` leaves to the first check that reads it."""
-
-
 def prepared(name, cfg):
     """SUITES[name](cfg) with each `cached_property` of its class built.
 
@@ -137,7 +134,7 @@ def prepared(name, cfg):
     """
     suite = SUITES[name](cfg)
     for attr in [a for c in type(suite).__mro__ for a, v in vars(c).items()
-                 if isinstance(v, cached_property) and not isinstance(v, built_on_use)]:
+                 if isinstance(v, cached_property)]:
         with suppress(Exception):
             getattr(suite, attr)
     return suite
@@ -779,13 +776,14 @@ def _first_column(got, want):
 class Fock(Suite):
     """The indefinite-metric Fock space, truncated at total degree N.
 
-    A claim about every basis state is decided as one equation between
-    sparse `ExactMatrix`es in the monomial basis: each ladder operator
-    and bilinear is built once, by `ladder_matrix` or
-    `BilinearOperator.matrix`, from the same action rule that `apply`
-    and `apply_ladder` run on a single state; claims about sample states
-    or commutator tables are equations on a few low-degree states.  A
-    failing claim names the first basis state whose column differs.
+    A claim about every basis state is decided as equations between
+    sparse `ExactMatrix`es built by `ladder_matrix` or
+    `BilinearOperator.matrix`, from the action rule `apply` and
+    `apply_ladder` run on one state: the ladder and charge claims one
+    degree block at a time, in increasing degree (an image outside the
+    block raises), the others on the whole basis or a few low-degree
+    states.  A failing claim names the first basis state whose column
+    differs.
     """
 
     name = "fock"
@@ -793,8 +791,6 @@ class Fock(Suite):
     k0 = property(lambda s: s.cfg.k0)
     schemes = property(lambda s: SCHEMES[s.cfg.scheme])
     basis = cached_property(lambda s: monomial_basis(s.n))
-    # the states below top degree, the first len(inner) basis states
-    inner = cached_property(lambda s: [b for b in s.basis if sum(b) <= s.n - 1])
     constants = cached_property(lambda s: structure_constants())
 
     @cached_property
@@ -824,40 +820,42 @@ class Fock(Suite):
     def p0(self):
         return self.energy[2][0]
 
-    # grows with the truncation: prebuilt, it delays the fork, yet one process may use it
-    @built_on_use
-    def p0_matrix(self):
-        return self.p0.matrix(self.basis, self.basis)
+    def degree(self, d):
+        """The basis states of total degree d: C(d + 3, 4) states lie below them."""
+        return self.basis[comb(d + 3, 4):comb(d + 4, 4)]
 
     def _ladder_commutators(self, modes, sign):
-        """The modes whose A C - C A is not sign times the identity below top degree.
+        """The first mode whose A C - C A is not sign times the identity below top degree.
 
-        Yields (mode, first failing state).
+        Returns (mode, first failing state), or None.  On degree d, C goes to
+        d + 1 and A back, and C A is the previous degree's pair.
         """
-        basis, inner, n = self.basis, self.inner, self.n
-        want = ExactMatrix.sparse(len(basis), len(inner),
-                                  (((c, c), sign) for c in range(len(inner))))
+        n, blocks = self.n, [self.degree(d) for d in range(self.n + 1)]
+        wants = [ExactMatrix.sparse(len(b), len(b), (((k, k), sign) for k in range(len(b))))
+                 for b in blocks[:n]]
         for mode in modes:
-            create = ladder_matrix(LadderOp(mode, "create"), inner, basis, n)
-            annihilate = LadderOp(mode, "annihilate")
-            comm = (ladder_matrix(annihilate, basis, basis, n) @ create
-                    - create @ ladder_matrix(annihilate, inner, inner, n))
-            if comm != want:
-                yield mode, inner[_first_column(comm, want)]
+            create, annihilate = LadderOp(mode, "create"), LadderOp(mode, "annihilate")
+            ca = ExactMatrix.zeros(1)  # nothing to annihilate on the vacuum
+            for d, want in enumerate(wants):
+                c = ladder_matrix(create, blocks[d], blocks[d + 1], n)
+                a = ladder_matrix(annihilate, blocks[d + 1], blocks[d], n)
+                comm = a @ c - ca
+                if comm != want:
+                    return mode, blocks[d][_first_column(comm, want)]
+                ca = c @ a if d + 1 < n else None  # no degree reads the top C A
+        return None
 
     @identity("ladder-standard",
               "spatial ladder commutators act as the identity on every state", SCHEME_2)
     def ladder_standard(self):
-        for mode, b in self._ladder_commutators((1, 2, 3), 1):
-            return False, f"mode {mode}, state {b}"
-        return True
+        bad = self._ladder_commutators((1, 2, 3), 1)
+        return bad is None or (False, "mode {}, state {}".format(*bad))
 
     @identity("ladder-incorrect-sign",
               "the scalar-sector ladder commutator acts as minus the identity", SCHEME_2)
     def ladder_incorrect(self):
-        for _, b in self._ladder_commutators((4,), -1):
-            return False, f"state {b}"
-        return True
+        bad = self._ladder_commutators((4,), -1)
+        return bad is None or (False, f"state {bad[1]}")
 
     @identity("vacuum-annihilated", "every annihilation operator kills its scheme's vacuum")
     def vacua(self):
@@ -897,7 +895,7 @@ class Fock(Suite):
         # the eigenvalue k0 * count is negative where sign(k0) * count is
         sign = (self.k0 > 0) - (self.k0 < 0)
         bad = [c for c, m in enumerate(counts) if sign * m < 0][:1]
-        c = self._off_spectrum(self.p0_matrix, counts, self.k0)
+        c = self._off_spectrum(self.p0.matrix(self.basis, self.basis), counts, self.k0)
         if c is not None:
             bad.append(c)
         if bad:
@@ -928,10 +926,12 @@ class Fock(Suite):
             if not j.commutator(self.p0).is_zero():
                 return False, f"charge {key} (operator table)"
         # action route as an independent confirmation, one charge suffices
-        j, p0 = self.qc[("sym", 1, 4)].matrix(self.basis, self.basis), self.p0_matrix
-        jp, pj = j @ p0, p0 @ j
-        if jp != pj:
-            return False, f"mixed charge action on state {self.basis[_first_column(jp, pj)]}"
+        j = self.qc[("sym", 1, 4)]
+        for states in map(self.degree, range(self.n + 1)):
+            jd, pd = j.matrix(states, states), self.p0.matrix(states, states)
+            jp, pj = jd @ pd, pd @ jd
+            if jp != pj:
+                return False, f"mixed charge action on state {states[_first_column(jp, pj)]}"
         return True
 
     @identity("unit-charge-number",
@@ -1040,11 +1040,8 @@ class Fock(Suite):
         # steps, which enforce the cutoff.  Only on top-degree states can
         # the cutoff act, at this truncation and a wider one.
         qc, n = self.qc, self.n
-        tops = [b for b in self.basis if sum(b) == n]
-        below = [b for b in self.basis if sum(b) == n - 1]
+        tops, below = self.degree(n), self.degree(n - 1)
         truncations = (n, n + 2)
-        ops = {(i, j): BilinearOperator({(i, j): GR_ONE}).matrix(tops, tops)
-               for i, j in product(IDX, IDX)}
         steps = [({i: ladder_matrix(LadderOp(i, "create"), below, tops, t) for i in IDX},
                   {j: ladder_matrix(LadderOp(j, "annihilate"), tops, below, t) for j in IDX})
                  for t in truncations]
@@ -1053,19 +1050,20 @@ class Fock(Suite):
             steps.pop()
         for j in IDX:
             bad = []  # (first failing state, truncation, i): the order states are scanned in
-            for t, (create, annihilate) in enumerate(steps):
-                for i in IDX:
+            for i in IDX:
+                op = BilinearOperator({(i, j): GR_ONE}).matrix(tops, tops)
+                for t, (create, annihilate) in enumerate(steps):
                     want = create[i] @ annihilate[j]
-                    if ops[i, j] != want:
-                        bad.append((_first_column(ops[i, j], want), t, i))
+                    if op != want:
+                        bad.append((_first_column(op, want), t, i))
             if bad:
                 c, t, i = min(bad)
                 return False, f"bilinear ({i}, {j}), state {tops[c]}, truncation {truncations[t]}"
         # the matrices are exact only if no image is dropped: creation on a
         # top-degree state must raise, at n by the cutoff (the rows there
-        # hold its images) and at n + 2 by the row set
-        for t, rows, error in ((n, monomial_basis(n + 1), TruncationOverflowError),
-                               (n + 2, self.basis, ValueError)):
+        # hold its images, the degree-(n + 1) states) and at n + 2 by the row set
+        above = monomial_basis(n + 1)[len(self.basis):]
+        for t, rows, error in ((n, above, TruncationOverflowError), (n + 2, tops, ValueError)):
             for i in IDX:
                 try:
                     ladder_matrix(LadderOp(i, "create"), tops, rows, t)

@@ -329,12 +329,23 @@ def run_mutant(tree, module, original, target, test):
         path.write_text(original)
 
 
+# pytest with Hypothesis's example database off: with a fixed seed as well, a
+# Hypothesis test draws the same examples on every run of the same mutant
+PYTEST = ("import sys, pytest; from hypothesis import settings; "
+          "settings.register_profile('sweep', database=None); settings.load_profile('sweep'); "
+          "sys.exit(pytest.main(sys.argv[1:]))")
+
+
 def _test_fails(tree, test):
-    """Whether the tier-1 test `test` fails on the package copy tree."""
+    """Whether the tier-1 test `test` fails on the package copy tree.
+
+    It runs with a fixed seed and no example database, so the verdict of
+    a test that draws with Hypothesis is the same in every sweep.
+    """
     env = {**os.environ, "PYTHONPATH": str(tree)}
-    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                           test], cwd=REPO, capture_output=True, text=True, env=env,
-                          timeout=300)
+    proc = subprocess.run([sys.executable, "-c", PYTEST, "-q", "-x", "-p", "no:cacheprovider",
+                           "--hypothesis-seed=0", test], cwd=REPO, capture_output=True,
+                          text=True, env=env, timeout=300)
     return proc.returncode == 1
 
 

@@ -143,28 +143,64 @@ def test_gram_failure_names_the_first_differing_state(monkeypatch, entry):
         assert (records[ident].status, records[ident].witness) == ("fail", want)
 
 
-def test_basis_state_failure_names_the_first_failing_state(monkeypatch):
+def _deep_annihilation(real):
+    """_ladder_images with annihilation doubled where n >= 2 on monomials of degree 4 and up.
+
+    The fault keeps the degree; [A, C] first breaks on degree 3, where A
+    meets it after C but not before.
+    """
+    def images(op, scheme, truncation, items):
+        for k, p in items:
+            double = op.direction == "annihilate" and k[op.mode - 1] >= 2 and sum(k) >= 4
+            for nk, f, q in real(op, scheme, truncation, ((k, p),)):
+                yield nk, f * 2 if double else f, q
+    return images
+
+
+# fault -> (truncation, how to plant it, the claims it fails, witnesses fixed by hand)
+BASIS_STATE_FAULTS = {
     # scheme 2 run with the scheme-1 signs: the scalar sector's sign flips
-    monkeypatch.setitem(fock._ANNIHILATION_SIGNS, 2, (1, 1, 1, 1))
-    cfg = SuiteConfig(truncation=3, scheme="2")
-    records = {r.ident: r for r in run_suite("fock", cfg)}
-    states = {b: FockPolyState.basis_state(b, 3, 2) for b in monomial_basis(3)}
-    create, annihilate = LadderOp(4, "create"), LadderOp(4, "annihilate")
+    "scalar sign": (3, lambda mp: mp.setitem(fock._ANNIHILATION_SIGNS, 2, (1, 1, 1, 1)),
+                    {"ladder-incorrect-sign", "energy-nonnegative", "unit-charge-number"}, {}),
+    # found inside degree 3, past the blocks below it
+    "deep annihilation": (5, lambda mp: mp.setattr(fock, "_ladder_images",
+                                                   _deep_annihilation(fock._ladder_images)),
+                          {"ladder-standard", "ladder-incorrect-sign"},
+                          {"ladder-standard": "mode 1, state (1, 0, 0, 2)"}),
+}
 
-    def first(claim, bs=states):
-        return f"state {next(b for b in bs if not claim(b, states[b]))}"
 
-    p0, unit = energy_operator(cfg.k0, 2), quantum_charges()[("unit",)]
-    want = {
-        "ladder-incorrect-sign": first(
-            lambda b, s: apply_ladder(annihilate, apply_ladder(create, s))
-            - apply_ladder(create, apply_ladder(annihilate, s)) == -s,
-            [b for b in states if sum(b) < 3]),
-        "energy-nonnegative": first(lambda b, s: p0.apply(s) == s.scale(cfg.k0 * sum(b))),
-        "unit-charge-number": first(lambda b, s: unit.apply(s) == s.scale(sum(b))),
-    }
-    assert {ident: (records[ident].status, records[ident].witness) for ident in want} \
-        == {ident: ("fail", w) for ident, w in want.items()}
+def test_basis_state_failure_names_the_first_failing_state(monkeypatch):
+    # each claim is taken state by state in basis order, as the reference
+    for fault, (n, plant, fails, fixed) in BASIS_STATE_FAULTS.items():
+        with monkeypatch.context() as mp:
+            plant(mp)
+            cfg = SuiteConfig(truncation=n, scheme="2")
+            records = {r.ident: r for r in run_suite("fock", cfg)}
+            states = {b: FockPolyState.basis_state(b, n, 2) for b in monomial_basis(n)}
+
+            def first(claim, bs=states):
+                return next((f"state {b}" for b in bs if not claim(b, states[b])), None)
+
+            def ladder(mode, sign):
+                create, annihilate = LadderOp(mode, "create"), LadderOp(mode, "annihilate")
+                return first(lambda b, s: apply_ladder(annihilate, apply_ladder(create, s))
+                             - apply_ladder(create, apply_ladder(annihilate, s)) == s.scale(sign),
+                             [b for b in states if sum(b) < n])
+
+            p0, unit = energy_operator(cfg.k0, 2), quantum_charges()[("unit",)]
+            want = {
+                "ladder-standard": next((f"mode {m}, {w}" for m in (1, 2, 3)
+                                         if (w := ladder(m, 1))), None),
+                "ladder-incorrect-sign": ladder(4, -1),
+                "energy-nonnegative": first(lambda b, s: p0.apply(s) == s.scale(cfg.k0 * sum(b))),
+                "unit-charge-number": first(lambda b, s: unit.apply(s) == s.scale(sum(b))),
+            }
+        assert {ident for ident, w in want.items() if w} == fails, fault
+        assert fixed.items() <= want.items(), fault
+        assert {ident: (records[ident].status, records[ident].witness) for ident in want} \
+            == {ident: ("pass", None) if w is None else ("fail", w)
+                for ident, w in want.items()}, fault
 
 
 def _transposed_at(a0, b0):

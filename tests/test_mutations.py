@@ -138,12 +138,12 @@ MUTATIONS = [
      "half = sigma2",
      VERIFY_ALL, STATE_IDS),
     ("projection-zero projector linear", "projectors.py",
-     "ident - sigma_p @ sigma_p",
+     "ident - square",
      "ident - sigma_p",
      VERIFY_ALL, STATE_IDS | {"projectors/spinproj-spectrum"}),
     ("projection projector sign flipped", "projectors.py",
-     "sigma_p + ident * q",
-     "sigma_p - ident * q",
+     "(square + sigma_p * q)",
+     "(square - sigma_p * q)",
      VERIFY_ALL, {"projectors/spinproj-spectrum"}),
     # at the default p = (0, 0, 3) the kept real part p_2 is 0, so t = 0 there
     ("imaginary part of the projection +-1 dyad norm root dropped", "projectors.py",
