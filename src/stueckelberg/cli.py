@@ -18,7 +18,7 @@ import sys
 from .exact import GaussianRational, as_fraction
 from .epsilon import SPACES, parse_label
 from .epsilon import epsilon as eps_unit
-from .fock import normalized_gram
+from .fock import monomial_basis, normalized_gram
 from .projectors import FourMomentum, dyad_factorize, pure_state_projector
 from .report import EXIT_CONFIG, MAX_TRUNCATION, ConfigError, SuiteConfig, check_momentum, run
 from .suites import ALL_SUITES
@@ -203,8 +203,7 @@ def cmd_dump_gram(args):
         raise ConfigError("truncation must be nonnegative")
     if truncation > MAX_GRAM_TRUNCATION:
         raise ConfigError(f"truncation above the cap {MAX_GRAM_TRUNCATION}")
-    _, gram = normalized_gram(truncation, scheme)
-    _emit(_matrix_json(gram), args)
+    _emit(_matrix_json(normalized_gram(monomial_basis(truncation), truncation, scheme)), args)
     return 0
 
 

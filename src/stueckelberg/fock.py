@@ -287,16 +287,15 @@ def inner_product(a: FockPolyState, b: FockPolyState) -> GaussianRational:
     return _scalar(*_overlap(a, b))
 
 
-def normalized_gram(truncation: int, scheme: int) -> tuple:
-    """(basis, ExactMatrix): Gram matrix of the normalised monomial basis.
+def normalized_gram(states, truncation: int, scheme: int) -> ExactMatrix:
+    """Gram matrix of the normalised monomials states, in their order, at this truncation.
 
     Normalisation by the square roots of factorials happens only as the
     squared factor 1/n!, so the matrix is exact; the diagonal is +-1.
     Distinct monomials are orthogonal, so only the diagonal is computed.
     """
-    basis = monomial_basis(truncation)
     entries, den = [], 1
-    for a in basis:
+    for a in states:
         s = FockPolyState.basis_state(a, truncation, scheme)
         re, im, d = _overlap(s, s)
         d *= _factorial_weight(a)
@@ -305,18 +304,23 @@ def normalized_gram(truncation: int, scheme: int) -> tuple:
         den = math.lcm(den, d // g)
     c = {(i, i): (re * (den // d), im * (den // d))
          for i, (re, im, d) in enumerate(entries) if re or im}
-    return basis, ExactMatrix._of(len(basis), len(basis), *_lowest(c, den))
+    return ExactMatrix._of(len(states), len(states), *_lowest(c, den))
+
+
+def monomials(d: int) -> list:
+    """The occupation tuples of total degree d, in stable order."""
+    return [(n1, n2, n3, d - n1 - n2 - n3) for n1 in range(d + 1)
+            for n2 in range(d - n1 + 1) for n3 in range(d - n1 - n2 + 1)]
+
+
+def monomial_blocks(truncation: int) -> list:
+    """The basis graded by degree: `monomials(d)` for each d <= truncation, in increasing d."""
+    return [monomials(d) for d in range(truncation + 1)]
 
 
 def monomial_basis(truncation: int) -> list:
-    """All occupation tuples with total degree <= truncation, in stable order."""
-    out = []
-    for d in range(truncation + 1):
-        for n1 in range(d + 1):
-            for n2 in range(d - n1 + 1):
-                for n3 in range(d - n1 - n2 + 1):
-                    out.append((n1, n2, n3, d - n1 - n2 - n3))
-    return out
+    """All occupation tuples with total degree <= truncation: the blocks concatenated."""
+    return [k for block in monomial_blocks(truncation) for k in block]
 
 
 class BilinearOperator(_SchemeCoefficients):
@@ -483,18 +487,16 @@ def quantize(obs, k0) -> BilinearOperator:
     class.
     """
     k0 = as_fraction(k0)
-    if not k0:
-        raise ZeroDivisionError("quantisation needs a nonzero k0")
+    if k0 <= 0:
+        raise ValueError("quantisation needs a positive k0")
     # q_mu = (b + b+)/sqrt(2 k0): ladder sign +1; pi_mu = -i sqrt(k0/2)(b - b+):
     # ladder sign -1.  The radical prefactors only ever meet in pairs:
     #   q.q -> 1/(2 k0),  pi.pi -> -k0/2,  q.pi -> -i/2 (a monomial's q comes first),
-    # that is q^2, -p^2 and -i pq over 2pq for k0 = p/q (signs flipped
-    # with p, so that the denominator stays positive).
+    # that is q^2, -p^2 and -i pq over 2pq for k0 = p/q.
     p, q = k0.numerator, k0.denominator
-    s = 1 if p > 0 else -1
-    pair_factor = {(True, True): (s * q * q, 0), (False, False): (-s * p * p, 0),
-                   (True, False): (0, -s * p * q)}
-    den = obs._den * 2 * abs(p) * q
+    pair_factor = {(True, True): (q * q, 0), (False, False): (-p * p, 0),
+                   (True, False): (0, -p * q)}
+    den = obs._den * 2 * p * q
     create_create, annih_annih, bilinear = {}, {}, {}
 
     def add(table, key, x, y):

@@ -24,9 +24,9 @@ EXIT_CONFIG = 2
 
 # Largest accepted Fock truncation.  The fock suite's cost grows with the
 # basis size C(N+4, 4): `verify fock --scheme both` in a fresh process on
-# a 2-vCPU Xeon host takes 0.10 s at N = 10, 0.48 s (22 MB peak) at N = 20
-# and 0.73 s (35 MB peak) at N = 26 over both CPUs, 1.29 s at N = 26 on
-# one.
+# a 2-vCPU Xeon host takes 0.12 s at N = 10, 0.30 s (22 MB peak) at N = 20
+# and 0.69 s (28-30 MB peak) at N = 26 over both CPUs, 1.30 s (30 MB) at
+# N = 26 on one.
 MAX_TRUNCATION = 26
 
 # Largest numerator or denominator bit length of p0, |p| and m accepted

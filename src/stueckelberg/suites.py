@@ -18,7 +18,6 @@ from contextlib import suppress
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations, permutations, product
-from math import comb
 
 from .exact import (ExactMatrix, GR_I, GR_MINUS_ONE, GR_ONE, GR_ZERO, GaussianRational,
                     assemble, block_at, mat_columns, mat_commutator, mat_commutators, mat_rank)
@@ -29,7 +28,8 @@ from .epsilon import epsilon as eps_unit
 from .fock import (METRIC_SIGNATURE, BilinearOperator, FockPolyState, LadderOp,
                    TruncationOverflowError, apply_ladder, commutator_tables,
                    covariant_ladder_phase, decompose_physical, energy_operator, inner_product,
-                   ladder_matrix, monomial_basis, normalized_gram, quantize, quantum_charges)
+                   ladder_matrix, monomial_basis, monomial_blocks, monomials, normalized_gram,
+                   quantize, quantum_charges)
 from .modes import (ModeContext, QuadraticObservable, amplitude_form_hamiltonian,
                     basis_directions, canonical_products, charge_combination,
                     conserved_charges, hamiltonian, infinitesimal_transform, observable_columns,
@@ -773,24 +773,29 @@ def _first_column(got, want):
     return min(c for _, c in (got - want).coeffs)
 
 
+def _diagonal(states, value):
+    """The diagonal matrix on states whose entry for state b is value(b)."""
+    return ExactMatrix.sparse(len(states), len(states),
+                              (((c, c), value(b)) for c, b in enumerate(states)))
+
+
 class Fock(Suite):
     """The indefinite-metric Fock space, truncated at total degree N.
 
     A claim about every basis state is decided as equations between
-    sparse `ExactMatrix`es built by `ladder_matrix` or
-    `BilinearOperator.matrix`, from the action rule `apply` and
-    `apply_ladder` run on one state: the ladder and charge claims one
-    degree block at a time, in increasing degree (an image outside the
-    block raises), the others on the whole basis or a few low-degree
-    states.  A failing claim names the first basis state whose column
-    differs.
+    sparse `ExactMatrix`es built by `ladder_matrix`,
+    `BilinearOperator.matrix` or `normalized_gram`, from the action rule
+    `apply` and `apply_ladder` run on one state, one degree block at a
+    time in increasing degree (an image outside the block raises); the
+    other claims read a few low-degree states.  A failing claim names the
+    first basis state whose column differs.
     """
 
     name = "fock"
     n = property(lambda s: s.cfg.truncation)
     k0 = property(lambda s: s.cfg.k0)
     schemes = property(lambda s: SCHEMES[s.cfg.scheme])
-    basis = cached_property(lambda s: monomial_basis(s.n))
+    blocks = cached_property(lambda s: monomial_blocks(s.n))
     constants = cached_property(lambda s: structure_constants())
 
     @cached_property
@@ -820,19 +825,14 @@ class Fock(Suite):
     def p0(self):
         return self.energy[2][0]
 
-    def degree(self, d):
-        """The basis states of total degree d: C(d + 3, 4) states lie below them."""
-        return self.basis[comb(d + 3, 4):comb(d + 4, 4)]
-
     def _ladder_commutators(self, modes, sign):
         """The first mode whose A C - C A is not sign times the identity below top degree.
 
         Returns (mode, first failing state), or None.  On degree d, C goes to
         d + 1 and A back, and C A is the previous degree's pair.
         """
-        n, blocks = self.n, [self.degree(d) for d in range(self.n + 1)]
-        wants = [ExactMatrix.sparse(len(b), len(b), (((k, k), sign) for k in range(len(b))))
-                 for b in blocks[:n]]
+        n, blocks = self.n, self.blocks
+        wants = [_diagonal(b, lambda _: sign) for b in blocks[:n]]
         for mode in modes:
             create, annihilate = LadderOp(mode, "create"), LadderOp(mode, "annihilate")
             ca = ExactMatrix.zeros(1)  # nothing to annihilate on the vacuum
@@ -865,52 +865,52 @@ class Fock(Suite):
                     return False, f"scheme {scheme}, mode {mode}"
         return True
 
+    def _off_spectrum(self, block, value, unit=1):
+        """Whether each basis state b is an eigenvector of eigenvalue unit * value(b).
+
+        block(states) is the operator's matrix on one degree block; the
+        blocks are taken in increasing degree, and a failure names the
+        first state whose column differs.
+        """
+        for states in self.blocks:
+            got, want = block(states), _diagonal(states, value)
+            if unit != 1:
+                want = want * unit
+            if got != want:
+                return False, f"state {states[_first_column(got, want)]}"
+        return True
+
+    # a diagonal is its own transpose, so on the transposed Gram blocks a
+    # failure names the first row that differs
     @identity("gram-indefinite",
               "normalised norms alternate with the scalar-sector occupation", SCHEME_2)
     def gram2(self):
-        c = self._off_spectrum(normalized_gram(self.n, 2)[1].transpose(),
-                               [-1 if b[3] % 2 else 1 for b in self.basis])
-        return c is None or (False, f"state {self.basis[c]}")
+        return self._off_spectrum(lambda s: normalized_gram(s, self.n, 2).transpose(),
+                                  lambda b: -1 if b[3] % 2 else 1)
 
     @identity("gram-positive-scheme1",
               "the swapped-role scheme has an entirely positive Gram diagonal", SCHEME_1)
     def gram1(self):
-        c = self._off_spectrum(normalized_gram(self.n, 1)[1].transpose(), [1] * len(self.basis))
-        return c is None or (False, f"state {self.basis[c]}")
+        return self._off_spectrum(lambda s: normalized_gram(s, self.n, 1).transpose(),
+                                  lambda b: 1)
 
-    def _off_spectrum(self, matrix, counts, unit=1):
-        """The first basis state matrix does not scale by unit times its count, or None.
-
-        Returns the state's index in the basis.  A diagonal is its own
-        transpose, so on a transposed matrix this is the first differing row.
-        """
-        want = ExactMatrix.sparse(len(self.basis), len(self.basis),
-                                  (((c, c), n) for c, n in enumerate(counts))) * unit
-        return None if matrix == want else _first_column(matrix, want)
-
+    # k0 > 0 (`validate`), so an eigenvalue k0 * count has the sign of its
+    # count; a total count is never negative, so the spectrum is all this claim checks
     @identity("energy-nonnegative",
               "the indefinite-metric energy spectrum is the nonnegative total count", SCHEME_2)
     def energy2(self):
-        counts = [sum(b) for b in self.basis]
-        # the eigenvalue k0 * count is negative where sign(k0) * count is
-        sign = (self.k0 > 0) - (self.k0 < 0)
-        bad = [c for c, m in enumerate(counts) if sign * m < 0][:1]
-        c = self._off_spectrum(self.p0.matrix(self.basis, self.basis), counts, self.k0)
-        if c is not None:
-            bad.append(c)
-        if bad:
-            return False, f"state {self.basis[min(bad)]}"
-        return True
+        return self._off_spectrum(lambda s: self.p0.matrix(s, s), sum, self.k0)
 
     @identity("energy-indefinite-scheme1",
               "the swapped-role scheme exhibits negative energy eigenvalues", SCHEME_1)
     def energy1(self):
-        counts = [b[0] + b[1] + b[2] - b[3] for b in self.basis]
-        c = self._off_spectrum(self.energy[1][0].matrix(self.basis, self.basis), counts, self.k0)
-        if c is not None:
-            return False, f"state {self.basis[c]}"
-        sign = (self.k0 > 0) - (self.k0 < 0)
-        return any(sign * m < 0 for m in counts), "no negative eigenvalue appeared"
+        def count(b):
+            return b[0] + b[1] + b[2] - b[3]
+        spectrum = self._off_spectrum(lambda s: self.energy[1][0].matrix(s, s), count, self.k0)
+        if spectrum is not True:
+            return spectrum
+        return (any(count(b) < 0 for states in self.blocks for b in states),
+                "no negative eigenvalue appeared")
 
     @identity("vacuum-energy-zero", "the normal-ordered energy annihilates each vacuum")
     def vacuum_energy(self):
@@ -927,7 +927,7 @@ class Fock(Suite):
                 return False, f"charge {key} (operator table)"
         # action route as an independent confirmation, one charge suffices
         j = self.qc[("sym", 1, 4)]
-        for states in map(self.degree, range(self.n + 1)):
+        for states in self.blocks:
             jd, pd = j.matrix(states, states), self.p0.matrix(states, states)
             jp, pj = jd @ pd, pd @ jd
             if jp != pj:
@@ -937,9 +937,7 @@ class Fock(Suite):
     @identity("unit-charge-number",
               "the phase charge counts the total quanta on every basis state", SCHEME_2)
     def number_charge(self):
-        c = self._off_spectrum(self.qc[("unit",)].matrix(self.basis, self.basis),
-                               [sum(b) for b in self.basis])
-        return c is None or (False, f"state {self.basis[c]}")
+        return self._off_spectrum(lambda s: self.qc[("unit",)].matrix(s, s), sum)
 
     @identity("bracket-commutator-correspondence",
               "charge commutators equal i times the quantised classical brackets", SCHEME_2)
@@ -1040,7 +1038,7 @@ class Fock(Suite):
         # steps, which enforce the cutoff.  Only on top-degree states can
         # the cutoff act, at this truncation and a wider one.
         qc, n = self.qc, self.n
-        tops, below = self.degree(n), self.degree(n - 1)
+        tops, below = self.blocks[n], self.blocks[n - 1]
         truncations = (n, n + 2)
         steps = [({i: ladder_matrix(LadderOp(i, "create"), below, tops, t) for i in IDX},
                   {j: ladder_matrix(LadderOp(j, "annihilate"), tops, below, t) for j in IDX})
@@ -1062,7 +1060,7 @@ class Fock(Suite):
         # the matrices are exact only if no image is dropped: creation on a
         # top-degree state must raise, at n by the cutoff (the rows there
         # hold its images, the degree-(n + 1) states) and at n + 2 by the row set
-        above = monomial_basis(n + 1)[len(self.basis):]
+        above = monomials(n + 1)
         for t, rows, error in ((n, above, TruncationOverflowError), (n + 2, tops, ValueError)):
             for i in IDX:
                 try:

@@ -198,9 +198,10 @@ CLASSES = {
         ("fock", "Add -> Sub", "«im += (p * t - q * r) * w»"),
         ("fock", "Sub -> Add", "x = («a * cr - b * ci») * f")],
     ("equivalent", "the values added leave no room for n3: its range is empty"): [
-        ("fock", "1 -> 2", "for n1 in range(d + «1»):"),
-        ("fock", "Sub -> Add", "for n2 in range(«d - n1» + 1):"),
-        ("fock", "1 -> 2", "for n2 in range(d - n1 + «1»):")],
+        ("fock", "1 -> 2", "return [(n1, n2, n3, d - n1 - n2 - n3) for n1 in range(d + «1»)"),
+        ("fock", "Sub -> Add",
+         "for n2 in range(«d - n1» + 1) for n3 in range(d - n1 - n2 + 1)]"),
+        ("fock", "1 -> 2", "for n2 in range(d - n1 + «1») for n3 in range(d - n1 - n2 + 1)]")],
     ("outside verify", "tests/test_fock.py::test_stacked_charge_table_matches_each_pair"): [
         ("fock", "1 -> 2", "if len({op.scheme for op in ops}) > «1»:")],
     ("equivalent",
@@ -208,13 +209,10 @@ CLASSES = {
         ("fock", "0 -> 1",
          "return mat_commutators(tables, [_signed_rows(t, ops[«0»].scheme) for t in tables])")],
     ("outside verify", "tests/test_fock.py::test_integer_quantize_matches_the_rational_tables"): [
-        ("fock", "0 -> 1", "s = 1 if p > «0» else -1"),
-        ("fock", "1 -> 2", "s = 1 if p > 0 else -«1»"),
-        ("fock", "unary minus dropped", "s = 1 if p > 0 else «-1»"),
+        ("fock", "0 -> 1", "if k0 <= «0»:"),
+        ("fock", "LtE -> Lt", "if «k0 <= 0»:"),
         ("fock", "Sub -> Add", "x, y = «a * fr - b * fi», a * fi + b * fr"),
         ("fock", "Add -> Sub", "x, y = a * fr - b * fi, «a * fi + b * fr»")],
-    ("equivalent", "p = 0 raises above"): [
-        ("fock", "Gt -> GtE", "s = 1 if «p > 0» else -1")],
     ("outside verify", "tests/test_em.py::test_stokes_rejects_bad_states"): [
         ("em", "2 -> 3", "if any(k[«2»] or k[3] for k in s.coeffs):")],
 }

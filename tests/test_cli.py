@@ -20,7 +20,7 @@ from exact_helpers import matrix_from_json
 from stueckelberg import cli, modes, report, suites
 from stueckelberg.cli import main
 from stueckelberg.epsilon import SPACES, epsilon
-from stueckelberg.fock import normalized_gram
+from stueckelberg.fock import monomial_basis, normalized_gram
 from stueckelberg.projectors import FourMomentum, ProjectorFamily
 from stueckelberg.report import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, SuiteConfig
 
@@ -456,6 +456,14 @@ REPORT_DIGESTS = [
      "aa3960d754c031a5f0bd6dcb769b5e81a628987ec2d51685c6a66c2ab0ce46b6"),
     (("verify", "fock", "--scheme", "both", "--truncation", "10"),
      "7c8599be8b988691720c72b12581ea2d5566079a98ee2a46bf87a0a598232e74"),
+    # the same small-truncation branches and the benchmark's truncation, at
+    # the mutation gate's k0
+    (("verify", "fock", "--k0", "37/11", "--truncation", "2"),
+     "319fa1345bbc17cb708a78d17a0a1388a855fb9900b648de518201a74c6af556"),
+    (("verify", "fock", "--k0", "37/11", "--truncation", "3"),
+     "662a00cdb76d07f272c53e3ca0b1ade3f3a6eae1e0b4974990d564057db3696b"),
+    (("verify", "fock", "--k0", "37/11", "--truncation", "10"),
+     "69880801c21bbf2bcea55165152653c55c04b605709646146c2e9ab1f344245d"),
 ]
 
 
@@ -583,7 +591,7 @@ def test_matrix_json_matches_the_json_module():
     projector = ProjectorFamily.build(p).deltas[(1, 1, 1)]
     entries = [projector[i, j] for i in range(11) for j in range(11)]
     assert any(e.re.denominator > 1 for e in entries) and any(e.im for e in entries)
-    mats = [normalized_gram(n, scheme)[1] for n in range(5) for scheme in (1, 2)]
+    mats = [normalized_gram(monomial_basis(n), n, scheme) for n in range(5) for scheme in (1, 2)]
     mats += [epsilon("[12]", "3", SPACES["dim11"]),
              projector]
     for m in mats:

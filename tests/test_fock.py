@@ -406,7 +406,7 @@ def _bilinear_blocks(k0):
 
 @given(st.data())
 def test_integer_quantize_matches_the_rational_tables(data):
-    k0 = data.draw(mixed.filter(bool))
+    k0 = data.draw(mixed.filter(lambda x: x > 0))
     blocks = _bilinear_blocks(k0)
     obs = QuadraticObservable()
     for _ in range(data.draw(st.integers(0, 4))):
@@ -421,3 +421,7 @@ def test_integer_quantize_matches_the_rational_tables(data):
             _ref_quantize(bad, k0)
         with pytest.raises(ValueError):
             quantize(bad, k0)
+    # quantisation needs a positive k0
+    for bad_k0 in (0, -k0):
+        with pytest.raises(ValueError):
+            quantize(obs, bad_k0)

@@ -129,16 +129,17 @@ def test_each_shared_object_is_built_once_across_processes(monkeypatch, three_cp
     assert dict(calls) == BUILDER_CALLS
 
 
-@pytest.mark.parametrize("entry", [(3, 7), (5, 5)], ids=["off-diagonal", "diagonal"])
+# (degree, row, column): an entry planted in the Gram block of one degree
+@pytest.mark.parametrize("entry", [(2, 3, 7), (2, 0, 0)], ids=["off-diagonal", "diagonal"])
 def test_gram_failure_names_the_first_differing_state(monkeypatch, entry):
-    real = suites.normalized_gram
+    real, (d, row, col) = suites.normalized_gram, entry
 
-    def wrong_gram(truncation, scheme=2):
-        basis, g = real(truncation, scheme)
-        return basis, g + ExactMatrix.unit(g.rows, g.cols, *entry)
+    def wrong_gram(states, truncation, scheme):
+        g = real(states, truncation, scheme)
+        return g + ExactMatrix.unit(g.rows, g.cols, row, col) if sum(states[0]) == d else g
     monkeypatch.setattr(suites, "normalized_gram", wrong_gram)
     records = {r.ident: r for r in run_suite("fock", SuiteConfig(truncation=2))}
-    want = f"state {monomial_basis(2)[entry[0]]}"
+    want = f"state {fock.monomials(d)[row]}"
     for ident in ("gram-indefinite", "gram-positive-scheme1"):
         assert (records[ident].status, records[ident].witness) == ("fail", want)
 
@@ -157,6 +158,20 @@ def _deep_annihilation(real):
     return images
 
 
+def _deep_diagonal(real):
+    """_bilinear_images with the diagonal factor doubled where a spatial mode holds
+    n >= 2 quanta, on monomials of degree 3 and up.
+
+    The fault keeps the degree; the blocks below degree 3 pass.
+    """
+    def images(i, j, scheme, items):
+        for k, p in items:
+            double = i == j < 4 and k[j - 1] >= 2 and sum(k) >= 3
+            for nk, f, q in real(i, j, scheme, ((k, p),)):
+                yield nk, f * 2 if double else f, q
+    return images
+
+
 # fault -> (truncation, how to plant it, the claims it fails, witnesses fixed by hand)
 BASIS_STATE_FAULTS = {
     # scheme 2 run with the scheme-1 signs: the scalar sector's sign flips
@@ -167,6 +182,11 @@ BASIS_STATE_FAULTS = {
                                                    _deep_annihilation(fock._ladder_images)),
                           {"ladder-standard", "ladder-incorrect-sign"},
                           {"ladder-standard": "mode 1, state (1, 0, 0, 2)"}),
+    # found inside degree 3, past the blocks below it
+    "deep diagonal": (5, lambda mp: mp.setattr(fock, "_bilinear_images",
+                                               _deep_diagonal(fock._bilinear_images)),
+                      {"energy-nonnegative", "unit-charge-number"},
+                      {"unit-charge-number": "state (0, 0, 2, 1)"}),
 }
 
 

@@ -93,8 +93,8 @@ MUTATIONS = [
      VERIFY_FOCK, {"fock/charges-commute-energy", "fock/bracket-commutator-correspondence",
                    "fock/charge-matrix-structure", "fock/truncation-exactness"}),
     ("pi.pi quantisation factor sign flipped", "fock.py",
-     "(False, False): (-s * p * p, 0)",
-     "(False, False): (s * p * p, 0)",
+     "(False, False): (-p * p, 0)",
+     "(False, False): (p * p, 0)",
      VERIFY_FOCK, {"fock/bracket-commutator-correspondence"}),
     ("s and d directions dropped from the sum of f Q", "suites.py",
      "want = charges @ f",
