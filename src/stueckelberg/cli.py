@@ -313,10 +313,11 @@ GC_GEN0_THRESHOLD = 50_000
 def _run_and_exit():
     """Run main(), flush the output and leave without interpreter teardown.
 
-    The import image is moved out of the collector's sight first, so
-    neither its passes nor the copy-on-write pages of forked workers
-    touch it.  A write that fails, such as to a closed pipe, exits 2
-    with one stderr line.
+    `python -m stueckelberg.cli` and the installed `stueckelberg` command
+    both run this.  The import image is moved out of the collector's
+    sight first, so neither its passes nor the copy-on-write pages of
+    forked workers touch it.  A write that fails, such as to a closed
+    pipe, exits 2 with one stderr line.
     """
     gc.freeze()
     gc.set_threshold(GC_GEN0_THRESHOLD, *gc.get_threshold()[1:])

@@ -89,12 +89,6 @@ class GaussianRational:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = GaussianRational._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational._raw(self.re - o.re, self.im - o.im)
-
     def __mul__(self, other):
         o = GaussianRational._coerce(other)
         if o is None:
@@ -118,9 +112,6 @@ class GaussianRational:
 
     def __neg__(self):
         return GaussianRational._raw(-self.re, -self.im)
-
-    def __pos__(self):
-        return self
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -318,7 +309,6 @@ class _ExactCoefficients:
         return self._with(*_lowest(_times(self._c, x, y), self._den * d))
 
     __mul__ = scale
-    __rmul__ = scale
 
     def __neg__(self):
         return self._with({k: (-a, -b) for k, (a, b) in self._c.items()}, self._den)

@@ -257,31 +257,25 @@ def infinitesimal_transform(qs, pis, params: U31Params, ctx: ModeContext):
     return _table_sum((a2, qs), (w / k0, pis)), _table_sum((a2, pis), (w * -k0, qs))
 
 
-def canonical_products():
-    """What F sums: symbol i at key (i,), symbol i times symbol j at (i, j), and q.pi' at ()."""
-    out = {(i,): QuadraticObservable.symbol(i) for i in range(8)}
-    out.update({(i, j): out[i,] * out[j,] for i in range(8) for j in range(8)})
-    out[()] = sum((out[i, 4 + i] for i in range(4)), QuadraticObservable())
-    return out
-
-
-def generating_function(params: U31Params, ctx: ModeContext, products) -> QuadraticObservable:
+def generating_function(params: U31Params, ctx: ModeContext) -> QuadraticObservable:
     """F(q, pi') = q.pi' + pi'.2A.q + (pi'.W.pi' / k0 + k0 q.W.q) / 2.
 
     The momentum symbols stand for the primed momenta here.  The plain
     q.pi' term generates the identity; each parameter adds its bilinear.
-    products is `canonical_products()`, which the caller builds once.
+    F is stored once from its terms, and terms on one monomial add up.
     """
     k0 = GaussianRational(ctx.k0)
-    out = products[()]
-    for (i, j), a in (params.a * 2).coeffs.items():
-        out = out + products[4 + i, j].scale(a)
-    for (i, j), w in (_phase_table(params) * Fraction(1, 2)).coeffs.items():
-        out = out + products[4 + i, 4 + j].scale(w / k0) + products[i, j].scale(w * k0)
-    return out
+    w = _phase_table(params) * Fraction(1, 2)
+    terms = [((i, 4 + i), GR_ONE) for i in range(4)]
+    terms += [((4 + i, j), a) for (i, j), a in (params.a * 2).coeffs.items()]
+    terms += [((4 + i, 4 + j), c / k0) for (i, j), c in w.coeffs.items()]
+    terms += [((i, j), c * k0) for (i, j), c in w.coeffs.items()]
+    f = object.__new__(QuadraticObservable)
+    f._store(terms, _monomial)
+    return f
 
 
-def transform_from_generating_function(params: U31Params, ctx: ModeContext, products):
+def transform_from_generating_function(params: U31Params, ctx: ModeContext):
     """Recover (delta q, delta pi) from F to first order in the parameters.
 
     F is q.pi' plus a correction linear in the parameters, so the
@@ -289,15 +283,15 @@ def transform_from_generating_function(params: U31Params, ctx: ModeContext, prod
     pi' = pi - correction drops only second-order terms, and plain
     parameters give exactly the first-order variation.
     """
-    f = generating_function(params, ctx, products)
+    f = generating_function(params, ctx)
     dq = []
     dpi = []
     for mu in range(1, 5):
         # pi_mu = dF/dq_mu = pi'_mu + correction(q, pi'); inverting and then
         # reading the primed slots as unprimed is exact at first order since
         # the correction is already first order in the parameters.
-        dpi.append(-(f.derivative(mu - 1) - products[3 + mu,]))
-        dq.append(f.derivative(3 + mu) - products[mu - 1,])
+        dpi.append(-(f.derivative(mu - 1) - pi_sym(mu)))
+        dq.append(f.derivative(3 + mu) - q_sym(mu))
     return tuple(dq), tuple(dpi)
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tomllib
 from collections import Counter
 from pathlib import Path
 
@@ -356,15 +357,26 @@ def test_run_leaves_no_child_process(three_cpus):
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("argv", [
-    ("verify", "em", "--json", "--no-timing"),  # fails at the last flush
-    ("dump", "gram", "--truncation", "6"),  # fails while it writes
-], ids=["verify", "dump"])
-def test_closed_stdout_is_one_stderr_line(argv):
+# how `python -m` runs the CLI, and how the installed command runs the
+# console script's "module:function" target from pyproject.toml
+MODULE_ENTRY = ("-m", "stueckelberg.cli")
+SCRIPT = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())[
+    "project"]["scripts"]["stueckelberg"]
+INSTALLED_ENTRY = ("-c", "import sys; from {0} import {1}; sys.exit({1}())".format(
+    *SCRIPT.split(":")))
+
+
+@pytest.mark.parametrize("entry, argv", [
+    (MODULE_ENTRY, ("verify", "em", "--json", "--no-timing")),  # fails at the last flush
+    (MODULE_ENTRY, ("dump", "gram", "--truncation", "6")),  # fails while it writes
+    (INSTALLED_ENTRY, ("verify", "em", "--json", "--no-timing")),
+    (INSTALLED_ENTRY, ("dump", "gram", "--truncation", "6")),
+], ids=["verify", "dump", "installed-verify", "installed-dump"])
+def test_closed_stdout_is_one_stderr_line(entry, argv):
     rd, wr = os.pipe()
     os.close(rd)
     try:
-        proc = subprocess.run([sys.executable, "-m", "stueckelberg.cli", *argv], stdout=wr,
+        proc = subprocess.run([sys.executable, *entry, *argv], stdout=wr,
                               stderr=subprocess.PIPE, text=True, env=cli_env(), timeout=60)
     finally:
         os.close(wr)

@@ -5,8 +5,7 @@ import pytest
 from exact_helpers import gr
 from stueckelberg.exact import GR_I, GR_ONE
 from stueckelberg.modes import (ModeContext, QuadraticObservable, U31Params,
-                                basis_directions, canonical_products, conserved_charges,
-                                generating_function,
+                                basis_directions, conserved_charges, generating_function,
                                 generator_matrix, hamiltonian,
                                 infinitesimal_transform, pi_sym, q_sym,
                                 trace_direction)
@@ -93,7 +92,7 @@ def test_zero_parameters_zero_variation(ctx):
 
 
 def test_generating_function_identity_part(ctx):
-    f = generating_function(U31Params(), ctx, canonical_products())
+    f = generating_function(U31Params(), ctx)
     want = QuadraticObservable()
     for mu in range(1, 5):
         want = want + q_sym(mu) * pi_sym(mu)

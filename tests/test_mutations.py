@@ -69,8 +69,8 @@ MUTATIONS = [
      "a2, w = params.a.transpose() * 2, _phase_table(params)",
      VERIFY_ALL, {"u31/charge-flows", "u31/generating-function"}),
     ("a once in F", "modes.py",
-     "for (i, j), a in (params.a * 2).coeffs.items():",
-     "for (i, j), a in params.a.coeffs.items():",
+     "terms += [((4 + i, j), a) for (i, j), a in (params.a * 2).coeffs.items()]",
+     "terms += [((4 + i, j), a) for (i, j), a in params.a.coeffs.items()]",
      VERIFY_ALL, {"u31/generating-function"}),
     ("symmetric off-diagonal charge weight once", "modes.py",
      "w = 1 if i == j else 2",
